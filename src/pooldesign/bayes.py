@@ -1,21 +1,26 @@
 """Bayesian pool-size selection under truncated beta priors on (0, U].
 
-The prior density is p^(a-1)(1-p)^(b-1) / Z on (0, U]; (1,1) is the
-uniform prior (closed-form posterior cost, no quadrature needed) and
-(1/2, 1/2) is the Jeffreys prior, whose normalizer is 2*arcsin(sqrt(U)).
-The prior-mean cost of a pool size is integrated after the substitution
-p = U*sin^2(theta), which removes the endpoint singularities of the
-density before adaptive quadrature.
+The prior density is p^(a-1)(1-p)^(b-1) / B(U; a, b) on (0, U], where
+B(U; a, b) is the incomplete beta function; (1,1) is the uniform prior and
+(1/2, 1/2) the Jeffreys prior, whose normalizer is 2*arcsin(sqrt(U)).
+
+The solver needs no quadrature. Since E[p(1-p)^j] = B(U; a+1, b+j) / B(U; a, b)
+(DLMF 8.17), the prior-mean cost of pool size k >= 2 is the sum of positive
+terms 1/k + sum_{j<k} B(U; a+1, b+j) / B(U; a, b), free of the cancellation
+in 1 - E[(1-p)^k]. Adaptive quadrature in theta (p = U*sin^2(theta)) is
+kept as the independent oracle `expected_tests_under_prior`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from scipy import integrate, special
+import numpy as np
+from scipy import special
 
-from .core import _check_group_size
+from .core import _check_group_size, _check_upper_bound, _scan_for_minimum
 
 __all__ = [
     "PriorSpec",
@@ -37,11 +42,6 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def _check_upper_bound(U: float) -> None:
-    if not 0.0 < U <= 1.0:
-        raise ValueError(f"upper bound must lie in (0, 1], got {U!r}")
-
-
 @dataclass(frozen=True)
 class PriorSpec:
     """Beta(a, b) prior truncated and renormalized to (0, upper]."""
@@ -51,8 +51,10 @@ class PriorSpec:
     upper: float = 1.0
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(f"beta shapes must be positive, got a={self.a!r}, b={self.b!r}")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError(
+                f"beta shapes must be positive and finite, got a={self.a!r}, b={self.b!r}"
+            )
         _check_upper_bound(self.upper)
 
     @classmethod
@@ -83,14 +85,18 @@ def expected_tests_uniform(k: int, U: float) -> float:
     _check_upper_bound(U)
     if k == 1:
         return 1.0
-    # (1-U)^(k+1) via log1p for accuracy; exactly 0 at U = 1
-    tail = 0.0 if U == 1.0 else math.exp((k + 1) * math.log1p(-U))
-    return 1.0 + 1.0 / k + (tail - 1.0) / (U * (k + 1))
+    # (1-U)^(k+1) - 1 without cancellation at small U; exactly -1 at U = 1
+    tail_m1 = -1.0 if U == 1.0 else math.expm1((k + 1) * math.log1p(-U))
+    return 1.0 + 1.0 / k + tail_m1 / (U * (k + 1))
 
 
-def _normalizer(a: float, b: float, U: float) -> float:
-    # incomplete beta mass of the untruncated density on (0, U]
-    return float(special.betainc(a, b, U) * special.beta(a, b))
+def _log_mass(prior: PriorSpec) -> float:
+    """log B(U; a, b), the mass of the untruncated density on (0, U]."""
+    a, b, U = prior.a, prior.b, prior.upper
+    ratio = float(special.betainc(a, b, U))
+    if ratio == 0.0:
+        raise RuntimeError(f"{prior} has no mass on (0, upper] in double precision")
+    return math.log(ratio) + float(special.betaln(a, b))
 
 
 def _weighted_cost_mass(k, a, b, U, tol, budget):
@@ -112,6 +118,8 @@ def _weighted_cost_mass(k, a, b, U, tol, budget):
         cost = 1.0 if k == 1 else 1.0 - q ** k + inv_k
         return 2.0 * U ** a * s ** two_a * c * q ** b_m1 * cost
 
+    from scipy import integrate  # only the oracle integrates numerically
+
     out = integrate.quad(
         g, 0.0, 0.5 * math.pi, epsabs=tol, epsrel=tol, limit=budget, full_output=1
     )
@@ -127,55 +135,44 @@ def _weighted_cost_mass(k, a, b, U, tol, budget):
 def expected_tests_under_prior(
     k: int, prior: PriorSpec, *, quad_tol: float = 1e-10, budget: int = 10_000
 ) -> float:
-    """Prior-mean tests per person for pool size k under a truncated beta prior."""
+    """Prior-mean tests per person for pool size k under a truncated beta
+    prior, by adaptive quadrature (the oracle for `bayes_optimal_k`)."""
     _check_group_size(k)
     mass = _weighted_cost_mass(k, prior.a, prior.b, prior.upper, quad_tol, budget)
-    return mass / _normalizer(prior.a, prior.b, prior.upper)
+    return mass / math.exp(_log_mass(prior))
 
 
-def _scan_for_minimum(cost, patience: int, k_cap: int):
-    """Smallest k minimizing cost(k); stops after `patience` sizes without
-    a strict improvement (handles costs that flatten out without rising)."""
-    best_k = None
-    best = math.inf
-    stale = 0
-    k = 0
-    while True:
-        k += 1
-        e = cost(k)
-        if e < best:
-            best_k, best = k, e
-            stale = 0
-        else:
-            stale += 1
-        if stale >= patience:
-            return best_k, best
-        if k >= k_cap:
-            raise RuntimeError(
-                f"pool-size scan reached k={k_cap} without bracketing a minimum"
-            )
+# Pool sizes per array evaluation of the cost curve: enough to amortize the
+# ufunc calls, few enough that the common small-k answers pay little for it.
+_CHUNK = 64
+
+
+def _prior_costs(prior: PriorSpec):
+    """Prior-mean costs of k = 1, 2, ... in closed form, one chunk at a time."""
+    a, b, U = prior.a, prior.b, prior.upper
+    log_mass = _log_mass(prior)
+    total = 0.0  # sum of the terms j < start
+    for start in itertools.count(0, _CHUNK):
+        j = np.arange(start, start + _CHUNK, dtype=float)
+        with np.errstate(divide="ignore"):  # a term that underflows adds 0
+            log_inc = np.log(special.betainc(a + 1.0, b + j, U))
+        log_terms = log_inc + special.betaln(a + 1.0, b + j) - log_mass
+        sums = total + np.cumsum(np.exp(log_terms))
+        total = float(sums[-1])
+        costs = 1.0 / (j + 1.0) + sums  # cost of k = j + 1
+        if start == 0:
+            costs[0] = 1.0  # k = 1 tests everyone once
+        yield from costs.tolist()
 
 
 def bayes_optimal_k(
-    prior: PriorSpec,
-    *,
-    quad_tol: float = 1e-10,
-    patience: int = 10,
-    k_cap: int = 100_000,
+    prior: PriorSpec, *, patience: int = 10, k_cap: int = 100_000
 ) -> BayesResult:
     """Pool size minimizing the prior-mean cost; ties go to the smaller k."""
-    if patience < 1:
-        raise ValueError("patience must be >= 1")
-    k, e = _scan_for_minimum(
-        lambda k: expected_tests_under_prior(k, prior, quad_tol=quad_tol),
-        patience,
-        k_cap,
-    )
+    k, e = _scan_for_minimum(_prior_costs(prior), patience, k_cap)
     return BayesResult(k, e, prior)
 
 
 def uniform_optimal_k(U: float, *, patience: int = 10, k_cap: int = 100_000) -> int:
-    """Pool size minimizing the Uniform(0, U] prior-mean cost (closed form)."""
-    _check_upper_bound(U)
-    k, _ = _scan_for_minimum(lambda k: expected_tests_uniform(k, U), patience, k_cap)
-    return k
+    """Pool size minimizing the Uniform(0, U] prior-mean cost."""
+    return bayes_optimal_k(PriorSpec.uniform(U), patience=patience, k_cap=k_cap).k_opt

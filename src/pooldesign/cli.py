@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import core, efficiency, minimax, ranges
-from .bayes import PriorSpec, QuadratureError, bayes_optimal_k
+from .bayes import PriorSpec, bayes_optimal_k
 from .efficiency import TableReport
 
 CONFIG_ENV_VAR = "POOLDESIGN_CONFIG"
@@ -24,7 +24,6 @@ FORMATS = ("csv", "json", "markdown")
 @dataclass
 class RunConfig:
     grid_step: float = 1e-6
-    quad_tol: float = 1e-10
     k_scan_patience: int = 10
     output: str = "markdown"
 
@@ -50,8 +49,6 @@ def _build_config(args) -> RunConfig:
         raw = _load_config_file(path)
         if "grid_step" in raw:
             cfg.grid_step = float(raw["grid_step"])
-        if "quad_tol" in raw:
-            cfg.quad_tol = float(raw["quad_tol"])
         if "k_scan_patience" in raw:
             cfg.k_scan_patience = int(raw["k_scan_patience"])
         if "format" in raw:
@@ -61,14 +58,12 @@ def _build_config(args) -> RunConfig:
     # flags override the config file
     if getattr(args, "grid_step", None) is not None:
         cfg.grid_step = args.grid_step
-    if getattr(args, "quad_tol", None) is not None:
-        cfg.quad_tol = args.quad_tol
     if getattr(args, "patience", None) is not None:
         cfg.k_scan_patience = args.patience
     if getattr(args, "format", None) is not None:
         cfg.output = args.format
-    if not (cfg.grid_step > 0 and cfg.quad_tol > 0 and cfg.k_scan_patience >= 1):
-        raise ValueError("grid_step and quad_tol must be positive, patience >= 1")
+    if not (cfg.grid_step > 0 and cfg.k_scan_patience >= 1):
+        raise ValueError("grid_step must be positive, patience >= 1")
     return cfg
 
 
@@ -164,7 +159,7 @@ def _cmd_bayes(args, cfg: RunConfig) -> int:
         if args.a is None or args.b is None:
             raise ValueError("--prior beta requires --a and --b")
         prior = PriorSpec(args.a, args.b, args.upper_bound)
-    res = bayes_optimal_k(prior, quad_tol=cfg.quad_tol, patience=cfg.k_scan_patience)
+    res = bayes_optimal_k(prior, patience=cfg.k_scan_patience)
     _emit_record(
         "bayes",
         {
@@ -189,9 +184,7 @@ def _cmd_range(args, cfg: RunConfig) -> int:
 
 
 def _cmd_table(args, cfg: RunConfig) -> int:
-    report = efficiency.generate_table(
-        f"T{args.table}", quad_tol=cfg.quad_tol, patience=cfg.k_scan_patience
-    )
+    report = efficiency.generate_table(f"T{args.table}", patience=cfg.k_scan_patience)
     if args.check:
         mismatches = efficiency.check_table(report)
         if mismatches:
@@ -208,10 +201,6 @@ def _cmd_table(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _positive_in_unit(value: str) -> float:
-    return float(value)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pooldesign",
@@ -220,11 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file (or set $" + CONFIG_ENV_VAR + ")")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, *, patience=False, grid_step=False):
         p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument("--grid-step", dest="grid_step", type=float, default=None)
-        p.add_argument("--quad-tol", dest="quad_tol", type=float, default=None)
-        p.add_argument("--patience", type=int, default=None)
+        if grid_step:
+            p.add_argument("--grid-step", dest="grid_step", type=float, default=None)
+        if patience:
+            p.add_argument("--patience", type=int, default=None)
         # SUPPRESS keeps the subcommand from clobbering the top-level value
         p.add_argument(
             "--config", dest="config", default=argparse.SUPPRESS, help=argparse.SUPPRESS
@@ -238,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mm = sub.add_parser("minimax", help="pool size minimizing worst-case regret")
     p_mm.add_argument("--upper-bound", dest="upper_bound", type=float, default=1.0)
     p_mm.add_argument("--method", choices=("analytic", "grid"), default="analytic")
-    add_common(p_mm)
+    add_common(p_mm, patience=True, grid_step=True)
     p_mm.set_defaults(func=_cmd_minimax)
 
     p_bayes = sub.add_parser("bayes", help="pool size minimizing prior-mean cost")
@@ -248,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bayes.add_argument("--a", type=float, default=None)
     p_bayes.add_argument("--b", type=float, default=None)
     p_bayes.add_argument("--upper-bound", dest="upper_bound", type=float, default=1.0)
-    add_common(p_bayes)
+    add_common(p_bayes, patience=True)
     p_bayes.set_defaults(func=_cmd_bayes)
 
     p_rng = sub.add_parser("range", help="prevalence interval where a pool size is optimal")
@@ -259,28 +249,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("table", help="regenerate a reference table")
     p_tab.add_argument("--table", type=int, choices=range(1, 6), required=True)
     p_tab.add_argument("--check", action="store_true")
-    add_common(p_tab)
+    add_common(p_tab, patience=True)
     p_tab.set_defaults(func=_cmd_table)
 
     return parser
 
 
+def _fail(exc: Exception, label: str, output: str | None, code: int) -> int:
+    print(f"{label}: {exc}", file=sys.stderr)
+    if output == "json":
+        print(json.dumps({"error": str(exc)}))
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    output = args.format
     try:
         cfg = _build_config(args)
+        output = cfg.output
         return args.func(args, cfg)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if getattr(args, "format", None) == "json":
-            print(json.dumps({"error": str(exc)}))
-        return 2
-    except (QuadratureError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        if getattr(args, "format", None) == "json":
-            print(json.dumps({"error": str(exc)}))
-        return 3
+        return _fail(exc, "error", output, 2)
+    except RuntimeError as exc:
+        return _fail(exc, "numerical failure", output, 3)
 
 
 if __name__ == "__main__":

@@ -11,14 +11,22 @@ independent oracle in tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import ranges
-from .core import P0, _check_group_size, _expected_tests_vec, _optimal_tests_vec
+from .core import (
+    P0,
+    _check_group_size,
+    _check_upper_bound,
+    _expected_tests_vec,
+    _optimal_tests_vec,
+    _scan_for_minimum,
+)
 
 __all__ = [
     "LossPoint",
@@ -48,11 +56,6 @@ class MinimaxResult:
     upper_bound: float
     worst_point: LossPoint
     method: str
-
-
-def _check_upper_bound(U: float) -> None:
-    if not 0.0 < U <= 1.0:
-        raise ValueError(f"upper bound must lie in (0, 1], got {U!r}")
 
 
 def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
@@ -130,37 +133,18 @@ def minimax_group_size(
 ) -> MinimaxResult:
     """Pool size minimizing the worst-case regret over (0, min(U, P0)].
 
-    Scans k upward and stops once the supremum has strictly increased for
-    `patience` consecutive sizes (the worst-case curve is unimodal in k);
+    Scans k upward and stops after `patience` sizes without a strict
+    improvement of the supremum (the worst-case curve is unimodal in k);
     ties in the minimum go to the smaller pool size.
     """
     _check_upper_bound(U)
-    if method not in ("analytic", "grid"):
+    if method == "analytic":
+        sup = partial(sup_loss_analytic, U=U)
+    elif method == "grid":
+        step = min(grid_step, U / 1e5)  # small windows keep at least 1e5 grid points
+        sup = partial(sup_loss_grid, U=U, step=step)
+    else:
         raise ValueError(f"method must be 'analytic' or 'grid', got {method!r}")
-    if patience < 1:
-        raise ValueError("patience must be >= 1")
-    if method == "grid":
-        # small windows keep at least 1e5 grid points
-        step = min(grid_step, U / 1e5)
-    best: LossPoint | None = None
-    prev = math.inf
-    rising = 0
-    k = 0
-    while True:
-        k += 1
-        pt = (
-            sup_loss_analytic(k, U)
-            if method == "analytic"
-            else sup_loss_grid(k, U, step)
-        )
-        if best is None or pt.sup_loss < best.sup_loss:
-            best = pt
-        rising = rising + 1 if pt.sup_loss > prev else 0
-        prev = pt.sup_loss
-        if rising >= patience:
-            break
-        if k >= k_cap:
-            raise RuntimeError(
-                f"worst-case scan reached k={k_cap} without bracketing a minimum"
-            )
-    return MinimaxResult(best.k, U, best, method)
+    losses = (sup(k).sup_loss for k in itertools.count(1))
+    k, _ = _scan_for_minimum(losses, patience, k_cap)
+    return MinimaxResult(k, U, sup(k), method)

@@ -28,7 +28,15 @@ class TestPriorSpec:
         assert PriorSpec.jeffreys() == PriorSpec(0.5, 0.5, 1.0)
 
     @pytest.mark.parametrize(
-        "a, b, U", [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.5)]
+        "a, b, U",
+        [
+            (0.0, 1.0, 1.0),
+            (1.0, -2.0, 1.0),
+            (1.0, 1.0, 0.0),
+            (1.0, 1.0, 1.5),
+            (math.inf, 1.0, 1.0),
+            (1.0, math.inf, 1.0),
+        ],
     )
     def test_rejects_bad_parameters(self, a, b, U):
         with pytest.raises(ValueError):
@@ -66,6 +74,15 @@ class TestUniformClosedForm:
 
     def test_full_row_of_optima(self):
         assert [uniform_optimal_k(U) for U in U_ROW] == K_UNIFORM
+
+    @pytest.mark.parametrize("U", [1e-8, 1e-10, 1e-17])
+    def test_small_bounds_against_high_precision(self, U):
+        # 1 - (1-U)^(k+1) cancels in double precision unless taken via expm1
+        k = 10
+        with mp.workdps(50):
+            u = mp.mpf(U)
+            want = 1 + mp.mpf(1) / k + ((1 - u) ** (k + 1) - 1) / (u * (k + 1))
+        assert expected_tests_uniform(k, U) == pytest.approx(float(want), rel=1e-13)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -136,11 +153,51 @@ class TestBayesOptimalK:
         assert bayes_optimal_k(PriorSpec.jeffreys(U)).k_opt == 78
 
     def test_refinement_does_not_change_the_answer(self):
+        # the closed-form argmin is also the quadrature argmin over its
+        # neighbours, at the default and at a refined tolerance
         for U in (0.0001, 0.001, 0.05, 0.3):
             prior = PriorSpec.jeffreys(U)
-            k_coarse = bayes_optimal_k(prior, quad_tol=1e-10).k_opt
-            k_fine = bayes_optimal_k(prior, quad_tol=5e-11).k_opt
-            assert k_coarse == k_fine
+            k = bayes_optimal_k(prior).k_opt
+            for tol in (1e-10, 5e-11):
+                cost = {
+                    j: expected_tests_under_prior(j, prior, quad_tol=tol)
+                    for j in (k - 1, k, k + 1)
+                }
+                assert min(cost, key=cost.get) == k
+
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            PriorSpec(0.05, 0.05, 1.0),
+            PriorSpec(1e-3, 1.0, 1.0),
+            PriorSpec(0.058, 2.57, 1.44e-6),
+            PriorSpec.jeffreys(1e-4),
+        ],
+    )
+    def test_cost_at_optimum_against_high_precision_betainc(self, prior):
+        # independent of the solver's telescoped sum: the plain ratio
+        # 1 + 1/k - B(U; a, b+k) / B(U; a, b) at 50 digits
+        res = bayes_optimal_k(prior)
+        with mp.workdps(50):
+            a, b, U = (mp.mpf(x) for x in (prior.a, prior.b, prior.upper))
+            mass = mp.betainc(a, b, 0, U)
+
+            def cost(k):
+                return 1 + mp.mpf(1) / k - mp.betainc(a, b + k, 0, U) / mass
+
+            k = res.k_opt
+            assert k > 1
+            assert cost(k) < cost(k - 1) and cost(k) <= cost(k + 1)
+            want = float(cost(k))
+        assert res.expected_tests_at_opt == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("U", [1e-6, 1e-4, 0.005, 0.05, 0.3])
+    def test_uniform_cost_matches_closed_form(self, U):
+        res = bayes_optimal_k(PriorSpec.uniform(U))
+        assert res.expected_tests_at_opt == pytest.approx(
+            expected_tests_uniform(res.k_opt, U), rel=1e-12
+        )
+        assert uniform_optimal_k(U) == res.k_opt
 
     def test_rejects_bad_patience(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,23 @@ class TestBayes:
         code, _, err = run(capsys, "bayes", "--prior", "beta")
         assert code == 2 and "--a" in err
 
+    def test_infinite_shape_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "bayes", "--prior", "beta", "--a", "inf", "--b", "1",
+            "--format", "json",
+        )
+        assert code == 2 and "finite" in err
+        assert "error" in json.loads(out)
+
+    def test_prior_without_mass_exits_three(self, capsys):
+        # Beta(100, 1) puts about U^100 of its mass on (0, U]: 0.0 in doubles
+        code, _, err = run(
+            capsys, "bayes", "--prior", "beta", "--a", "100", "--b", "1",
+            "--upper-bound", "1e-6",
+        )
+        assert code == 3
+        assert "numerical failure" in err and "a=100.0" in err
+
     def test_quadrature_failure_exits_three(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise QuadratureError("did not converge", 0.1)
@@ -188,6 +205,27 @@ class TestDeterminismAndConfig:
             capsys, "--config", str(tmp_path / "nope.cfg"), "optimal", "--p", "0.02"
         )
         assert code == 2 and err.strip()
+
+    def test_config_format_applies_to_errors(self, capsys, tmp_path):
+        cfg = tmp_path / "pool.cfg"
+        cfg.write_text("format = json\n")
+        code, out, err = run(capsys, "--config", str(cfg), "optimal", "--p", "1.5")
+        assert code == 2 and err.strip()
+        assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimal", "--p", "0.02", "--grid-step", "1e-5"],
+            ["bayes", "--prior", "jeffreys", "--grid-step", "1e-5"],
+            ["range", "--k", "8", "--patience", "5"],
+            ["bayes", "--prior", "jeffreys", "--quad-tol", "1e-12"],
+        ],
+    )
+    def test_flags_a_command_would_ignore_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
     def test_invalid_patience_exits_two(self, capsys):
         code, _, _ = run(capsys, "minimax", "--patience", "0")

@@ -92,7 +92,7 @@ def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
     return LossPoint(k, 0.0, limit)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)  # a scan reuses one grid; each can take megabytes
 def _grid_base(U: float, step: float):
     hi = min(U, P0)
     n = int(math.floor(hi / step + 1e-12))

@@ -1,13 +1,18 @@
 """Tests for prior-mean costs and Bayes-optimal pool sizes."""
 
+import itertools
 import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from pooldesign import (
     PriorSpec,
     QuadratureError,
+    bayes,
     bayes_optimal_k,
     expected_tests_under_prior,
     expected_tests_uniform,
@@ -189,16 +194,147 @@ class TestBayesOptimalK:
             assert k > 1
             assert cost(k) < cost(k - 1) and cost(k) <= cost(k + 1)
             want = float(cost(k))
-        assert res.expected_tests_at_opt == pytest.approx(want, rel=1e-12)
+        assert res.expected_tests_at_opt == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("U", [1e-6, 1e-4, 0.005, 0.05, 0.3])
     def test_uniform_cost_matches_closed_form(self, U):
         res = bayes_optimal_k(PriorSpec.uniform(U))
         assert res.expected_tests_at_opt == pytest.approx(
-            expected_tests_uniform(res.k_opt, U), rel=1e-12
+            expected_tests_uniform(res.k_opt, U), rel=1e-12, abs=0
         )
         assert uniform_optimal_k(U) == res.k_opt
 
     def test_rejects_bad_patience(self):
         with pytest.raises(ValueError):
             bayes_optimal_k(PriorSpec.jeffreys(), patience=0)
+
+
+def _threshold(a, b):
+    """Where the cost recurrence switches from the continued fraction at U
+    to complements at 1 - U."""
+    return (a + 1.0) / (a + b + 2.0)
+
+
+def _costs(prior, n):
+    return list(itertools.islice(bayes._prior_costs(prior), n))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestCostRecurrence:
+    @pytest.mark.parametrize(
+        "a, b, x",
+        [
+            (0.5, 0.5, 0.25),
+            (0.5, 0.5, 0.5),  # at the branch point
+            (1e-3, 1.0, 1e-10),
+            (1e-3, 1e5, _threshold(1e-3, 1e5)),
+            (1e5, 1e-3, 0.999),  # the complement of Beta(1e-3, 1e5) at U = 1e-3
+            (2.0, 5.0, _threshold(2.0, 5.0)),
+            (5.0, 200.0, 0.02),
+            (200.0, 5.0, 0.9),
+        ],
+    )
+    def test_continued_fraction_against_high_precision(self, a, b, x):
+        with mp.workdps(50):
+            ma, mb, mx = mp.mpf(a), mp.mpf(b), mp.mpf(x)
+            want = ma * mp.betainc(ma, mb, 0, mx) / (mx**ma * (1 - mx) ** mb)
+        got = bayes._beta_cf(a, b, x)
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "a, b, U",
+        [
+            (0.5, 0.5, 1e-10),
+            (0.5, 0.5, 1e-6),
+            (0.5, 0.5, 0.5),  # at the branch point
+            (0.5, 0.5, 0.999),
+            (0.5, 0.5, 1.0),
+            (1.0, 1.0, 3.3e-5),
+            (1e-3, 1.0, 0.3),
+            (1e-3, 1.0, 1.0),
+            (1e-3, 1e5, 1e-10),
+            (1e-3, 1e5, math.nextafter(_threshold(1e-3, 1e5), 0.0)),
+            (1e-3, 1e5, _threshold(1e-3, 1e5)),
+            (1e-3, 1e5, 1.5 * _threshold(1e-3, 1e5)),
+            (1.0, 1e5, _threshold(1.0, 1e5)),
+            (1.0, 1e5, 3.0 * _threshold(1.0, 1e5)),
+            (1e-3, 1e-3, 0.75),
+            (5.0, 200.0, 1e-3),
+            (5.0, 200.0, _threshold(5.0, 200.0)),
+            (200.0, 5.0, 0.99),
+        ],
+    )
+    def test_costs_against_high_precision(self, a, b, U):
+        # the plain ratio 1 + 1/k - B(U; a, b+k) / B(U; a, b) at 50 digits,
+        # independent of the recurrence, out to k = 1e4
+        ks = (1, 2, 3, 10, 100, 1000, 10_000)
+        got = _costs(PriorSpec(a, b, U), ks[-1])
+        with mp.workdps(50):
+            ma, mb, mU = mp.mpf(a), mp.mpf(b), mp.mpf(U)
+            mass = mp.betainc(ma, mb, 0, mU)
+            for k in ks:
+                ratio = mp.betainc(ma, mb + k, 0, mU) / mass
+                want = 1 if k == 1 else 1 + mp.mpf(1) / k - ratio
+                assert got[k - 1] == pytest.approx(float(want), rel=1e-12, abs=0), k
+
+    @pytest.mark.parametrize(
+        "a, b, U",
+        [
+            (2.0, 5.0, _threshold(2.0, 5.0)),
+            (0.5, 0.5, 0.999),
+            # b/a >= 1e4 just above the branch point: the continued fraction
+            # at 1 - U is ill-conditioned while much mass lies above U
+            (1e-3, 1e5, 1.5 * _threshold(1e-3, 1e5)),
+            (1.0, 1e5, 1.1 * _threshold(1.0, 1e5)),
+            (10.0, 1e5, 1.1 * _threshold(10.0, 1e5)),
+            # tiny b: most mass sits above U, so 1 - tail would cancel
+            (20.0, 1.3e-6, 0.955),
+        ],
+    )
+    def test_start_values_against_high_precision(self, a, b, U):
+        r0, w0, _ = bayes._start_values(a, b, U)
+        with mp.workdps(50):
+            ma, mb, mU = mp.mpf(a), mp.mpf(b), mp.mpf(U)
+            mass = mp.betainc(ma, mb, 0, mU)
+            want_r0 = mp.betainc(ma + 1, mb, 0, mU) / mass
+            want_w0 = mU ** (ma + 1) * (1 - mU) ** mb / mass
+        assert r0 == pytest.approx(float(want_r0), rel=1e-12, abs=0)
+        assert w0 == pytest.approx(float(want_w0), rel=1e-12, abs=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=_log_uniform(0.05, 5.0),
+        b=_log_uniform(0.5, 200.0),
+        U=_log_uniform(1e-6, 1.0),
+    )
+    def test_argmin_matches_the_scipy_closed_form(self, a, b, U):
+        prior = PriorSpec(a, b, min(U, 1.0))
+        k = bayes_optimal_k(prior).k_opt
+        ks = [j for j in (k - 1, k, k + 1) if j >= 1]
+        got = _costs(prior, k + 1)
+        log_mass = math.log(special.betainc(a, b, prior.upper)) + special.betaln(a, b)
+
+        def want(j):
+            if j == 1:
+                return 1.0
+            tail = special.betainc(a, b + j, prior.upper)
+            log_tail = math.log(tail) + special.betaln(a, b + j)
+            return 1.0 + 1.0 / j - math.exp(log_tail - log_mass)
+
+        # 1 - B(U; a, b+j) / B(U; a, b) keeps the absolute error of scipy's
+        # ratio, about 1e-11 here (1.5e-8 relative at costs near 6e-4)
+        for j in ks:
+            assert got[j - 1] == pytest.approx(want(j), rel=0, abs=1e-10)
+        assert want(k) <= min(want(j) for j in ks if j != k) + 1e-10
+
+    def test_prior_without_mass_is_refused(self):
+        with pytest.raises(RuntimeError, match="no mass on"):
+            bayes_optimal_k(PriorSpec(100.0, 1.0, 1e-6))
+
+    def test_divergent_continued_fraction_names_the_prior(self, monkeypatch):
+        monkeypatch.setattr(bayes, "_CF_MAX_TERMS", 1)
+        with pytest.raises(RuntimeError, match=r"a=2\.0.*did not converge"):
+            bayes_optimal_k(PriorSpec(2.0, 5.0, 0.3))

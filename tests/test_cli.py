@@ -1,10 +1,15 @@
 """Tests for the command-line interface: outputs, exit codes, configuration."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pooldesign import cli
+import pooldesign
+from pooldesign import bayes, cli
 from pooldesign.bayes import QuadratureError
 
 
@@ -103,6 +108,14 @@ class TestBayes:
         )
         assert code == 3
         assert "numerical failure" in err and "a=100.0" in err
+
+    def test_divergent_continued_fraction_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(bayes, "_CF_MAX_TERMS", 1)
+        code, _, err = run(
+            capsys, "bayes", "--prior", "jeffreys", "--upper-bound", "0.3"
+        )
+        assert code == 3
+        assert "numerical failure" in err and "a=0.5" in err
 
     def test_quadrature_failure_exits_three(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -230,3 +243,42 @@ class TestDeterminismAndConfig:
     def test_invalid_patience_exits_two(self, capsys):
         code, _, _ = run(capsys, "minimax", "--patience", "0")
         assert code == 2
+
+
+IMPORT_PROBE = """
+import contextlib, io, sys
+from pooldesign import cli
+argvs = [
+    ["optimal", "--p", "0.02"],
+    ["range", "--k", "8"],
+    ["minimax", "--upper-bound", "0.05"],
+    ["bayes", "--prior", "beta", "--a", "2", "--b", "5", "--upper-bound", "0.3"],
+    ["table", "--table", "4", "--check"],
+]
+sink = io.StringIO()
+with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    codes = [cli.main(argv) for argv in argvs]
+print(codes)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+from pooldesign import PriorSpec, expected_tests_under_prior
+print(expected_tests_under_prior(5, PriorSpec.uniform(0.3)))
+"""
+
+
+class TestImports:
+    def test_no_subcommand_loads_scipy(self):
+        # only the quadrature oracle needs scipy, and it imports it itself
+        src = str(Path(pooldesign.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, scipy_modules, oracle = proc.stdout.splitlines()
+        assert codes == "[0, 0, 0, 0, 4]"  # T4 has pinned mismatch cells
+        assert scipy_modules == "[]"
+        assert float(oracle) == pytest.approx(
+            pooldesign.expected_tests_uniform(5, 0.3), abs=1e-10
+        )

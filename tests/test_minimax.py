@@ -10,6 +10,7 @@ from pooldesign import (
     sup_loss_grid,
 )
 from pooldesign.core import _loss_vec
+from pooldesign.minimax import _grid_base
 
 # exact worst case for a pool of eight
 P_STAR_8 = 1.0 - (3.0 / 8.0) ** 0.2
@@ -74,6 +75,12 @@ class TestGridSupremum:
         a = sup_loss_analytic(8, 1.0)
         assert g.sup_loss == pytest.approx(a.sup_loss, abs=1e-5)
         assert g.p_star == pytest.approx(a.p_star, abs=2e-6)
+
+    def test_grid_cache_holds_one_grid(self):
+        # a scan reuses one grid; older grids (megabytes each) are dropped
+        for U in (1.0, 0.05, 0.01, 0.001):
+            sup_loss_grid(8, U, step=1e-5)
+        assert _grid_base.cache_info().currsize <= 1
 
     def test_rejects_bad_step(self):
         for step in (0.0, -1e-6, 1e-2):

@@ -20,7 +20,6 @@ from .core import expected_tests, optimal_expected_tests, samuels_optimal_k
 from .minimax import minimax_group_size, sup_loss_analytic
 
 __all__ = [
-    "EfficiencyRow",
     "TableReport",
     "Mismatch",
     "TABLE_IDS",
@@ -30,13 +29,6 @@ __all__ = [
 ]
 
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5")
-
-
-@dataclass(frozen=True)
-class EfficiencyRow:
-    p: float
-    k_design: int
-    re: float
 
 
 @dataclass(frozen=True)

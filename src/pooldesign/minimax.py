@@ -2,10 +2,12 @@
 
 The worst case for a fixed pool size k is searched over (0, min(U, P0)];
 nothing is lost by truncating at P0, where individual testing takes over.
-The shipped solver is piecewise analytic: on the prevalence segment where
-the oracle size is m (< k), the regret equals q^m - q^k + 1/k - 1/m in
-q = 1-p, with an interior stationary point at q = (m/k)^(1/(k-m)). A plain
-grid search over p mirrors the heuristic procedure and serves as the
+The shipped solver is a maximum over the oracle size m. In q = 1-p the
+regret is E(k) - min_m E(m) = max_m g_m(q) with g_m(q) = q^m - q^k + 1/k - 1/m,
+so its supremum is the largest of the sup_q g_m. Each g_m with m < k rises
+up to q_m = (m/k)^(1/(k-m)) and falls after it, so it peaks on the domain at
+max(q_m, 1 - min(U, P0)); sizes m >= k stay below the p->0 limit 1/k. A
+plain grid search over p mirrors the heuristic procedure and serves as the
 independent oracle in tests.
 """
 
@@ -18,7 +20,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import ranges
 from .core import (
     P0,
     _check_group_size,
@@ -26,6 +27,7 @@ from .core import (
     _expected_tests_vec,
     _optimal_tests_vec,
     _scan_for_minimum,
+    samuels_optimal_k,
 )
 
 __all__ = [
@@ -61,34 +63,23 @@ class MinimaxResult:
 def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
     """Supremum of the regret of pool size k over p in (0, min(U, P0)].
 
-    Every oracle segment with m < k is enumerated; candidates are the
-    stationary point clamped to the segment plus both segment endpoints,
-    all compared against the p->0 limit. Segments with m >= k never beat
-    the limit (their regret is below 1/k). Ties go to the smallest p.
+    One candidate per oracle size m < k: the peak of g_m on the domain,
+    compared against the p->0 limit. The oracle size does not increase
+    with p, so m runs from max(3, k*(min(U, P0))) only. Ties go to the
+    smallest p.
     """
     _check_group_size(k)
     _check_upper_bound(U)
     hi = min(U, P0)
     limit = 1.0 if k == 1 else 1.0 / k
-    if k >= 4:
-        roots = ranges._roots_through(k - 1)  # q roots for sizes 2..k-1
-        m = np.arange(3, k)
-        seg_lo = roots[:-1]  # root for m-1
-        seg_hi = roots[1:]  # root for m
-        q_floor = 1.0 - hi  # domain in q is [1-hi, 1)
-        keep = seg_hi > q_floor
-        if keep.any():
-            m = m[keep]
-            lo = np.maximum(seg_lo[keep], q_floor)
-            hiq = seg_hi[keep]
-            q_stat = (m / k) ** (1.0 / (k - m))
-            qs = np.concatenate([np.clip(q_stat, lo, hiq), lo, hiq])
-            mm = np.concatenate([m, m, m])
-            vals = qs ** mm - qs ** k + 1.0 / k - 1.0 / mm
-            best = vals.max()
-            if best > limit:
-                q_best = qs[vals == best].max()  # highest q = lowest p
-                return LossPoint(k, 1.0 - float(q_best), float(best))
+    m = np.arange(max(3, samuels_optimal_k(hi)), k)
+    if m.size:
+        q = np.maximum((m / k) ** (1.0 / (k - m)), 1.0 - hi)
+        vals = q ** m - q ** k + 1.0 / k - 1.0 / m
+        best = vals.max()
+        if best > limit:
+            q_best = q[vals == best].max()  # highest q = lowest p
+            return LossPoint(k, 1.0 - float(q_best), float(best))
     return LossPoint(k, 0.0, limit)
 
 

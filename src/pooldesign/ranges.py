@@ -9,8 +9,7 @@ k = 2 is never optimal and k = 1 owns everything above P0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from .core import P0, Q0, _check_group_size
 
@@ -37,15 +36,13 @@ def delta(k: int, q: float) -> float:
         raise ValueError(f"delta is defined for k >= 3, got {k}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    return q ** k * (1.0 - q) - 1.0 / (k * (k + 1))
+    k = int(k)
+    # q**k is 0 or 1 well before k leaves the float range, and the integer
+    # division stays exact for any k, so neither term can overflow.
+    return q ** min(k, 2**64) * (1.0 - q) - 1 / (k * (k + 1))
 
 
-# Root buffer, grown on demand; _roots[i] holds the root for pool size i+2.
-_roots = np.empty(64)
-_roots[0] = Q0
-_nroots = 1
-
-
+@lru_cache(maxsize=4096)  # only the sizes asked for are ever bisected
 def _bisect_larger_root(k: int) -> float:
     # The bracket (k/(k+1), 1) is valid: delta is positive at its interior
     # maximum q = k/(k+1) and negative at 1. Bisect to the last float.
@@ -67,27 +64,25 @@ def larger_root(k: int) -> float:
     _check_group_size(k)
     if k < 2:
         raise ValueError(f"roots are defined for k >= 2, got {k}")
-    global _roots, _nroots
-    while _nroots < k - 1:
-        r = _bisect_larger_root(_nroots + 2)
-        if _nroots >= len(_roots):
-            _roots = np.concatenate([_roots, np.empty(len(_roots))])
-        _roots[_nroots] = r
-        _nroots += 1
-    return float(_roots[k - 2])
-
-
-def _roots_through(k: int):
-    """Read-only view of the roots for pool sizes 2..k (ascending)."""
-    larger_root(k)
-    return _roots[: k - 1]
+    return Q0 if k == 2 else _bisect_larger_root(int(k))
 
 
 def optimality_range(k: int) -> OptimalityRange:
-    """Prevalence interval on which pool size k is the oracle choice."""
+    """Prevalence interval on which pool size k is the oracle choice.
+
+    Raises RuntimeError when the two breakpoints of k coincide in double
+    precision; near 1 the roots step by about 2/k^3 in q against a float
+    spacing of 1.1e-16, so this first happens at k = 262440.
+    """
     _check_group_size(k)
     if k == 2:
         raise ValueError("pool size 2 is never optimal at any prevalence")
     if k == 1:
         return OptimalityRange(1, P0, 1.0)
-    return OptimalityRange(k, 1.0 - larger_root(k), 1.0 - larger_root(k - 1))
+    p_low, p_high = 1.0 - larger_root(k), 1.0 - larger_root(k - 1)
+    if p_low >= p_high:
+        raise RuntimeError(
+            f"the breakpoints of pool size {k} are not separated in double "
+            f"precision (both near p = {p_high:.6g})"
+        )
+    return OptimalityRange(k, p_low, p_high)

@@ -19,6 +19,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _src_path():
+    """PYTHONPATH for a child process that imports this pooldesign."""
+    src = str(Path(pooldesign.__file__).resolve().parent.parent)
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
 class TestOptimal:
     def test_json_fields(self, capsys):
         code, out, _ = run(capsys, "optimal", "--p", "0.02", "--format", "json")
@@ -136,6 +142,26 @@ class TestRange:
     def test_pool_of_two_exits_two(self, capsys):
         code, _, err = run(capsys, "range", "--k", "2")
         assert code == 2 and "never optimal" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["range", "--k", str(10**6)],
+            ["range", "--k", str(10**200)],
+            ["optimal", "--p", "1e-12"],
+        ],
+        ids=["range-1e6", "range-1e200", "optimal-1e-12"],
+    )
+    def test_unresolvable_range_exits_three(self, argv):
+        # the breakpoints of such pool sizes coincide in double precision
+        proc = subprocess.run(
+            [sys.executable, "-m", "pooldesign.cli", *argv],
+            env={**os.environ, "PYTHONPATH": _src_path()},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert "numerical failure" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestTable:
@@ -268,11 +294,9 @@ print(expected_tests_under_prior(5, PriorSpec.uniform(0.3)))
 class TestImports:
     def test_no_subcommand_loads_scipy(self):
         # only the quadrature oracle needs scipy, and it imports it itself
-        src = str(Path(pooldesign.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", IMPORT_PROBE],
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, "PYTHONPATH": _src_path()},
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,13 @@
 """Tests for the worst-case regret supremum and the minimax pool size."""
 
+import math
+
 import numpy as np
 import pytest
 
 from pooldesign import (
     P0,
+    larger_root,
     minimax_group_size,
     sup_loss_analytic,
     sup_loss_grid,
@@ -58,6 +61,63 @@ class TestAnalyticSupremum:
     def test_rejects_bad_bound(self, U):
         with pytest.raises(ValueError):
             sup_loss_analytic(8, U)
+
+
+def _segment_supremum(k, U, roots):
+    """Oracle-segment enumeration of the supremum; roots[j] = larger_root(j+2).
+
+    On the segment where the oracle size is m, the regret is g_m; the
+    candidates are its stationary point clamped to the segment and both
+    segment ends, compared against the p->0 limit.
+    """
+    hi = min(U, P0)
+    limit = 1.0 if k == 1 else 1.0 / k
+    if k >= 4:
+        m = np.arange(3, k)
+        seg_lo, seg_hi = roots[: k - 3], roots[1 : k - 2]
+        q_floor = 1.0 - hi
+        keep = seg_hi > q_floor
+        if keep.any():
+            m = m[keep]
+            lo = np.maximum(seg_lo[keep], q_floor)
+            hiq = seg_hi[keep]
+            q_stat = (m / k) ** (1.0 / (k - m))
+            qs = np.concatenate([np.clip(q_stat, lo, hiq), lo, hiq])
+            mm = np.concatenate([m, m, m])
+            vals = qs**mm - qs**k + 1.0 / k - 1.0 / mm
+            best = vals.max()
+            if best > limit:
+                return 1.0 - float(qs[vals == best].max()), float(best)
+    return 0.0, limit
+
+
+K_ORACLE = 2000
+
+
+@pytest.fixture(scope="module")
+def roots():
+    return np.array([larger_root(j) for j in range(2, K_ORACLE)])
+
+
+def _check_against_segments(U, ks, roots):
+    for k in ks:
+        want_p, want = _segment_supremum(k, U, roots)
+        got = sup_loss_analytic(k, U)
+        assert got.sup_loss == pytest.approx(want, rel=1e-13, abs=0), (k, U)
+        assert got.p_star == pytest.approx(want_p, rel=0, abs=4.5e-16), (k, U)
+
+
+class TestAgainstSegmentEnumeration:
+    # the max over oracle sizes m must reproduce the per-segment supremum
+    @pytest.mark.parametrize("U", [1.0, P0, 0.05, 1e-3, 1e-4, 1e-6])
+    def test_fixed_bounds(self, U, roots):
+        _check_against_segments(U, range(1, K_ORACLE + 1, 2), roots)
+
+    @pytest.mark.parametrize("m", [3, 4, 8, 20, 64, 150])
+    def test_bounds_on_a_breakpoint(self, m, roots):
+        U = 1.0 - larger_root(m)
+        for bound in (math.nextafter(U, 0.0), U, math.nextafter(U, 1.0)):
+            _check_against_segments(bound, range(1, K_ORACLE + 1, 9), roots)
 
 
 class TestGridSupremum:

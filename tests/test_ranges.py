@@ -5,6 +5,11 @@ import pytest
 from scipy import optimize
 
 from pooldesign import P0, Q0, delta, larger_root, optimality_range, samuels_optimal_k
+from pooldesign.ranges import _bisect_larger_root
+
+# k(k+1) still a finite double, k(k+1) past it, and k itself past it
+HUGE_K = [10**154, 10**200, 2**1100]
+HUGE_K_IDS = ["1e154", "1e200", "2^1100"]
 
 
 class TestDelta:
@@ -22,6 +27,15 @@ class TestDelta:
     def test_rejects_bad_inputs(self, args):
         with pytest.raises(ValueError):
             delta(*args)
+
+    @pytest.mark.parametrize("k", HUGE_K, ids=HUGE_K_IDS)
+    def test_huge_k_does_not_overflow(self, k):
+        gap = 1 / (k * (k + 1))  # 1e-308 at k = 1e154, then 0
+        assert delta(k, 1.0) == delta(k, 0.5) == delta(k, 1.0 - 2.0**-53) == -gap
+
+    def test_numpy_integer_k(self):
+        k = 4 * 10**9  # k(k+1) overflows int64
+        assert delta(np.int64(k), 1.0) == delta(k, 1.0) == -1.0 / (k * (k + 1))
 
 
 class TestLargerRoot:
@@ -52,6 +66,27 @@ class TestLargerRoot:
         with pytest.raises(ValueError):
             larger_root(1)
 
+    def test_rejects_non_integer_k_after_a_cached_call(self):
+        larger_root(8)
+        with pytest.raises(ValueError):
+            larger_root(8.0)
+
+    def test_cold_root_fills_only_the_requested_size(self):
+        # each size is bisected on its own; no table of smaller roots is filled
+        _bisect_larger_root.cache_clear()
+        k = 10**6
+        r = larger_root(k)
+        assert abs(delta(k, r)) <= 1e-12
+        assert larger_root(np.int64(k)) == r
+        info = _bisect_larger_root.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        larger_root(k - 1)
+        assert _bisect_larger_root.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("k", HUGE_K, ids=HUGE_K_IDS)
+    def test_huge_k_rounds_to_one(self, k):
+        assert larger_root(k) == 1.0
+
 
 class TestOptimalityRange:
     def test_pool_of_eight(self):
@@ -80,6 +115,12 @@ class TestOptimalityRange:
             ps = r.p_low + width * (0.01 + 0.98 * rng_state.random(100))
             for p in ps:
                 assert samuels_optimal_k(float(p)) == k
+
+    @pytest.mark.parametrize("k", [262440, 10**6, 10**200], ids=["262440", "1e6", "1e200"])
+    def test_unresolvable_range_raises(self, k):
+        # the two breakpoints of k coincide in double precision
+        with pytest.raises(RuntimeError, match="not separated in double precision"):
+            optimality_range(k)
 
     def test_ranges_tile_without_gaps(self):
         # consecutive sizes share endpoints exactly; k=3 meets the k=1 regime

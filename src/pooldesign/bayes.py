@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import _check_group_size, _check_upper_bound, _scan_for_minimum
+from .core import _check_group_size, _check_upper_bound
 
 __all__ = [
     "PriorSpec",
@@ -140,6 +140,8 @@ def expected_tests_under_prior(
     return mass / math.exp(math.log(ratio) + float(special.betaln(a, b)))
 
 
+_PATIENCE = 10  # sizes without improvement before the cost scan stops
+_K_CAP = 100_000  # the cost scan gives up at this pool size
 # Terms of the continued fraction before it counts as divergent; the
 # number needed grows like the square root of the larger beta shape.
 _CF_MAX_TERMS = 10_000
@@ -244,14 +246,24 @@ def _prior_costs(prior: PriorSpec):
         yield 1.0 / (j + 2) + total
 
 
-def bayes_optimal_k(
-    prior: PriorSpec, *, patience: int = 10, k_cap: int = 100_000
-) -> BayesResult:
-    """Pool size minimizing the prior-mean cost; ties go to the smaller k."""
-    k, e = _scan_for_minimum(_prior_costs(prior), patience, k_cap)
-    return BayesResult(k, e, prior)
+def bayes_optimal_k(prior: PriorSpec) -> BayesResult:
+    """Pool size minimizing the prior-mean cost; ties go to the smaller k.
+
+    The scan stops after _PATIENCE sizes without a strict improvement,
+    which also handles cost curves that flatten out without rising.
+    """
+    best_k, best = None, math.inf
+    for k, e in enumerate(_prior_costs(prior), 1):
+        if e < best:
+            best_k, best = k, e
+        elif k - best_k >= _PATIENCE:
+            return BayesResult(best_k, best, prior)
+        if k >= _K_CAP:
+            raise RuntimeError(
+                f"pool-size scan reached k={_K_CAP} without bracketing a minimum"
+            )
 
 
-def uniform_optimal_k(U: float, *, patience: int = 10, k_cap: int = 100_000) -> int:
+def uniform_optimal_k(U: float) -> int:
     """Pool size minimizing the Uniform(0, U] prior-mean cost."""
-    return bayes_optimal_k(PriorSpec.uniform(U), patience=patience, k_cap=k_cap).k_opt
+    return bayes_optimal_k(PriorSpec.uniform(U)).k_opt

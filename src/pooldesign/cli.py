@@ -24,7 +24,6 @@ FORMATS = ("csv", "json", "markdown")
 @dataclass
 class RunConfig:
     grid_step: float = 1e-6
-    k_scan_patience: int = 10
     output: str = "markdown"
 
 
@@ -38,7 +37,10 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
+            key = key.strip()
+            if key not in ("grid_step", "format"):
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = raw.strip()
     return values
 
 
@@ -49,8 +51,6 @@ def _build_config(args) -> RunConfig:
         raw = _load_config_file(path)
         if "grid_step" in raw:
             cfg.grid_step = float(raw["grid_step"])
-        if "k_scan_patience" in raw:
-            cfg.k_scan_patience = int(raw["k_scan_patience"])
         if "format" in raw:
             if raw["format"] not in FORMATS:
                 raise ValueError(f"config format must be one of {FORMATS}")
@@ -58,12 +58,10 @@ def _build_config(args) -> RunConfig:
     # flags override the config file
     if getattr(args, "grid_step", None) is not None:
         cfg.grid_step = args.grid_step
-    if getattr(args, "patience", None) is not None:
-        cfg.k_scan_patience = args.patience
     if getattr(args, "format", None) is not None:
         cfg.output = args.format
-    if not (cfg.grid_step > 0 and cfg.k_scan_patience >= 1):
-        raise ValueError("grid_step must be positive, patience >= 1")
+    if not cfg.grid_step > 0:
+        raise ValueError("grid_step must be positive")
     return cfg
 
 
@@ -131,10 +129,7 @@ def _cmd_optimal(args, cfg: RunConfig) -> int:
 
 def _cmd_minimax(args, cfg: RunConfig) -> int:
     res = minimax.minimax_group_size(
-        args.upper_bound,
-        args.method,
-        grid_step=cfg.grid_step,
-        patience=cfg.k_scan_patience,
+        args.upper_bound, args.method, grid_step=cfg.grid_step
     )
     _emit_record(
         "minimax",
@@ -159,7 +154,7 @@ def _cmd_bayes(args, cfg: RunConfig) -> int:
         if args.a is None or args.b is None:
             raise ValueError("--prior beta requires --a and --b")
         prior = PriorSpec(args.a, args.b, args.upper_bound)
-    res = bayes_optimal_k(prior, patience=cfg.k_scan_patience)
+    res = bayes_optimal_k(prior)
     _emit_record(
         "bayes",
         {
@@ -184,7 +179,7 @@ def _cmd_range(args, cfg: RunConfig) -> int:
 
 
 def _cmd_table(args, cfg: RunConfig) -> int:
-    report = efficiency.generate_table(f"T{args.table}", patience=cfg.k_scan_patience)
+    report = efficiency.generate_table(f"T{args.table}")
     if args.check:
         mismatches = efficiency.check_table(report)
         if mismatches:
@@ -209,12 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file (or set $" + CONFIG_ENV_VAR + ")")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, patience=False, grid_step=False):
+    def add_common(p):
         p.add_argument("--format", choices=FORMATS, default=None)
-        if grid_step:
-            p.add_argument("--grid-step", dest="grid_step", type=float, default=None)
-        if patience:
-            p.add_argument("--patience", type=int, default=None)
         # SUPPRESS keeps the subcommand from clobbering the top-level value
         p.add_argument(
             "--config", dest="config", default=argparse.SUPPRESS, help=argparse.SUPPRESS
@@ -228,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mm = sub.add_parser("minimax", help="pool size minimizing worst-case regret")
     p_mm.add_argument("--upper-bound", dest="upper_bound", type=float, default=1.0)
     p_mm.add_argument("--method", choices=("analytic", "grid"), default="analytic")
-    add_common(p_mm, patience=True, grid_step=True)
+    p_mm.add_argument("--grid-step", dest="grid_step", type=float, default=None)
+    add_common(p_mm)
     p_mm.set_defaults(func=_cmd_minimax)
 
     p_bayes = sub.add_parser("bayes", help="pool size minimizing prior-mean cost")
@@ -238,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bayes.add_argument("--a", type=float, default=None)
     p_bayes.add_argument("--b", type=float, default=None)
     p_bayes.add_argument("--upper-bound", dest="upper_bound", type=float, default=1.0)
-    add_common(p_bayes, patience=True)
+    add_common(p_bayes)
     p_bayes.set_defaults(func=_cmd_bayes)
 
     p_rng = sub.add_parser("range", help="prevalence interval where a pool size is optimal")
@@ -249,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("table", help="regenerate a reference table")
     p_tab.add_argument("--table", type=int, choices=range(1, 6), required=True)
     p_tab.add_argument("--check", action="store_true")
-    add_common(p_tab, patience=True)
+    add_common(p_tab)
     p_tab.set_defaults(func=_cmd_table)
 
     return parser

@@ -34,27 +34,6 @@ def _check_group_size(k) -> None:
         raise ValueError(f"group size must be >= 1, got {k}")
 
 
-def _scan_for_minimum(costs, patience: int, k_cap: int):
-    """Smallest k minimizing a cost curve given as costs[0] = cost(1), ...
-
-    `costs` is consumed lazily and the scan stops after `patience` sizes
-    without a strict improvement, which also handles curves that flatten
-    out without rising; ties go to the smaller k.
-    """
-    if patience < 1:
-        raise ValueError("patience must be >= 1")
-    best_k, best = None, math.inf
-    for k, e in enumerate(costs, 1):
-        if e < best:
-            best_k, best = k, e
-        elif k - best_k >= patience:
-            return best_k, best
-        if k >= k_cap:
-            raise RuntimeError(
-                f"pool-size scan reached k={k_cap} without bracketing a minimum"
-            )
-
-
 def _check_upper_bound(U: float) -> None:
     if not 0.0 < U <= 1.0:
         raise ValueError(f"upper bound must lie in (0, 1], got {U!r}")

@@ -226,9 +226,9 @@ def _table1() -> TableReport:
     )
 
 
-def _table2(patience: int) -> TableReport:
-    k_mm = minimax_group_size(1.0, patience=patience).k_minimax
-    k_j = bayes_optimal_k(PriorSpec.jeffreys(), patience=patience).k_opt
+def _table2() -> TableReport:
+    k_mm = minimax_group_size(1.0).k_minimax
+    k_j = bayes_optimal_k(PriorSpec.jeffreys()).k_opt
     return TableReport(
         "T2",
         "Relative efficiency of the minimax and Jeffreys designs",
@@ -241,12 +241,10 @@ def _table2(patience: int) -> TableReport:
     )
 
 
-def _table3(patience: int) -> TableReport:
-    k_mm = [minimax_group_size(U, patience=patience).k_minimax for U in _T3_US]
-    k_u = [uniform_optimal_k(U, patience=patience) for U in _T3_US]
-    k_j = [
-        bayes_optimal_k(PriorSpec.jeffreys(U), patience=patience).k_opt for U in _T3_US
-    ]
+def _table3() -> TableReport:
+    k_mm = [minimax_group_size(U).k_minimax for U in _T3_US]
+    k_u = [uniform_optimal_k(U) for U in _T3_US]
+    k_j = [bayes_optimal_k(PriorSpec.jeffreys(U)).k_opt for U in _T3_US]
     return TableReport(
         "T3",
         "Recommended pool sizes per prevalence upper bound",
@@ -256,13 +254,13 @@ def _table3(patience: int) -> TableReport:
     )
 
 
-def _table45(table_id, blocks, patience) -> TableReport:
+def _table45(table_id, blocks) -> TableReport:
     columns, re_mm, re_u, re_j = [], [], [], []
     k_star, k_mm_row, k_u_row, k_j_row = [], [], [], []
     for U, ps in blocks:
-        k_mm = minimax_group_size(U, patience=patience).k_minimax
-        k_u = uniform_optimal_k(U, patience=patience)
-        k_j = bayes_optimal_k(PriorSpec.jeffreys(U), patience=patience).k_opt
+        k_mm = minimax_group_size(U).k_minimax
+        k_u = uniform_optimal_k(U)
+        k_j = bayes_optimal_k(PriorSpec.jeffreys(U)).k_opt
         for p in ps:
             columns.append(f"U={U:g},p={p:g}")
             re_mm.append(relative_efficiency(k_mm, p))
@@ -289,18 +287,18 @@ def _table45(table_id, blocks, patience) -> TableReport:
     )
 
 
-def generate_table(table_id: str, *, patience: int = 10) -> TableReport:
+def generate_table(table_id: str) -> TableReport:
     """Regenerate one of the five reference tables from the solvers."""
     if table_id == "T1":
         return _table1()
     if table_id == "T2":
-        return _table2(patience)
+        return _table2()
     if table_id == "T3":
-        return _table3(patience)
+        return _table3()
     if table_id == "T4":
-        return _table45("T4", _T4_BLOCKS, patience)
+        return _table45("T4", _T4_BLOCKS)
     if table_id == "T5":
-        return _table45("T5", _T5_BLOCKS, patience)
+        return _table45("T5", _T5_BLOCKS)
     raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
 
 

@@ -7,16 +7,15 @@ regret is E(k) - min_m E(m) = max_m g_m(q) with g_m(q) = q^m - q^k + 1/k - 1/m,
 so its supremum is the largest of the sup_q g_m. Each g_m with m < k rises
 up to q_m = (m/k)^(1/(k-m)) and falls after it, so it peaks on the domain at
 max(q_m, 1 - min(U, P0)); sizes m >= k stay below the p->0 limit 1/k. A
-plain grid search over p mirrors the heuristic procedure and serves as the
-independent oracle in tests.
+plain grid search over p serves as the independent oracle in tests. The
+minimax k comes from an exact search over k with no stopping heuristic.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .core import (
     _check_upper_bound,
     _expected_tests_vec,
     _optimal_tests_vec,
-    _scan_for_minimum,
     samuels_optimal_k,
 )
 
@@ -37,6 +35,8 @@ __all__ = [
     "sup_loss_grid",
     "minimax_group_size",
 ]
+
+_K_MAX = 100_000  # the crossing search gives up above this pool size
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,23 @@ def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
     One candidate per oracle size m < k: the peak of g_m on the domain,
     compared against the p->0 limit. The oracle size does not increase
     with p, so m runs from max(3, k*(min(U, P0))) only. Ties go to the
-    smallest p.
+    smallest p. Each peak is formed in log q as
+    q^m (1 - q^(k-m)) - (k-m)/(km), which does not cancel at small U.
     """
     _check_group_size(k)
     _check_upper_bound(U)
     hi = min(U, P0)
     limit = 1.0 if k == 1 else 1.0 / k
-    m = np.arange(max(3, samuels_optimal_k(hi)), k)
-    if m.size:
-        q = np.maximum((m / k) ** (1.0 / (k - m)), 1.0 - hi)
-        vals = q ** m - q ** k + 1.0 / k - 1.0 / m
+    m_lo = max(3, samuels_optimal_k(hi))
+    if m_lo < k:
+        m = np.arange(m_lo, k)
+        d = k - m
+        log_q = np.maximum(np.log1p(-d / k) / d, math.log1p(-hi))
+        vals = np.exp(m * log_q) * -np.expm1(d * log_q) - d / (k * m)
         best = vals.max()
         if best > limit:
-            q_best = q[vals == best].max()  # highest q = lowest p
-            return LossPoint(k, 1.0 - float(q_best), float(best))
+            log_q_best = log_q[vals == best].max()  # highest q = lowest p
+            return LossPoint(k, -math.expm1(float(log_q_best)), float(best))
     return LossPoint(k, 0.0, limit)
 
 
@@ -101,11 +104,14 @@ def sup_loss_grid(k: int, U: float = 1.0, step: float = 1e-6) -> LossPoint:
 
     Evaluates the regret on p in {0, step, 2*step, ...} up to min(U, P0)
     (endpoint included) and returns the first maximizing grid point.
+    Raises ValueError when the grid would hold more than 1e7 points.
     """
     _check_group_size(k)
     _check_upper_bound(U)
-    if not 0.0 < step <= 1e-3:
-        raise ValueError(f"step must lie in (0, 1e-3], got {step!r}")
+    if not 0.0 < step <= 1e-3 or min(U, P0) / step > 1e7:
+        raise ValueError(
+            f"step must lie in (0, 1e-3] and give at most 1e7 grid points, got {step!r}"
+        )
     p, opt = _grid_base(U, step)
     losses = np.empty(p.shape)
     losses[0] = 1.0 if k == 1 else 1.0 / k
@@ -114,19 +120,53 @@ def sup_loss_grid(k: int, U: float = 1.0, step: float = 1e-6) -> LossPoint:
     return LossPoint(k, float(p[i]), float(losses[i]))
 
 
+def _search(sup) -> LossPoint:
+    """Worst point of the smallest k minimizing sup(k).sup_loss.
+
+    J(k) = sup_loss(k) - 1/k is >= 0 and never decreases in k
+    (docs/decisions.md). So sup_loss(k) = 1/k below the crossing, the first
+    k >= 2 with J(k) > 0, and sup_loss(k) >= 1/(b-1) + J(a) on the open
+    interval (a, b), which certifies the sizes above the crossing.
+    """
+    point = cache(sup)
+
+    def key(k):  # orders pool sizes by supremum, ties to the smaller k
+        return point(k).sup_loss, k
+
+    lo, hi = 1, 2
+    while point(hi).p_star == 0.0:
+        if hi == _K_MAX:
+            raise RuntimeError(
+                f"the p->0 limit binds for every pool size up to {_K_MAX}; "
+                "the minimax pool size is not searched beyond it"
+            )
+        lo, hi = hi, min(2 * hi, _K_MAX)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if point(mid).p_star > 0.0 else (mid, hi)
+    best = min(lo, hi, key=key)
+    top = hi  # every k >= top has sup_loss > J(top) >= the best supremum
+    while point(top).sup_loss - 1.0 / top < key(best)[0]:
+        top *= 2
+        best = min(best, top, key=key)
+    intervals = [(hi, top)]  # open intervals left to certify
+    while intervals:
+        a, b = intervals.pop()
+        bound = 1.0 / (b - 1) + point(a).sup_loss - 1.0 / a
+        if b - a > 1 and (bound, a + 1) <= key(best):
+            mid = (a + b) // 2
+            best = min(best, mid, key=key)
+            intervals += [(mid, b), (a, mid)]
+    return point(best)
+
+
 def minimax_group_size(
-    U: float = 1.0,
-    method: str = "analytic",
-    *,
-    grid_step: float = 1e-6,
-    patience: int = 10,
-    k_cap: int = 100_000,
+    U: float = 1.0, method: str = "analytic", *, grid_step: float = 1e-6
 ) -> MinimaxResult:
     """Pool size minimizing the worst-case regret over (0, min(U, P0)].
 
-    Scans k upward and stops after `patience` sizes without a strict
-    improvement of the supremum (the worst-case curve is unimodal in k);
-    ties in the minimum go to the smaller pool size.
+    Ties go to the smaller pool size. Raises RuntimeError when the p->0
+    limit binds for every k up to 100 000, as for bounds U below 4e-10.
     """
     _check_upper_bound(U)
     if method == "analytic":
@@ -136,6 +176,5 @@ def minimax_group_size(
         sup = partial(sup_loss_grid, U=U, step=step)
     else:
         raise ValueError(f"method must be 'analytic' or 'grid', got {method!r}")
-    losses = (sup(k).sup_loss for k in itertools.count(1))
-    k, _ = _scan_for_minimum(losses, patience, k_cap)
-    return MinimaxResult(k, U, sup(k), method)
+    pt = _search(sup)
+    return MinimaxResult(pt.k, U, pt, method)

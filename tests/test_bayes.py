@@ -204,10 +204,6 @@ class TestBayesOptimalK:
         )
         assert uniform_optimal_k(U) == res.k_opt
 
-    def test_rejects_bad_patience(self):
-        with pytest.raises(ValueError):
-            bayes_optimal_k(PriorSpec.jeffreys(), patience=0)
-
 
 def _threshold(a, b):
     """Where the cost recurrence switches from the continued fraction at U

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pooldesign
-from pooldesign import bayes, cli
+from pooldesign import bayes, cli, minimax
 from pooldesign.bayes import QuadratureError
 
 
@@ -23,6 +23,15 @@ def _src_path():
     """PYTHONPATH for a child process that imports this pooldesign."""
     src = str(Path(pooldesign.__file__).resolve().parent.parent)
     return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
+def run_process(*argv):
+    """One `python -m pooldesign.cli` process, as a user would start it."""
+    return subprocess.run(
+        [sys.executable, "-m", "pooldesign.cli", *argv],
+        env={**os.environ, "PYTHONPATH": _src_path()},
+        capture_output=True, text=True, timeout=60,
+    )
 
 
 class TestOptimal:
@@ -71,6 +80,21 @@ class TestMinimax:
     def test_invalid_bound_exits_two(self, capsys):
         code, _, err = run(capsys, "minimax", "--upper-bound", "0")
         assert code == 2 and err.strip()
+
+    @pytest.mark.parametrize("U", ["1e-12", "1e-300", "5e-324"])
+    def test_crossing_beyond_the_cap_exits_three(self, U):
+        proc = run_process("minimax", "--upper-bound", U, "--format", "json")
+        assert proc.returncode == 3
+        assert "numerical failure" in proc.stderr and "100000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error" in json.loads(proc.stdout)
+
+    def test_oversized_grid_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(minimax, "_grid_base", None)  # building a grid fails
+        code, _, err = run(
+            capsys, "minimax", "--method", "grid", "--grid-step", "1e-12"
+        )
+        assert code == 2 and "1e7 grid points" in err
 
 
 class TestBayes:
@@ -154,11 +178,7 @@ class TestRange:
     )
     def test_unresolvable_range_exits_three(self, argv):
         # the breakpoints of such pool sizes coincide in double precision
-        proc = subprocess.run(
-            [sys.executable, "-m", "pooldesign.cli", *argv],
-            env={**os.environ, "PYTHONPATH": _src_path()},
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = run_process(*argv)
         assert proc.returncode == 3
         assert "numerical failure" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -259,6 +279,9 @@ class TestDeterminismAndConfig:
             ["bayes", "--prior", "jeffreys", "--grid-step", "1e-5"],
             ["range", "--k", "8", "--patience", "5"],
             ["bayes", "--prior", "jeffreys", "--quad-tol", "1e-12"],
+            ["minimax", "--patience", "5"],
+            ["bayes", "--prior", "jeffreys", "--patience", "5"],
+            ["table", "--table", "1", "--patience", "5"],
         ],
     )
     def test_flags_a_command_would_ignore_exit_two(self, capsys, argv):
@@ -266,9 +289,12 @@ class TestDeterminismAndConfig:
             cli.main(argv)
         assert exc.value.code == 2
 
-    def test_invalid_patience_exits_two(self, capsys):
-        code, _, _ = run(capsys, "minimax", "--patience", "0")
+    def test_unknown_config_key_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "pool.cfg"
+        cfg.write_text("format = json\nk_scan_patience = 5\n")
+        code, _, err = run(capsys, "--config", str(cfg), "minimax")
         assert code == 2
+        assert "unknown config key 'k_scan_patience'" in err and "pool.cfg:2" in err
 
 
 IMPORT_PROBE = """

@@ -1,13 +1,19 @@
 """Tests for the worst-case regret supremum and the minimax pool size."""
 
+import itertools
 import math
+import time
+from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from pooldesign import (
     P0,
+    LossPoint,
     larger_root,
+    minimax,
     minimax_group_size,
     sup_loss_analytic,
     sup_loss_grid,
@@ -68,26 +74,28 @@ def _segment_supremum(k, U, roots):
 
     On the segment where the oracle size is m, the regret is g_m; the
     candidates are its stationary point clamped to the segment and both
-    segment ends, compared against the p->0 limit.
+    segment ends, compared against the p->0 limit. The candidates are held
+    as log q, so the domain end is p = min(U, P0) itself and not the
+    rounded q = 1 - p, which is off by up to 5.5e-13 relative in p at 1e-4.
     """
     hi = min(U, P0)
     limit = 1.0 if k == 1 else 1.0 / k
     if k >= 4:
         m = np.arange(3, k)
         seg_lo, seg_hi = roots[: k - 3], roots[1 : k - 2]
-        q_floor = 1.0 - hi
-        keep = seg_hi > q_floor
+        log_floor = math.log1p(-hi)
+        keep = np.log(seg_hi) > log_floor
         if keep.any():
             m = m[keep]
-            lo = np.maximum(seg_lo[keep], q_floor)
-            hiq = seg_hi[keep]
-            q_stat = (m / k) ** (1.0 / (k - m))
-            qs = np.concatenate([np.clip(q_stat, lo, hiq), lo, hiq])
+            lo = np.maximum(np.log(seg_lo[keep]), log_floor)
+            hiq = np.log(seg_hi[keep])
+            q_stat = np.log(m / k) / (k - m)
+            lq = np.concatenate([np.clip(q_stat, lo, hiq), lo, hiq])
             mm = np.concatenate([m, m, m])
-            vals = qs**mm - qs**k + 1.0 / k - 1.0 / mm
+            vals = np.exp(mm * lq) - np.exp(k * lq) + 1.0 / k - 1.0 / mm
             best = vals.max()
             if best > limit:
-                return 1.0 - float(qs[vals == best].max()), float(best)
+                return -math.expm1(float(lq[vals == best].max())), float(best)
     return 0.0, limit
 
 
@@ -147,6 +155,12 @@ class TestGridSupremum:
             with pytest.raises(ValueError):
                 sup_loss_grid(8, 1.0, step)
 
+    @pytest.mark.parametrize("U, step", [(1.0, 1e-12), (1.0, 3e-8), (1e-3, 9e-11)])
+    def test_rejects_more_than_1e7_points_without_allocating(self, U, step, monkeypatch):
+        monkeypatch.setattr(minimax, "_grid_base", None)  # building a grid fails
+        with pytest.raises(ValueError, match="1e7 grid points"):
+            sup_loss_grid(8, U, step)
+
 
 class TestMinimaxGroupSize:
     def test_unbounded_is_eight(self):
@@ -187,8 +201,6 @@ class TestMinimaxGroupSize:
             minimax_group_size(0.0)
         with pytest.raises(ValueError):
             minimax_group_size(0.5, "newton")
-        with pytest.raises(ValueError):
-            minimax_group_size(0.5, patience=0)
 
     def test_domain_cap(self):
         # above the pooling threshold the bound stops mattering
@@ -196,3 +208,111 @@ class TestMinimaxGroupSize:
             minimax_group_size(P0).worst_point.sup_loss
             == minimax_group_size(1.0).worst_point.sup_loss
         )
+
+    @pytest.mark.parametrize("U", [1e-12, 1e-300, 5e-324])
+    def test_crossing_beyond_the_cap_raises_fast(self, U):
+        start = time.process_time()
+        with pytest.raises(RuntimeError, match="100000"):
+            minimax_group_size(U)
+        assert time.process_time() - start < 5.0
+
+    def test_answers_just_below_the_cap(self):
+        # the crossing lies at 2/sqrt(U) + 1, just below 100000 here
+        assert minimax_group_size(4.01e-10).k_minimax == 99876
+
+
+def _brute_force_k(sup):
+    """First argmin of sup(k).sup_loss over k = 1, ..., K.
+
+    K is the first k >= 2 whose excess sup_loss(k) - 1/k reaches the best
+    supremum so far; the excess never decreases in k, so every larger k
+    has a larger supremum.
+    """
+    best = (math.inf, 0)
+    for k in itertools.count(1):
+        loss = sup(k).sup_loss
+        best = min(best, (loss, k))
+        if k >= 2 and loss - 1.0 / k >= best[0]:
+            return best[1]
+
+
+LOG_SPACED_U = [float(U) for U in np.logspace(-6, 0, 608)]
+
+
+class TestSearchAgainstBruteForce:
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_log_spaced_bounds(self, chunk):
+        for U in LOG_SPACED_U[chunk::8]:
+            want = _brute_force_k(partial(sup_loss_analytic, U=U))
+            assert minimax_group_size(U).k_minimax == want, U
+
+    @pytest.mark.parametrize("m", range(3, 401, 19))
+    def test_bounds_on_a_breakpoint(self, m):
+        U = 1.0 - larger_root(m)
+        for bound in (math.nextafter(U, 0.0), U, math.nextafter(U, 1.0)):
+            want = _brute_force_k(partial(sup_loss_analytic, U=bound))
+            assert minimax_group_size(bound).k_minimax == want, bound
+
+    @pytest.mark.parametrize("U", [1.0, 0.05, 1e-3])
+    def test_grid_method(self, U):
+        sup = partial(sup_loss_grid, U=U, step=min(1e-6, U / 1e5))
+        assert minimax_group_size(U, "grid").k_minimax == _brute_force_k(sup)
+
+    @pytest.mark.parametrize(
+        "loss, k",
+        [
+            # the real suprema always have their answer at the crossing or
+            # just below it; these made-up curves keep the same two
+            # properties but put it far above (999) or on a tie (20)
+            (lambda k: 1 / k + (0 if k < 10 else 1e-4 if k < 1000 else 1), 999),
+            (
+                lambda k: 1 / k if k < 10 else 1 / k + 0.008 if k < 20
+                else 0.06 if k < 500 else 1.0,
+                20,
+            ),
+            (lambda k: 1 / k + 1e-3 * k, 32),  # the crossing is at 2
+        ],
+        ids=["far-above-the-crossing", "tie-above-the-crossing", "crossing-at-two"],
+    )
+    def test_made_up_curves(self, loss, k):
+        def sup(j):
+            if j == 1:
+                return LossPoint(1, 0.0, 1.0)
+            return LossPoint(j, 0.0 if loss(j) == 1 / j else 0.1, loss(j))
+
+        assert _brute_force_k(sup) == k
+        assert minimax._search(sup).k == k
+
+
+def _mp_supremum(k, U):
+    """(p_star, sup_loss) of pool size k at 50 digits.
+
+    Every oracle size m = 3..k-1 is screened in double precision, whose
+    error here stays below 1e-11; each g_m within 1e-9 of the largest is
+    then peaked at max(q_m, 1 - min(U, P0)) in mpmath and compared with
+    the p->0 limit 1/k.
+    """
+    m = np.arange(3, k)
+    q = np.maximum((m / k) ** (1.0 / (k - m)), 1.0 - min(U, P0))
+    vals = q**m - q**k + 1.0 / k - 1.0 / m
+    with mp.workdps(50):
+        q_floor = 1 - min(mp.mpf(U), 1 - mp.cbrt(mp.mpf(1) / 3))
+        best_p, best = mp.mpf(0), mp.mpf(1) / k
+        for j in m[vals >= vals.max() - 1e-9]:
+            j = int(j)
+            qj = max(mp.power(mp.mpf(j) / k, mp.mpf(1) / (k - j)), q_floor)
+            g = qj**j - qj**k + mp.mpf(1) / k - mp.mpf(1) / j
+            if g > best:
+                best_p, best = 1 - qj, g
+        return float(best_p), float(best)
+
+
+class TestSmallBoundAccuracy:
+    @pytest.mark.parametrize("U, k", [(1e-8, 20001), (1e-9, 63247)])
+    def test_sizes_around_the_answer_against_mpmath(self, U, k):
+        assert minimax_group_size(U).k_minimax == k
+        for j in (k - 1, k, k + 1):
+            want_p, want = _mp_supremum(j, U)
+            got = sup_loss_analytic(j, U)
+            assert got.sup_loss == pytest.approx(want, rel=1e-12, abs=0), j
+            assert got.p_star == pytest.approx(want_p, rel=1e-12, abs=0), j

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from .bayes import PriorSpec, bayes_optimal_k, uniform_optimal_k
@@ -27,9 +28,6 @@ __all__ = [
     "generate_table",
     "check_table",
 ]
-
-TABLE_IDS = ("T1", "T2", "T3", "T4", "T5")
-
 
 @dataclass(frozen=True)
 class Mismatch:
@@ -287,19 +285,21 @@ def _table45(table_id, blocks) -> TableReport:
     )
 
 
+_GENERATORS = {
+    "T1": _table1,
+    "T2": _table2,
+    "T3": _table3,
+    "T4": partial(_table45, "T4", _T4_BLOCKS),
+    "T5": partial(_table45, "T5", _T5_BLOCKS),
+}
+TABLE_IDS = tuple(_GENERATORS)
+
+
 def generate_table(table_id: str) -> TableReport:
     """Regenerate one of the five reference tables from the solvers."""
-    if table_id == "T1":
-        return _table1()
-    if table_id == "T2":
-        return _table2()
-    if table_id == "T3":
-        return _table3()
-    if table_id == "T4":
-        return _table45("T4", _T4_BLOCKS)
-    if table_id == "T5":
-        return _table45("T5", _T5_BLOCKS)
-    raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
+    if table_id not in TABLE_IDS:  # not the dict: an unhashable id is unknown too
+        raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
+    return _GENERATORS[table_id]()
 
 
 def _cell_matches(computed, expected, decimals) -> bool:

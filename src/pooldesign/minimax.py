@@ -17,16 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
-import numpy as np
-
-from .core import (
-    P0,
-    _check_group_size,
-    _check_upper_bound,
-    _expected_tests_vec,
-    _optimal_tests_vec,
-    samuels_optimal_k,
-)
+from .core import P0, _check_group_size, _check_upper_bound, samuels_optimal_k
 
 __all__ = [
     "LossPoint",
@@ -75,6 +66,8 @@ def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
     limit = 1.0 if k == 1 else 1.0 / k
     m_lo = max(3, samuels_optimal_k(hi))
     if m_lo < k:
+        import numpy as np  # only the peaks over many oracle sizes need arrays
+
         m = np.arange(m_lo, k)
         d = k - m
         log_q = np.maximum(np.log1p(-d / k) / d, math.log1p(-hi))
@@ -86,14 +79,27 @@ def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
     return LossPoint(k, 0.0, limit)
 
 
+def _grid_tests(k, p):
+    """E(k, p) on an array of p; k >= 2 is a size or an array of sizes."""
+    import numpy as np
+
+    return 1.0 - np.exp(k * np.log1p(-p)) + 1.0 / k
+
+
 @lru_cache(maxsize=1)  # a scan reuses one grid; each can take megabytes
 def _grid_base(U: float, step: float):
+    import numpy as np
+
     hi = min(U, P0)
     n = int(math.floor(hi / step + 1e-12))
     p = np.arange(n + 1) * step
     if p[-1] < hi:
         p = np.append(p, hi)  # the right endpoint is part of the domain
-    opt = _optimal_tests_vec(p[1:])
+    # Oracle cost min(E(i+1, p), E(i+2, p)), i = floor(p^-1/2): on (0, P0]
+    # Samuels' theorem puts the optimum at one of the two, so the oracle needs
+    # neither the solver's fractional-part test nor its tie rule.
+    i = np.floor(p[1:] ** -0.5)
+    opt = np.minimum(_grid_tests(i + 1, p[1:]), _grid_tests(i + 2, p[1:]))
     p.flags.writeable = False
     opt.flags.writeable = False
     return p, opt
@@ -112,10 +118,12 @@ def sup_loss_grid(k: int, U: float = 1.0, step: float = 1e-6) -> LossPoint:
         raise ValueError(
             f"step must lie in (0, 1e-3] and give at most 1e7 grid points, got {step!r}"
         )
+    import numpy as np
+
     p, opt = _grid_base(U, step)
     losses = np.empty(p.shape)
     losses[0] = 1.0 if k == 1 else 1.0 / k
-    losses[1:] = _expected_tests_vec(k, p[1:]) - opt
+    losses[1:] = (1.0 if k == 1 else _grid_tests(k, p[1:])) - opt
     i = int(np.argmax(losses))  # first occurrence: lowest p on ties
     return LossPoint(k, float(p[i]), float(losses[i]))
 

@@ -316,6 +316,25 @@ from pooldesign import PriorSpec, expected_tests_under_prior
 print(expected_tests_under_prior(5, PriorSpec.uniform(0.3)))
 """
 
+NUMPY_PROBE = """
+import contextlib, io, sys
+import pooldesign
+from pooldesign import cli
+def run(argvs):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        return [cli.main(argv) for argv in argvs]
+print(run([
+    ["optimal", "--p", "0.02"],
+    ["range", "--k", "8"],
+    ["bayes", "--prior", "uniform", "--upper-bound", "0.1"],
+    ["bayes", "--prior", "jeffreys"],
+    ["bayes", "--prior", "beta", "--a", "2", "--b", "5", "--upper-bound", "0.3"],
+]))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+print(run([["minimax", "--upper-bound", "0.05"], ["table", "--table", "4", "--check"]]))
+"""
+
 
 class TestImports:
     def test_no_subcommand_loads_scipy(self):
@@ -332,3 +351,16 @@ class TestImports:
         assert float(oracle) == pytest.approx(
             pooldesign.expected_tests_uniform(5, 0.3), abs=1e-10
         )
+
+    def test_known_p_and_prior_commands_load_no_numpy(self):
+        # only the minimax supremum and its grid oracle build arrays
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE],
+            env={**os.environ, "PYTHONPATH": _src_path()},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, numpy_modules, array_codes = proc.stdout.splitlines()
+        assert codes == "[0, 0, 0, 0, 0]"
+        assert numpy_modules == "[]"
+        assert array_codes == "[0, 4]"  # T4 has pinned mismatch cells

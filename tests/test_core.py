@@ -12,14 +12,15 @@ from pooldesign import (
     P0,
     Q0,
     expected_tests,
+    larger_root,
     loss,
     optimal_expected_tests,
+    optimality_range,
     samuels_optimal_k,
 )
-from pooldesign.core import _loss_vec, _optimal_tests_vec, _samuels_k_vec
 
 # p grid shared by the monotonicity checks
-GRID = np.arange(1, 99001) * 1e-5
+GRID = (np.arange(1, 99001) * 1e-5).tolist()
 
 
 def brute_force_k(p: float) -> int:
@@ -79,6 +80,27 @@ class TestExpectedTests:
         assert abs(per_person - expected_tests(k, p)) <= 3 * se
 
 
+# three public functions that take a pool size, called at size k
+SIZED = {
+    "expected_tests": lambda k: expected_tests(k, 0.02),
+    "larger_root": larger_root,
+    "optimality_range": optimality_range,
+}
+
+
+class TestGroupSizeTypes:
+    @pytest.mark.parametrize("name", SIZED)
+    @pytest.mark.parametrize("k", [np.int32(8), np.int64(8)], ids=["int32", "int64"])
+    def test_accepts_numpy_integers(self, name, k):
+        assert SIZED[name](k) == SIZED[name](8)
+
+    @pytest.mark.parametrize("name", SIZED)
+    @pytest.mark.parametrize("k", [True, 8.0])
+    def test_rejects_bool_and_float(self, name, k):
+        with pytest.raises(ValueError, match="positive integer"):
+            SIZED[name](k)
+
+
 class TestSamuelsRule:
     @pytest.mark.parametrize(
         "p, k",
@@ -120,17 +142,11 @@ class TestSamuelsRule:
         assert samuels_optimal_k(0.05) == 5
 
     def test_never_two_on_grid(self):
-        assert not np.any(_samuels_k_vec(GRID) == 2)
+        assert 2 not in {samuels_optimal_k(p) for p in GRID}
 
     def test_non_increasing_on_grid(self):
-        ks = _samuels_k_vec(GRID)
+        ks = [samuels_optimal_k(p) for p in GRID]
         assert np.all(np.diff(ks) <= 0)
-
-    def test_vectorized_matches_scalar(self):
-        sample = GRID[::997]
-        ks = _samuels_k_vec(sample)
-        for p, k in zip(sample, ks):
-            assert samuels_optimal_k(float(p)) == k
 
 
 class TestOptimalExpectedTests:
@@ -149,7 +165,7 @@ class TestOptimalExpectedTests:
         )
 
     def test_non_decreasing_on_grid(self):
-        opt = _optimal_tests_vec(GRID)
+        opt = [optimal_expected_tests(p) for p in GRID]
         assert np.all(np.diff(opt) >= -1e-12)
 
     def test_vanishes_as_p_drops(self):
@@ -170,11 +186,10 @@ class TestLoss:
 
     def test_nonnegative_and_zero_at_optimum_on_grid(self):
         sample = GRID[::91]
-        ks = _samuels_k_vec(sample)
         for k in (1, 3, 8, 40):
-            assert np.all(_loss_vec(k, sample) >= 0.0)
-        for p, k in zip(sample[::40], ks[::40]):
-            assert loss(int(k), float(p)) <= 1e-15
+            assert all(loss(k, p) >= 0.0 for p in sample)
+        for p in sample[::40]:
+            assert loss(samuels_optimal_k(p), p) <= 1e-15
 
     @pytest.mark.parametrize("args", [(0, 0.1), (3, 1.0), (3, -0.5)])
     def test_rejects_bad_inputs(self, args):

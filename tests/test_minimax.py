@@ -15,10 +15,10 @@ from pooldesign import (
     larger_root,
     minimax,
     minimax_group_size,
+    optimal_expected_tests,
     sup_loss_analytic,
     sup_loss_grid,
 )
-from pooldesign.core import _loss_vec
 from pooldesign.minimax import _grid_base
 
 # exact worst case for a pool of eight
@@ -59,8 +59,12 @@ class TestAnalyticSupremum:
     def test_support_truncation_loses_nothing(self):
         # the supremum over (0, P0] equals the supremum over all of (0, 1)
         p_full = np.arange(1, 10000) * 1e-4
+        sizes = np.arange(2, 201)[:, None]  # k*(p) <= 101 on this grid
+        pooled = 1.0 - np.exp(sizes * np.log1p(-p_full)) + 1.0 / sizes
+        opt = np.minimum(pooled.min(axis=0), 1.0)  # the oracle cost, by brute force
         for k in range(1, 51):
-            full = max(_loss_vec(k, p_full).max(), 1.0 if k == 1 else 1.0 / k)
+            cost = 1.0 if k == 1 else pooled[k - 2]
+            full = max((cost - opt).max(), 1.0 if k == 1 else 1.0 / k)
             assert sup_loss_analytic(k, 1.0).sup_loss >= full - 1e-6
 
     @pytest.mark.parametrize("U", [0.0, -0.1, 1.5])
@@ -149,6 +153,16 @@ class TestGridSupremum:
         for U in (1.0, 0.05, 0.01, 0.001):
             sup_loss_grid(8, U, step=1e-5)
         assert _grid_base.cache_info().currsize <= 1
+
+    @pytest.mark.parametrize("U, step", [(1.0, 1e-6), (1e-3, 1e-8)])
+    def test_oracle_cost_is_the_optimal_cost(self, U, step):
+        # E* on the grid is min(E(i+1), E(i+2)); it must equal Samuels' rule
+        # up to numpy's exp, which is up to an ulp off math.exp
+        p, opt = _grid_base(U, step)
+        assert p[-1] == min(U, P0)
+        for i in [*range(1, len(p), 97), len(p) - 1]:
+            want = optimal_expected_tests(float(p[i]))
+            assert opt[i - 1] == pytest.approx(want, rel=0, abs=4.5e-16), p[i]
 
     def test_rejects_bad_step(self):
         for step in (0.0, -1e-6, 1e-2):

@@ -1,0 +1,76 @@
+"""Dump the answers a pooldesign checkout gives, for an identity check.
+
+    python3 tools/compare_answers.py ROOT OUT.json
+
+ROOT is a checkout (its `src/` and `bench/` are put first on the import
+path). Run the script on two checkouts, for example a parent commit and a
+change, and compare the two dumps with `cmp`: the change keeps every answer
+exactly when the files are byte-identical.
+
+The dump holds `larger_root` for k = 2..5000, the minimax answer and worst
+point (analytic and grid) on 608 log-spaced bounds U in [1e-6, 1] and on
+bounds at and one ulp either side of the breakpoints 1 - larger_root(m)
+for m = 3..400, `sup_loss_analytic` on a (k, U) grid, the uniform and
+Jeffreys Bayes sizes, and every query of design-sweep seeds 1-10 (two
+blocks each), with a `RuntimeError` recorded by its class name.
+"""
+
+import itertools
+import json
+import math
+import sys
+
+import numpy as np
+
+root, out = sys.argv[1], sys.argv[2]
+sys.path[:0] = [root + "/src", root + "/bench", root]
+import pooldesign as pd  # noqa: E402
+import workloads  # noqa: E402
+
+Us = [float(U) for U in np.logspace(-6, 0, 608)]
+bps = []
+for m in range(3, 401):
+    U = 1.0 - pd.larger_root(m)
+    bps += [math.nextafter(U, 0.0), U, math.nextafter(U, 1.0)]
+
+
+def mm(U, method="analytic"):
+    r = pd.minimax_group_size(U, method)
+    return [r.k_minimax, r.worst_point.p_star, r.worst_point.sup_loss]
+
+
+def sup(k, U):
+    p = pd.sup_loss_analytic(k, U)
+    return [k, U, p.p_star, p.sup_loss]
+
+
+res = {
+    "roots": [pd.larger_root(k).hex() for k in range(2, 5001)],
+    "minimax": [mm(U) for U in Us],
+    "minimax_bp": [mm(U) for U in bps],
+    "uniform": [pd.uniform_optimal_k(U) for U in Us],
+    "jeffreys": [pd.bayes_optimal_k(pd.PriorSpec.jeffreys(U)).k_opt for U in Us],
+    "grid": [mm(U, "grid") for U in (1.0, 0.05, 0.001)],
+    "grid_bp": [mm(U, "grid") for U in bps[::120] + bps[1::120] + bps[2::120]],
+    "sup": [
+        sup(k, U)
+        for U in bps[::3] + [1.0, pd.P0, 0.05, 1e-3, 1e-4, 1e-6]
+        for k in range(1, 2001, 7)
+    ],
+    "sweep": [],
+}
+for seed in range(1, 11):
+    for block in itertools.islice(workloads.blocks("design-sweep", seed), 2):
+        for q in block:
+            try:
+                if q[0] == "minimax":
+                    res["sweep"].append([q, *mm(q[1])])
+                elif q[0] == "uniform":
+                    res["sweep"].append([q, pd.uniform_optimal_k(q[1])])
+                elif q[0] == "prior":
+                    r = pd.bayes_optimal_k(pd.PriorSpec(*q[1:]))
+                    res["sweep"].append([q, r.k_opt, r.expected_tests_at_opt])
+            except RuntimeError as exc:
+                res["sweep"].append([q, type(exc).__name__])
+with open(out, "w") as f:
+    json.dump(res, f)

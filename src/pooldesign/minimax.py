@@ -6,9 +6,12 @@ The shipped solver is a maximum over the oracle size m. In q = 1-p the
 regret is E(k) - min_m E(m) = max_m g_m(q) with g_m(q) = q^m - q^k + 1/k - 1/m,
 so its supremum is the largest of the sup_q g_m. Each g_m with m < k rises
 up to q_m = (m/k)^(1/(k-m)) and falls after it, so it peaks on the domain at
-max(q_m, 1 - min(U, P0)); sizes m >= k stay below the p->0 limit 1/k. A
-plain grid search over p serves as the independent oracle in tests. The
-minimax k comes from an exact search over k with no stopping heuristic.
+max(q_m, 1 - min(U, P0)); sizes m >= k stay below the p->0 limit 1/k.
+These peaks are unimodal in m (docs/decisions.md proves it), so an integer
+bisection finds the largest in O(log k) scalar evaluations and O(1) memory.
+A plain grid search over p serves as the independent oracle in tests; it is
+the only code here that builds numpy arrays. The minimax k comes from an
+exact search over k with no stopping heuristic.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
 ]
 
 _K_MAX = 100_000  # the crossing search gives up above this pool size
+_K_RESOLVABLE = 10**15  # double precision stops resolving a supremum above it
 
 
 @dataclass(frozen=True)
@@ -51,31 +55,49 @@ class MinimaxResult:
     method: str
 
 
+def _peak(k: int, m: int, log_floor: float) -> tuple[float, float]:
+    """(g_m at its peak on the domain, ln q there), for oracle size m < k.
+
+    Formed in log q as q^m (1 - q^(k-m)) - (k-m)/(km), which does not
+    cancel at small U.
+    """
+    d = k - m
+    log_q = max(math.log1p(-d / k) / d, log_floor)
+    return math.exp(m * log_q) * -math.expm1(d * log_q) - d / (k * m), log_q
+
+
 def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
     """Supremum of the regret of pool size k over p in (0, min(U, P0)].
 
     One candidate per oracle size m < k: the peak of g_m on the domain,
     compared against the p->0 limit. The oracle size does not increase
-    with p, so m runs from max(3, k*(min(U, P0))) only. Ties go to the
-    smallest p. Each peak is formed in log q as
-    q^m (1 - q^(k-m)) - (k-m)/(km), which does not cancel at small U.
+    with p, so m runs from max(3, k*(min(U, P0))) only. The peaks are
+    unimodal in m (docs/decisions.md), so an integer bisection on the sign
+    of peak(m+1) - peak(m) finds the largest in O(log k) scalar peaks;
+    ties go to the larger m, the highest q and so the smallest p. Raises
+    RuntimeError for k above 10**15, which double precision cannot resolve.
     """
     _check_group_size(k)
     _check_upper_bound(U)
+    if k > _K_RESOLVABLE:
+        raise RuntimeError(
+            f"the supremum of pool size {k} is not resolvable in double precision"
+        )
+    k = int(k)  # numpy integers would wrap in k*m
     hi = min(U, P0)
     limit = 1.0 if k == 1 else 1.0 / k
-    m_lo = max(3, samuels_optimal_k(hi))
-    if m_lo < k:
-        import numpy as np  # only the peaks over many oracle sizes need arrays
-
-        m = np.arange(m_lo, k)
-        d = k - m
-        log_q = np.maximum(np.log1p(-d / k) / d, math.log1p(-hi))
-        vals = np.exp(m * log_q) * -np.expm1(d * log_q) - d / (k * m)
-        best = vals.max()
+    log_floor = math.log1p(-hi)
+    lo, top = max(3, samuels_optimal_k(hi)), k - 1
+    if lo <= top:
+        while lo < top:
+            mid = (lo + top) // 2
+            if _peak(k, mid + 1, log_floor)[0] >= _peak(k, mid, log_floor)[0]:
+                lo = mid + 1
+            else:
+                top = mid
+        best, log_q = _peak(k, lo, log_floor)
         if best > limit:
-            log_q_best = log_q[vals == best].max()  # highest q = lowest p
-            return LossPoint(k, -math.expm1(float(log_q_best)), float(best))
+            return LossPoint(k, -math.expm1(log_q), best)
     return LossPoint(k, 0.0, limit)
 
 

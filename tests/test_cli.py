@@ -330,9 +330,11 @@ print(run([
     ["bayes", "--prior", "uniform", "--upper-bound", "0.1"],
     ["bayes", "--prior", "jeffreys"],
     ["bayes", "--prior", "beta", "--a", "2", "--b", "5", "--upper-bound", "0.3"],
+    ["minimax", "--upper-bound", "0.05"],
 ]))
+print(run([["table", "--table", str(n), "--check"] for n in range(1, 6)]))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
-print(run([["minimax", "--upper-bound", "0.05"], ["table", "--table", "4", "--check"]]))
+print(run([["minimax", "--method", "grid"]]))
 """
 
 
@@ -352,15 +354,16 @@ class TestImports:
             pooldesign.expected_tests_uniform(5, 0.3), abs=1e-10
         )
 
-    def test_known_p_and_prior_commands_load_no_numpy(self):
-        # only the minimax supremum and its grid oracle build arrays
+    def test_no_solver_command_loads_numpy(self):
+        # only the grid oracle builds arrays
         proc = subprocess.run(
             [sys.executable, "-c", NUMPY_PROBE],
             env={**os.environ, "PYTHONPATH": _src_path()},
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        codes, numpy_modules, array_codes = proc.stdout.splitlines()
-        assert codes == "[0, 0, 0, 0, 0]"
+        codes, table_codes, numpy_modules, grid_codes = proc.stdout.splitlines()
+        assert codes == "[0, 0, 0, 0, 0, 0]"
+        assert table_codes == "[0, 4, 4, 4, 0]"  # T2-T4 have pinned mismatch cells
         assert numpy_modules == "[]"
-        assert array_codes == "[0, 4]"  # T4 has pinned mismatch cells
+        assert grid_codes == "[0]"

@@ -16,6 +16,7 @@ from pooldesign import (
     minimax,
     minimax_group_size,
     optimal_expected_tests,
+    samuels_optimal_k,
     sup_loss_analytic,
     sup_loss_grid,
 )
@@ -24,6 +25,8 @@ from pooldesign.minimax import _grid_base
 # exact worst case for a pool of eight
 P_STAR_8 = 1.0 - (3.0 / 8.0) ** 0.2
 SUP_8 = (5.0 / 8.0) * (3.0 / 8.0) ** 0.6 - 5.0 / 24.0
+
+LOG_SPACED_U = [float(U) for U in np.logspace(-6, 0, 608)]
 
 
 class TestAnalyticSupremum:
@@ -130,6 +133,153 @@ class TestAgainstSegmentEnumeration:
         U = 1.0 - larger_root(m)
         for bound in (math.nextafter(U, 0.0), U, math.nextafter(U, 1.0)):
             _check_against_segments(bound, range(1, K_ORACLE + 1, 9), roots)
+
+
+def _array_supremum(k, U):
+    """The supremum as a maximum over every oracle size m at once.
+
+    The former numpy form of sup_loss_analytic: all peaks m = m_lo..k-1 in
+    one array, the largest taken by brute force, ties to the highest q.
+    """
+    hi = min(U, P0)
+    limit = 1.0 if k == 1 else 1.0 / k
+    m_lo = max(3, samuels_optimal_k(hi))
+    if m_lo < k:
+        m = np.arange(m_lo, k)
+        d = k - m
+        log_q = np.maximum(np.log1p(-d / k) / d, math.log1p(-hi))
+        vals = np.exp(m * log_q) * -np.expm1(d * log_q) - d / (k * m)
+        best = vals.max()
+        if best > limit:
+            return -math.expm1(float(log_q[vals == best].max())), float(best)
+    return 0.0, limit
+
+
+BREAKPOINT_U = [
+    bound
+    for m in range(3, 401, 7)
+    for U in [1.0 - larger_root(m)]
+    for bound in (math.nextafter(U, 0.0), U, math.nextafter(U, 1.0))
+]
+LARGE_K = sorted({int(k) for k in np.logspace(math.log10(2001), 5, 24)})
+
+
+def _check_against_array_form(U, ks):
+    for k in ks:
+        want_p, want = _array_supremum(k, U)
+        got = sup_loss_analytic(k, U)
+        assert got.sup_loss == pytest.approx(want, rel=1e-15, abs=0), (k, U)
+        assert got.p_star == pytest.approx(want_p, rel=0, abs=4.5e-16), (k, U)
+
+
+def _check_bounds_against_array_form(bounds):
+    # each bound gets every 29th k up to 2000, starting at a rotating offset,
+    # and a sixth of the log-spaced sizes above it
+    for i, U in enumerate(bounds):
+        _check_against_array_form(
+            U, [*range(1 + i % 29, 2001, 29), *LARGE_K[i % 6 :: 6]]
+        )
+
+
+class TestAgainstArrayForm:
+    # the bisection over m must find the peak the full array finds
+    @pytest.mark.parametrize("U", [1.0, P0, 0.05, 1e-3, 1e-6, 1e-9])
+    def test_every_size_up_to_2000(self, U):
+        _check_against_array_form(U, range(1, 2001))
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_log_spaced_bounds(self, chunk):
+        _check_bounds_against_array_form([*LOG_SPACED_U, 1e-7, 1e-8, 1e-9][chunk::4])
+
+    @pytest.mark.parametrize("chunk", range(2))
+    def test_bounds_on_a_breakpoint(self, chunk):
+        _check_bounds_against_array_form(BREAKPOINT_U[chunk::2])
+
+
+def _mp_peak(k, m, U):
+    """(v(m), c) at 50 digits: the peak of g_m on the domain and c = -ln q*."""
+    hi = min(mp.mpf(U), 1 - mp.cbrt(mp.mpf(1) / 3))
+    c = min(mp.log(k / m) / (k - m), -mp.log1p(-hi))
+    return mp.exp(-c * m) - mp.exp(-c * k) + mp.mpf(1) / k - 1 / m, c
+
+
+def _mp_huge_supremum(k):
+    """sup_loss(k, 1) at 50 digits, from the real maximizer over m.
+
+    Bisects the sign of dv/dm = 1/m^2 - c e^(-cm), c = -ln q*, over real m
+    in [3, k-1] (docs/decisions.md), then takes the largest peak of the
+    integers around it and compares it with the p->0 limit 1/k.
+    """
+    with mp.workdps(50):
+        a, b = mp.mpf(3), mp.mpf(k - 1)
+        for _ in range(200):
+            mid = (a + b) / 2
+            c = _mp_peak(k, mid, 1.0)[1]
+            a, b = (mid, b) if 1 / mid**2 > c * mp.exp(-c * mid) else (a, mid)
+        ms = range(max(3, int(a) - 1), min(k - 1, int(a) + 2) + 1)
+        return float(max([mp.mpf(1) / k] + [_mp_peak(k, mp.mpf(m), 1.0)[0] for m in ms]))
+
+
+class TestHugePoolSizes:
+    @pytest.mark.parametrize("k", [10**6, 10**8, 10**10, 10**12])
+    def test_against_mpmath(self, k):
+        got = sup_loss_analytic(k, 1.0).sup_loss
+        assert got == pytest.approx(_mp_huge_supremum(k), rel=1e-13, abs=0)
+
+    def test_largest_resolvable_size(self):
+        assert sup_loss_analytic(10**15, 1.0).sup_loss == pytest.approx(
+            _mp_huge_supremum(10**15), rel=1e-12, abs=0
+        )
+
+    def test_numpy_integer_size_does_not_wrap(self):
+        # k*m passes 2**63 here
+        assert sup_loss_analytic(np.int64(10**15)) == sup_loss_analytic(10**15)
+
+    @pytest.mark.parametrize("k", [10**15 + 1, 2**53, 10**18, 10**400])
+    def test_refuses_sizes_beyond_double_precision(self, k):
+        with pytest.raises(RuntimeError, match="not resolvable in double precision"):
+            sup_loss_analytic(k, 1.0)
+
+
+class TestUnimodalityLemma:
+    # the lemma behind the bisection over m, checked at 50 digits
+    def test_unclamped_terms(self):
+        # x = t ln(1/t)/(1-t) < 1, and t x e^(-x) increases in t
+        with mp.workdps(50):
+            ts = [mp.mpf(10) ** -e for e in range(40, 3, -1)]
+            ts += [mp.mpf(j) / 1000 for j in range(1, 1000)]
+            ts += [1 - mp.mpf(10) ** -e for e in range(4, 21)]
+            xs = [t * mp.log(1 / t) / (1 - t) for t in ts]
+            assert all(x < 1 for x in xs)
+            terms = [t * x * mp.exp(-x) for t, x in zip(ts, xs)]
+            assert all(a < b for a, b in zip(terms, terms[1:]))
+
+    @pytest.mark.parametrize("k, U", [(50, 1.0), (400, 0.05), (3000, 1e-4), (3000, 1e-6)])
+    def test_envelope_slope(self, k, U):
+        # dv/dm = 1/m^2 - c e^(-cm) has the sign of c - x^2 e^(-x), x = cm
+        with mp.workdps(50):
+            h = mp.mpf(10) ** -20
+            for m in (mp.mpf(k) / 100 + 3, mp.mpf(k) / 7, mp.mpf(k) / 2):
+                v_plus, v_minus = _mp_peak(k, m + h, U)[0], _mp_peak(k, m - h, U)[0]
+                c = _mp_peak(k, m, U)[1]
+                slope = 1 / m**2 - c * mp.exp(-c * m)
+                assert (v_plus - v_minus) / (2 * h) == pytest.approx(slope, rel=1e-15)
+                x = c * m
+                assert (slope > 0) == (c > x**2 * mp.exp(-x))
+
+    @pytest.mark.parametrize("U", [1.0, 0.05, 1e-3, 1e-4])
+    def test_integer_peaks_rise_then_fall(self, U):
+        clamped = 0
+        with mp.workdps(50):
+            for k in (8, 60, 400):
+                ms = range(max(3, samuels_optimal_k(min(U, P0))), k)
+                peaks = [_mp_peak(k, mp.mpf(m), U) for m in ms]
+                clamped += sum(c == -mp.log1p(-min(U, P0)) for _, c in peaks)
+                v = [val for val, _ in peaks]
+                top = v.index(max(v)) if v else 0
+                assert all(a < b for a, b in zip(v[:top], v[1 : top + 1])), (k, U)
+                assert all(a > b for a, b in zip(v[top:], v[top + 1 :])), (k, U)
+        assert U == 1.0 or clamped  # small bounds exercise the clamped region
 
 
 class TestGridSupremum:
@@ -249,8 +399,6 @@ def _brute_force_k(sup):
         if k >= 2 and loss - 1.0 / k >= best[0]:
             return best[1]
 
-
-LOG_SPACED_U = [float(U) for U in np.logspace(-6, 0, 608)]
 
 
 class TestSearchAgainstBruteForce:

@@ -5,7 +5,9 @@
 ROOT is a checkout (its `src/` and `bench/` are put first on the import
 path). Run the script on two checkouts, for example a parent commit and a
 change, and compare the two dumps with `cmp`: the change keeps every answer
-exactly when the files are byte-identical.
+exactly when the files are byte-identical. For a change that may move
+floats by an ulp, `tools/diff_answers.py` requires the integers and strings
+to be identical and reports the largest relative float difference per key.
 
 The dump holds `larger_root` for k = 2..5000, the minimax answer and worst
 point (analytic and grid) on 608 log-spaced bounds U in [1e-6, 1] and on

@@ -9,74 +9,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 from . import core, efficiency, minimax, ranges
 from .bayes import PriorSpec, bayes_optimal_k
 from .efficiency import TableReport
 
-CONFIG_ENV_VAR = "POOLDESIGN_CONFIG"
 FORMATS = ("csv", "json", "markdown")
 
 
-@dataclass
-class RunConfig:
-    grid_step: float = 1e-6
-    output: str = "markdown"
-
-
-def _load_config_file(path: str) -> dict:
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in ("grid_step", "format"):
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = raw.strip()
-    return values
-
-
-def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        raw = _load_config_file(path)
-        if "grid_step" in raw:
-            cfg.grid_step = float(raw["grid_step"])
-        if "format" in raw:
-            if raw["format"] not in FORMATS:
-                raise ValueError(f"config format must be one of {FORMATS}")
-            cfg.output = raw["format"]
-    # flags override the config file
-    if getattr(args, "grid_step", None) is not None:
-        cfg.grid_step = args.grid_step
-    if getattr(args, "format", None) is not None:
-        cfg.output = args.format
-    if not cfg.grid_step > 0:
-        raise ValueError("grid_step must be positive")
-    return cfg
-
-
 def _fmt(value, machine: bool) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g") if machine else format(value, ".6g")
     return str(value)
 
 
-def _emit_record(name: str, fields: dict, cfg: RunConfig) -> None:
-    if cfg.output == "json":
+def _emit_record(name: str, fields: dict, output: str) -> None:
+    if output == "json":
         print(json.dumps({"command": name, **fields}, sort_keys=False))
-    elif cfg.output == "csv":
+    elif output == "csv":
         print(",".join(fields))
         print(",".join(_fmt(v, machine=True) for v in fields.values()))
     else:
@@ -87,8 +38,8 @@ def _emit_record(name: str, fields: dict, cfg: RunConfig) -> None:
             print(f"| {key} | {_fmt(value, machine=False)} |")
 
 
-def _emit_table(report: TableReport, cfg: RunConfig) -> None:
-    if cfg.output == "json":
+def _emit_table(report: TableReport, output: str) -> None:
+    if output == "json":
         payload = {
             "table": report.table_id,
             "title": report.title,
@@ -96,7 +47,7 @@ def _emit_table(report: TableReport, cfg: RunConfig) -> None:
             "rows": [{"label": label, "values": vals} for label, vals in report.rows],
         }
         print(json.dumps(payload, sort_keys=False))
-    elif cfg.output == "csv":
+    elif output == "csv":
         print(",".join(["row"] + report.columns))
         for label, vals in report.rows:
             print(",".join([label] + [_fmt(v, machine=True) for v in vals]))
@@ -109,7 +60,7 @@ def _emit_table(report: TableReport, cfg: RunConfig) -> None:
             print("| " + " | ".join([label] + cells) + " |")
 
 
-def _cmd_optimal(args, cfg: RunConfig) -> int:
+def _cmd_optimal(args) -> int:
     p = args.p
     k = core.samuels_optimal_k(p)
     rng = ranges.optimality_range(k)
@@ -122,15 +73,14 @@ def _cmd_optimal(args, cfg: RunConfig) -> int:
             "range_low": rng.p_low,
             "range_high": rng.p_high,
         },
-        cfg,
+        args.format,
     )
     return 0
 
 
-def _cmd_minimax(args, cfg: RunConfig) -> int:
-    res = minimax.minimax_group_size(
-        args.upper_bound, args.method, grid_step=cfg.grid_step
-    )
+def _cmd_minimax(args) -> int:
+    step = {} if args.grid_step is None else {"grid_step": args.grid_step}
+    res = minimax.minimax_group_size(args.upper_bound, args.method, **step)
     _emit_record(
         "minimax",
         {
@@ -140,12 +90,12 @@ def _cmd_minimax(args, cfg: RunConfig) -> int:
             "worst_p": res.worst_point.p_star,
             "worst_loss": res.worst_point.sup_loss,
         },
-        cfg,
+        args.format,
     )
     return 0
 
 
-def _cmd_bayes(args, cfg: RunConfig) -> int:
+def _cmd_bayes(args) -> int:
     if args.prior == "uniform":
         prior = PriorSpec.uniform(args.upper_bound)
     elif args.prior == "jeffreys":
@@ -165,20 +115,20 @@ def _cmd_bayes(args, cfg: RunConfig) -> int:
             "k_optimal": res.k_opt,
             "expected_tests": res.expected_tests_at_opt,
         },
-        cfg,
+        args.format,
     )
     return 0
 
 
-def _cmd_range(args, cfg: RunConfig) -> int:
+def _cmd_range(args) -> int:
     rng = ranges.optimality_range(args.k)
     _emit_record(
-        "range", {"k": rng.k, "p_low": rng.p_low, "p_high": rng.p_high}, cfg
+        "range", {"k": rng.k, "p_low": rng.p_low, "p_high": rng.p_high}, args.format
     )
     return 0
 
 
-def _cmd_table(args, cfg: RunConfig) -> int:
+def _cmd_table(args) -> int:
     report = efficiency.generate_table(f"T{args.table}")
     if args.check:
         mismatches = efficiency.check_table(report)
@@ -192,7 +142,7 @@ def _cmd_table(args, cfg: RunConfig) -> int:
             return 4
         print(f"table {args.table}: all cells match")
         return 0
-    _emit_table(report, cfg)
+    _emit_table(report, args.format)
     return 0
 
 
@@ -201,15 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pooldesign",
         description="Pool sizes for Dorfman two-stage group testing.",
     )
-    parser.add_argument("--config", help="key=value config file (or set $" + CONFIG_ENV_VAR + ")")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--format", choices=FORMATS, default=None)
-        # SUPPRESS keeps the subcommand from clobbering the top-level value
-        p.add_argument(
-            "--config", dest="config", default=argparse.SUPPRESS, help=argparse.SUPPRESS
-        )
+        p.add_argument("--format", choices=FORMATS, default="markdown")
 
     p_opt = sub.add_parser("optimal", help="optimal pool size for a known prevalence")
     p_opt.add_argument("--p", type=float, required=True)
@@ -247,25 +192,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(exc: Exception, label: str, output: str | None, code: int) -> int:
+def _fail(exc: Exception, label: str, output: str, code: int) -> int:
     print(f"{label}: {exc}", file=sys.stderr)
     if output == "json":
         print(json.dumps({"error": str(exc)}))
     return code
 
 
+def _ignored_flag(args) -> str | None:
+    """The message for a flag the chosen command would ignore, if one is set."""
+    if args.command == "bayes" and args.prior != "beta":
+        if args.a is not None or args.b is not None:
+            return f"--a and --b apply only to --prior beta, not {args.prior}"
+    if args.command == "minimax" and args.method != "grid":
+        if args.grid_step is not None:
+            return "--grid-step applies only to --method grid"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    output = args.format
+    ignored = _ignored_flag(args)
+    if ignored:
+        parser.error(ignored)
     try:
-        cfg = _build_config(args)
-        output = cfg.output
-        return args.func(args, cfg)
+        return args.func(args)
     except (ValueError, OSError) as exc:
-        return _fail(exc, "error", output, 2)
+        return _fail(exc, "error", args.format, 2)
     except RuntimeError as exc:
-        return _fail(exc, "numerical failure", output, 3)
+        return _fail(exc, "numerical failure", args.format, 3)
 
 
 if __name__ == "__main__":

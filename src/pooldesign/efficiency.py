@@ -12,9 +12,8 @@ a half-even-rounding or truncation match at the printed precision, with a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any
 
 from .bayes import PriorSpec, bayes_optimal_k, uniform_optimal_k
 from .core import expected_tests, optimal_expected_tests, samuels_optimal_k
@@ -44,7 +43,6 @@ class TableReport:
     title: str
     columns: list[str]
     rows: list[tuple[str, list]]
-    metadata: dict[str, Any] = field(default_factory=dict)
 
 
 def relative_efficiency(k_design: int, p: float) -> float:
@@ -220,7 +218,6 @@ def _table1() -> TableReport:
             ("worst_p", [pt.p_star for pt in points]),
             ("worst_loss", [pt.sup_loss for pt in points]),
         ],
-        {"k_values": list(_T1_KS), "upper_bound": 1.0},
     )
 
 
@@ -235,7 +232,6 @@ def _table2() -> TableReport:
             ("re_minimax", [relative_efficiency(k_mm, p) for p in _T2_PS]),
             ("re_jeffreys", [relative_efficiency(k_j, p) for p in _T2_PS]),
         ],
-        {"p_values": list(_T2_PS), "k_minimax": k_mm, "k_jeffreys": k_j},
     )
 
 
@@ -248,7 +244,6 @@ def _table3() -> TableReport:
         "Recommended pool sizes per prevalence upper bound",
         [f"{U:g}" for U in _T3_US],
         [("k_minimax", k_mm), ("k_uniform", k_u), ("k_jeffreys", k_j)],
-        {"upper_bounds": list(_T3_US)},
     )
 
 
@@ -281,7 +276,6 @@ def _table45(table_id, blocks) -> TableReport:
             ("k_uniform_design", k_u_row),
             ("k_jeffreys_design", k_j_row),
         ],
-        {"blocks": [(U, list(ps)) for U, ps in blocks]},
     )
 
 

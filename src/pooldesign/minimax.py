@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 
 from .core import P0, _check_group_size, _check_upper_bound, samuels_optimal_k
 
@@ -108,8 +108,15 @@ def _grid_tests(k, p):
     return 1.0 - np.exp(k * np.log1p(-p)) + 1.0 / k
 
 
-@lru_cache(maxsize=1)  # a scan reuses one grid; each can take megabytes
+def _check_grid_step(U: float, step: float) -> None:
+    if not 0.0 < step <= 1e-3 or min(U, P0) / step > 1e7:
+        raise ValueError(
+            f"step must lie in (0, 1e-3] and give at most 1e7 grid points, got {step!r}"
+        )
+
+
 def _grid_base(U: float, step: float):
+    """The grid p over [0, min(U, P0)] and the oracle cost at p[1:]."""
     import numpy as np
 
     hi = min(U, P0)
@@ -122,9 +129,18 @@ def _grid_base(U: float, step: float):
     # neither the solver's fractional-part test nor its tie rule.
     i = np.floor(p[1:] ** -0.5)
     opt = np.minimum(_grid_tests(i + 1, p[1:]), _grid_tests(i + 2, p[1:]))
-    p.flags.writeable = False
-    opt.flags.writeable = False
     return p, opt
+
+
+def _grid_sup(k: int, p, opt) -> LossPoint:
+    """Worst grid point of pool size k, on the grid p with oracle cost opt."""
+    import numpy as np
+
+    losses = np.empty(p.shape)
+    losses[0] = 1.0 if k == 1 else 1.0 / k
+    losses[1:] = (1.0 if k == 1 else _grid_tests(k, p[1:])) - opt
+    i = int(np.argmax(losses))  # first occurrence: lowest p on ties
+    return LossPoint(k, float(p[i]), float(losses[i]))
 
 
 def sup_loss_grid(k: int, U: float = 1.0, step: float = 1e-6) -> LossPoint:
@@ -136,18 +152,8 @@ def sup_loss_grid(k: int, U: float = 1.0, step: float = 1e-6) -> LossPoint:
     """
     _check_group_size(k)
     _check_upper_bound(U)
-    if not 0.0 < step <= 1e-3 or min(U, P0) / step > 1e7:
-        raise ValueError(
-            f"step must lie in (0, 1e-3] and give at most 1e7 grid points, got {step!r}"
-        )
-    import numpy as np
-
-    p, opt = _grid_base(U, step)
-    losses = np.empty(p.shape)
-    losses[0] = 1.0 if k == 1 else 1.0 / k
-    losses[1:] = (1.0 if k == 1 else _grid_tests(k, p[1:])) - opt
-    i = int(np.argmax(losses))  # first occurrence: lowest p on ties
-    return LossPoint(k, float(p[i]), float(losses[i]))
+    _check_grid_step(U, step)
+    return _grid_sup(k, *_grid_base(U, step))
 
 
 def _search(sup) -> LossPoint:
@@ -197,13 +203,17 @@ def minimax_group_size(
 
     Ties go to the smaller pool size. Raises RuntimeError when the p->0
     limit binds for every k up to 100 000, as for bounds U below 4e-10.
+    The grid method raises ValueError for a grid_step that sup_loss_grid
+    refuses, before shrinking it to U/1e5 for small windows.
     """
     _check_upper_bound(U)
     if method == "analytic":
         sup = partial(sup_loss_analytic, U=U)
     elif method == "grid":
-        step = min(grid_step, U / 1e5)  # small windows keep at least 1e5 grid points
-        sup = partial(sup_loss_grid, U=U, step=step)
+        _check_grid_step(U, grid_step)
+        # one grid for the whole search; small windows keep 1e5 grid points
+        p, opt = _grid_base(U, min(grid_step, U / 1e5))
+        sup = partial(_grid_sup, p=p, opt=opt)
     else:
         raise ValueError(f"method must be 'analytic' or 'grid', got {method!r}")
     pt = _search(sup)

@@ -1,4 +1,4 @@
-"""Tests for the command-line interface: outputs, exit codes, configuration."""
+"""Tests for the command-line interface: outputs and exit codes."""
 
 import json
 import os
@@ -25,11 +25,11 @@ def _src_path():
     return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
-def run_process(*argv):
+def run_process(*argv, **env):
     """One `python -m pooldesign.cli` process, as a user would start it."""
     return subprocess.run(
         [sys.executable, "-m", "pooldesign.cli", *argv],
-        env={**os.environ, "PYTHONPATH": _src_path()},
+        env={**os.environ, **env, "PYTHONPATH": _src_path()},
         capture_output=True, text=True, timeout=60,
     )
 
@@ -95,6 +95,13 @@ class TestMinimax:
             capsys, "minimax", "--method", "grid", "--grid-step", "1e-12"
         )
         assert code == 2 and "1e7 grid points" in err
+
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf", "0.5"])
+    def test_grid_step_out_of_range_exits_two(self, capsys, monkeypatch, step):
+        # refused as given, not after shrinking it for small windows
+        monkeypatch.setattr(minimax, "_grid_base", None)  # building a grid fails
+        code, _, err = run(capsys, "minimax", "--method", "grid", "--grid-step", step)
+        assert code == 2 and "(0, 1e-3]" in err
 
 
 class TestBayes:
@@ -230,48 +237,6 @@ class TestDeterminismAndConfig:
         rec = json.loads(out)
         assert json.loads(json.dumps(rec)) == rec
 
-    def test_config_file_sets_format(self, capsys, tmp_path):
-        cfg = tmp_path / "pool.cfg"
-        cfg.write_text("# defaults\nformat = json\ngrid_step = 1e-5\n")
-        code, out, _ = run(capsys, "--config", str(cfg), "optimal", "--p", "0.02")
-        assert code == 0
-        assert json.loads(out)["k_optimal"] == 8
-
-    def test_flag_overrides_config(self, capsys, tmp_path):
-        cfg = tmp_path / "pool.cfg"
-        cfg.write_text("format = json\n")
-        _, out, _ = run(
-            capsys, "--config", str(cfg), "optimal", "--p", "0.02",
-            "--format", "csv",
-        )
-        assert out.startswith("p,")
-
-    def test_environment_variable_config(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "pool.cfg"
-        cfg.write_text("format = csv\n")
-        monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(cfg))
-        _, out, _ = run(capsys, "range", "--k", "8")
-        assert out.startswith("k,")
-
-    def test_malformed_config_exits_two(self, capsys, tmp_path):
-        cfg = tmp_path / "pool.cfg"
-        cfg.write_text("grid step 1e-5\n")
-        code, _, err = run(capsys, "--config", str(cfg), "optimal", "--p", "0.02")
-        assert code == 2 and "key=value" in err
-
-    def test_missing_config_exits_two(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "--config", str(tmp_path / "nope.cfg"), "optimal", "--p", "0.02"
-        )
-        assert code == 2 and err.strip()
-
-    def test_config_format_applies_to_errors(self, capsys, tmp_path):
-        cfg = tmp_path / "pool.cfg"
-        cfg.write_text("format = json\n")
-        code, out, err = run(capsys, "--config", str(cfg), "optimal", "--p", "1.5")
-        assert code == 2 and err.strip()
-        assert "error" in json.loads(out)
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -282,6 +247,9 @@ class TestDeterminismAndConfig:
             ["minimax", "--patience", "5"],
             ["bayes", "--prior", "jeffreys", "--patience", "5"],
             ["table", "--table", "1", "--patience", "5"],
+            ["bayes", "--prior", "jeffreys", "--b", "3"],
+            ["bayes", "--prior", "uniform", "--a", "2"],
+            ["minimax", "--grid-step", "1e-5"],
         ],
     )
     def test_flags_a_command_would_ignore_exit_two(self, capsys, argv):
@@ -289,12 +257,14 @@ class TestDeterminismAndConfig:
             cli.main(argv)
         assert exc.value.code == 2
 
-    def test_unknown_config_key_exits_two(self, capsys, tmp_path):
+    def test_no_config_file_is_read(self, tmp_path):
         cfg = tmp_path / "pool.cfg"
-        cfg.write_text("format = json\nk_scan_patience = 5\n")
-        code, _, err = run(capsys, "--config", str(cfg), "minimax")
-        assert code == 2
-        assert "unknown config key 'k_scan_patience'" in err and "pool.cfg:2" in err
+        cfg.write_text("format = csv\n")
+        proc = run_process("range", "--k", "8", POOLDESIGN_CONFIG=str(cfg))
+        assert proc.returncode == 0 and proc.stdout.startswith("### range")
+        for argv in (["--config", "x", "range"], ["range", "--config", "x"]):
+            proc = run_process(*argv, "--k", "8")
+            assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
 IMPORT_PROBE = """

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from functools import partial
 
 import mpmath as mp
@@ -298,11 +299,23 @@ class TestGridSupremum:
         assert g.sup_loss == pytest.approx(a.sup_loss, abs=1e-5)
         assert g.p_star == pytest.approx(a.p_star, abs=2e-6)
 
-    def test_grid_cache_holds_one_grid(self):
-        # a scan reuses one grid; older grids (megabytes each) are dropped
-        for U in (1.0, 0.05, 0.01, 0.001):
-            sup_loss_grid(8, U, step=1e-5)
-        assert _grid_base.cache_info().currsize <= 1
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            partial(sup_loss_grid, 8, 1.0, 4e-7),
+            partial(minimax_group_size, 1.0, "grid", grid_step=4e-7),
+        ],
+        ids=["sup_loss_grid", "minimax_group_size"],
+    )
+    def test_no_grid_outlives_the_call(self, solve):
+        # about 1e6 grid points: 8 MB for each of p and the oracle cost
+        tracemalloc.start()
+        try:
+            solve()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > 8e6 and held < 1e6
 
     @pytest.mark.parametrize("U, step", [(1.0, 1e-6), (1e-3, 1e-8)])
     def test_oracle_cost_is_the_optimal_cost(self, U, step):

@@ -15,8 +15,16 @@ bounds at and one ulp either side of the breakpoints 1 - larger_root(m)
 for m = 3..400, `sup_loss_analytic` on a (k, U) grid, the uniform and
 Jeffreys Bayes sizes, and every query of design-sweep seeds 1-10 (two
 blocks each), with a `RuntimeError` recorded by its class name.
+
+Its `cli` key holds, for each argv of a fixed list, the argv, the exit code,
+stdout and stderr of `pooldesign.cli.main`: every subcommand in the three
+formats, `table --table 1..5` with and without `--check`, and argv that exit
+2 (usage or invalid input) and 3 (numerical failure). So the identity of
+the command line is a `cmp` of two dumps as well.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -28,6 +36,7 @@ root, out = sys.argv[1], sys.argv[2]
 sys.path[:0] = [root + "/src", root + "/bench", root]
 import pooldesign as pd  # noqa: E402
 import workloads  # noqa: E402
+from pooldesign import cli  # noqa: E402
 
 Us = [float(U) for U in np.logspace(-6, 0, 608)]
 bps = []
@@ -46,6 +55,54 @@ def sup(k, U):
     return [k, U, p.p_star, p.sup_loss]
 
 
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    return [argv, code, out.getvalue(), err.getvalue()]
+
+
+GRID = ["minimax", "--method", "grid"]
+CLI_FORMATTED = [  # each runs in the three formats
+    ["optimal", "--p", "0.02"],
+    ["optimal", "--p", "0.5"],
+    ["minimax"],
+    ["minimax", "--upper-bound", "0.05"],
+    GRID,
+    GRID + ["--upper-bound", "0.05", "--grid-step", "1e-5"],
+    ["bayes", "--prior", "uniform", "--upper-bound", "0.01"],
+    ["bayes", "--prior", "jeffreys"],
+    ["bayes", "--prior", "beta", "--a", "2", "--b", "5", "--upper-bound", "0.3"],
+    ["range", "--k", "8"],
+    *(["table", "--table", str(n)] for n in range(1, 6)),
+    # exit 2
+    ["optimal", "--p", "1.5"],
+    ["minimax", "--upper-bound", "0"],
+    ["minimax", "--grid-step", "1e-5"],
+    *(GRID + ["--grid-step", s] for s in ("0", "-0.5", "nan", "inf", "0.5", "1e-12")),
+    ["bayes", "--prior", "beta"],
+    ["bayes", "--prior", "beta", "--a", "inf", "--b", "1"],
+    ["bayes", "--prior", "jeffreys", "--b", "3"],
+    ["bayes", "--prior", "uniform", "--a", "2"],
+    ["range", "--k", "2"],
+    # exit 3
+    ["minimax", "--upper-bound", "1e-12"],
+    ["bayes", "--prior", "beta", "--a", "100", "--b", "1", "--upper-bound", "1e-6"],
+    ["range", "--k", "1000000"],
+    ["optimal", "--p", "1e-12"],
+]
+CLI_PLAIN = [
+    *(["table", "--table", str(n), "--check"] for n in range(1, 6)),
+    # exit 2 from argparse
+    ["table", "--table", "6"],
+    ["optimal", "--p", "0.02", "--grid-step", "1e-5"],
+    ["--config", "x", "optimal", "--p", "0.02"],
+]
+
+
 res = {
     "roots": [pd.larger_root(k).hex() for k in range(2, 5001)],
     "minimax": [mm(U) for U in Us],
@@ -60,6 +117,12 @@ res = {
         for k in range(1, 2001, 7)
     ],
     "sweep": [],
+    "cli": [
+        run_cli(argv + ["--format", fmt])
+        for argv in CLI_FORMATTED
+        for fmt in ("markdown", "csv", "json")
+    ]
+    + [run_cli(argv) for argv in CLI_PLAIN],
 }
 for seed in range(1, 11):
     for block in itertools.islice(workloads.blocks("design-sweep", seed), 2):

@@ -1,66 +1,58 @@
-"""Pool sizes for Dorfman two-stage group testing: optimal, minimax, Bayesian."""
+"""Pool sizes for Dorfman two-stage group testing: optimal, minimax, Bayesian.
 
-from .bayes import (
-    BayesResult,
-    PriorSpec,
-    QuadratureError,
-    bayes_optimal_k,
-    expected_tests_under_prior,
-    expected_tests_uniform,
-    jeffreys_constant,
-    uniform_optimal_k,
-)
-from .core import (
-    P0,
-    Q0,
-    expected_tests,
-    loss,
-    optimal_expected_tests,
-    samuels_optimal_k,
-)
-from .efficiency import (
-    TableReport,
-    check_table,
-    generate_table,
-    relative_efficiency,
-)
-from .minimax import (
-    LossPoint,
-    MinimaxResult,
-    minimax_group_size,
-    sup_loss_analytic,
-    sup_loss_grid,
-)
-from .ranges import OptimalityRange, delta, larger_root, optimality_range
+The public names load lazily (PEP 562): `import pooldesign` imports no
+submodule, and the first read of a name imports its home module only. The
+name is then stored in this module's globals, so later reads are plain
+attribute hits that never reach `__getattr__`.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "P0",
-    "Q0",
-    "expected_tests",
-    "samuels_optimal_k",
-    "optimal_expected_tests",
-    "loss",
-    "delta",
-    "larger_root",
-    "optimality_range",
-    "OptimalityRange",
-    "LossPoint",
-    "MinimaxResult",
-    "sup_loss_analytic",
-    "sup_loss_grid",
-    "minimax_group_size",
-    "PriorSpec",
-    "BayesResult",
-    "QuadratureError",
-    "jeffreys_constant",
-    "expected_tests_uniform",
-    "uniform_optimal_k",
-    "expected_tests_under_prior",
-    "bayes_optimal_k",
-    "relative_efficiency",
-    "generate_table",
-    "check_table",
-    "TableReport",
-]
+# Each public name and the submodule that defines it, in `__all__` order.
+_HOMES = {
+    "P0": "core",
+    "Q0": "core",
+    "expected_tests": "core",
+    "samuels_optimal_k": "core",
+    "optimal_expected_tests": "core",
+    "loss": "core",
+    "delta": "ranges",
+    "larger_root": "ranges",
+    "optimality_range": "ranges",
+    "OptimalityRange": "ranges",
+    "LossPoint": "minimax",
+    "MinimaxResult": "minimax",
+    "sup_loss_analytic": "minimax",
+    "sup_loss_grid": "minimax",
+    "minimax_group_size": "minimax",
+    "PriorSpec": "bayes",
+    "BayesResult": "bayes",
+    "QuadratureError": "bayes",
+    "jeffreys_constant": "bayes",
+    "expected_tests_uniform": "bayes",
+    "uniform_optimal_k": "bayes",
+    "expected_tests_under_prior": "bayes",
+    "bayes_optimal_k": "bayes",
+    "relative_efficiency": "efficiency",
+    "generate_table": "efficiency",
+    "check_table": "efficiency",
+    "TableReport": "efficiency",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # the next read is a dict hit, not this call
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

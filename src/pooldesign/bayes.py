@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import _check_group_size, _check_upper_bound
 
@@ -43,20 +43,22 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-@dataclass(frozen=True)
-class PriorSpec:
+class PriorSpec(namedtuple("PriorSpec", "a b upper")):
     """Beta(a, b) prior truncated and renormalized to (0, upper]."""
 
-    a: float
-    b: float
-    upper: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+    def __new__(cls, a: float, b: float, upper: float = 1.0):
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
             raise ValueError(
-                f"beta shapes must be positive and finite, got a={self.a!r}, b={self.b!r}"
+                f"beta shapes must be positive and finite, got a={a!r}, b={b!r}"
             )
-        _check_upper_bound(self.upper)
+        _check_upper_bound(upper)
+        return super().__new__(cls, a, b, upper)
+
+    @classmethod
+    def _make(cls, iterable):  # the inherited one, behind _replace, skips __new__
+        return cls(*iterable)
 
     @classmethod
     def uniform(cls, upper: float = 1.0) -> "PriorSpec":
@@ -67,11 +69,10 @@ class PriorSpec:
         return cls(0.5, 0.5, upper)
 
 
-@dataclass(frozen=True)
-class BayesResult:
-    k_opt: int
-    expected_tests_at_opt: float
-    prior: PriorSpec
+class BayesResult(namedtuple("BayesResult", "k_opt expected_tests_at_opt prior")):
+    """The pool size k_opt minimizing the prior-mean cost, and that cost."""
+
+    __slots__ = ()
 
 
 def jeffreys_constant(U: float) -> float:

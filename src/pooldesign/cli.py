@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 usage or invalid input, 3 numerical failure,
 4 golden-table mismatch. Output is deterministic; human-readable formats
 print 6 significant digits, machine formats keep full precision.
+
+Each handler imports the solver modules it runs, so a call loads only
+those: `optimal` and `range` load core and ranges, `bayes` loads bayes,
+`minimax` loads minimax, and `table` loads efficiency.
 """
 
 from __future__ import annotations
@@ -10,10 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from . import core, efficiency, minimax, ranges
-from .bayes import PriorSpec, bayes_optimal_k
-from .efficiency import TableReport
 
 FORMATS = ("csv", "json", "markdown")
 
@@ -38,7 +38,7 @@ def _emit_record(name: str, fields: dict, output: str) -> None:
             print(f"| {key} | {_fmt(value, machine=False)} |")
 
 
-def _emit_table(report: TableReport, output: str) -> None:
+def _emit_table(report, output: str) -> None:
     if output == "json":
         payload = {
             "table": report.table_id,
@@ -61,6 +61,8 @@ def _emit_table(report: TableReport, output: str) -> None:
 
 
 def _cmd_optimal(args) -> int:
+    from . import core, ranges
+
     p = args.p
     k = core.samuels_optimal_k(p)
     rng = ranges.optimality_range(k)
@@ -79,6 +81,8 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_minimax(args) -> int:
+    from . import minimax
+
     step = {} if args.grid_step is None else {"grid_step": args.grid_step}
     res = minimax.minimax_group_size(args.upper_bound, args.method, **step)
     _emit_record(
@@ -96,6 +100,8 @@ def _cmd_minimax(args) -> int:
 
 
 def _cmd_bayes(args) -> int:
+    from .bayes import PriorSpec, bayes_optimal_k
+
     if args.prior == "uniform":
         prior = PriorSpec.uniform(args.upper_bound)
     elif args.prior == "jeffreys":
@@ -121,6 +127,8 @@ def _cmd_bayes(args) -> int:
 
 
 def _cmd_range(args) -> int:
+    from . import ranges
+
     rng = ranges.optimality_range(args.k)
     _emit_record(
         "range", {"k": rng.k, "p_low": rng.p_low, "p_high": rng.p_high}, args.format
@@ -129,6 +137,8 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import efficiency
+
     report = efficiency.generate_table(f"T{args.table}")
     if args.check:
         mismatches = efficiency.check_table(report)

@@ -10,7 +10,6 @@ size k at prevalence p is E(k,p) minus the cost of the oracle-optimal size.
 from __future__ import annotations
 
 import math
-import numbers
 
 # Pooling beats individual testing only for p <= P0 = 1 - (1/3)^(1/3).
 Q0 = (1.0 / 3.0) ** (1.0 / 3.0)
@@ -27,9 +26,15 @@ __all__ = [
 
 
 def _check_group_size(k) -> None:
-    # int first: the Integral ABC check alone costs about 0.7 us a call
-    integral = isinstance(k, int) or isinstance(k, numbers.Integral)
-    if isinstance(k, bool) or not integral:
+    # int first: the Integral ABC check alone costs about 0.7 us a call,
+    # and numbers is imported only for other integer types, such as numpy's
+    if isinstance(k, int):
+        integral = not isinstance(k, bool)
+    else:
+        import numbers
+
+        integral = isinstance(k, numbers.Integral)
+    if not integral:
         raise ValueError(f"group size must be a positive integer, got {k!r}")
     if k < 1:
         raise ValueError(f"group size must be >= 1, got {k}")

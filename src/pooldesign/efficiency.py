@@ -12,7 +12,7 @@ a half-even-rounding or truncation match at the printed precision, with a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .bayes import PriorSpec, bayes_optimal_k, uniform_optimal_k
@@ -28,21 +28,16 @@ __all__ = [
     "check_table",
 ]
 
-@dataclass(frozen=True)
-class Mismatch:
-    table_id: str
-    row: str
-    column: str
-    computed: float
-    expected: float
+class Mismatch(namedtuple("Mismatch", "table_id row column computed expected")):
+    """A cell whose computed value does not match the golden one."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TableReport:
-    table_id: str
-    title: str
-    columns: list[str]
-    rows: list[tuple[str, list]]
+class TableReport(namedtuple("TableReport", "table_id title columns rows")):
+    """A regenerated table: its column labels and (row label, values) pairs."""
+
+    __slots__ = ()
 
 
 def relative_efficiency(k_design: int, p: float) -> float:

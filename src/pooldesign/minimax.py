@@ -17,7 +17,7 @@ exact search over k with no stopping heuristic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, partial
 
 from .core import P0, _check_group_size, _check_upper_bound, samuels_optimal_k
@@ -34,25 +34,23 @@ _K_MAX = 100_000  # the crossing search gives up above this pool size
 _K_RESOLVABLE = 10**15  # double precision stops resolving a supremum above it
 
 
-@dataclass(frozen=True)
-class LossPoint:
-    """Worst-case prevalence and regret for one pool size.
+class LossPoint(namedtuple("LossPoint", "k p_star sup_loss")):
+    """Worst-case prevalence p_star and regret sup_loss for pool size k.
 
     p_star = 0 encodes the p->0 limit, where the regret tends to 1/k
     (1 for k = 1).
     """
 
-    k: int
-    p_star: float
-    sup_loss: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MinimaxResult:
-    k_minimax: int
-    upper_bound: float
-    worst_point: LossPoint
-    method: str
+class MinimaxResult(
+    namedtuple("MinimaxResult", "k_minimax upper_bound worst_point method")
+):
+    """The minimax pool size for the bound U, its worst LossPoint and the
+    method ('analytic' or 'grid') that found it."""
+
+    __slots__ = ()
 
 
 def _peak(k: int, m: int, log_floor: float) -> tuple[float, float]:

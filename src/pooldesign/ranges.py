@@ -8,7 +8,7 @@ k = 2 is never optimal and k = 1 owns everything above P0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .core import P0, Q0, _check_group_size
@@ -16,17 +16,16 @@ from .core import P0, Q0, _check_group_size
 __all__ = ["OptimalityRange", "delta", "larger_root", "optimality_range"]
 
 
-@dataclass(frozen=True)
-class OptimalityRange:
+class OptimalityRange(namedtuple("OptimalityRange", "k p_low p_high")):
     """Closed interval [p_low, p_high] on which pool size k is optimal.
 
     Endpoints are shared with the adjacent pool sizes: at a breakpoint
-    both neighbors achieve the same cost.
+    both neighbors achieve the same cost. Like every record of the package
+    it is an immutable named tuple, so it unpacks as (k, p_low, p_high) and
+    compares equal to any tuple that holds the same values.
     """
 
-    k: int
-    p_low: float
-    p_high: float
+    __slots__ = ()
 
 
 def delta(k: int, q: float) -> float:

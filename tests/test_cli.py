@@ -158,7 +158,7 @@ class TestBayes:
         def boom(*args, **kwargs):
             raise QuadratureError("did not converge", 0.1)
 
-        monkeypatch.setattr(cli, "bayes_optimal_k", boom)
+        monkeypatch.setattr(bayes, "bayes_optimal_k", boom)
         code, _, err = run(capsys, "bayes", "--prior", "jeffreys")
         assert code == 3 and "numerical failure" in err
 
@@ -307,8 +307,53 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 print(run([["minimax", "--method", "grid"]]))
 """
 
+LOAD_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return {m for m in sys.modules if m.split(".")[0] == "pooldesign"}
+seen = set()
+def step(argvs=()):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        codes = [cli.main(argv) for argv in argvs]
+    new = sorted(loaded() - seen)
+    seen.update(new)
+    print(json.dumps([codes, new]))
+import pooldesign
+step()
+from pooldesign import cli
+step([["optimal", "--p", "0.02"], ["range", "--k", "8"]])
+step([
+    ["bayes", "--prior", "uniform", "--upper-bound", "0.1"],
+    ["bayes", "--prior", "jeffreys"],
+    ["bayes", "--prior", "beta", "--a", "2", "--b", "5", "--upper-bound", "0.3"],
+])
+step([["minimax", "--upper-bound", "0.05"]])
+step([["table", "--table", str(n), "--check"] for n in range(1, 6)])
+heavy = ("dataclasses", "inspect", "typing", "numbers", "numpy", "scipy")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in heavy)))
+"""
+
 
 class TestImports:
+    def test_each_subcommand_loads_only_its_modules(self):
+        # -S: no site hooks, which may import typing and hide a regression
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", LOAD_PROBE],
+            env={**os.environ, "PYTHONPATH": _src_path()},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *steps, heavy = map(json.loads, proc.stdout.splitlines())
+        assert steps == [
+            [[], ["pooldesign"]],  # import pooldesign loads no submodule
+            [[0, 0], ["pooldesign.cli", "pooldesign.core", "pooldesign.ranges"]],
+            [[0, 0, 0], ["pooldesign.bayes"]],
+            [[0], ["pooldesign.minimax"]],
+            [[0, 4, 4, 4, 0], ["pooldesign.efficiency"]],  # T2-T4 pinned cells
+        ]
+        assert heavy == []
+
     def test_no_subcommand_loads_scipy(self):
         # only the quadrature oracle needs scipy, and it imports it itself
         proc = subprocess.run(

@@ -1,0 +1,101 @@
+"""Tests for the lazy package exports and the named-tuple records."""
+
+import importlib
+
+import pytest
+
+import pooldesign
+from pooldesign import (
+    BayesResult,
+    LossPoint,
+    MinimaxResult,
+    OptimalityRange,
+    PriorSpec,
+    TableReport,
+)
+from pooldesign.efficiency import Mismatch
+
+
+class TestLazyExports:
+    def test_all_keeps_the_27_names(self):
+        assert len(pooldesign.__all__) == len(set(pooldesign.__all__)) == 27
+
+    @pytest.mark.parametrize("name", pooldesign.__all__)
+    def test_name_is_the_object_of_its_home_module(self, name):
+        home = importlib.import_module(f"pooldesign.{pooldesign._HOMES[name]}")
+        assert name in home.__all__
+        assert getattr(pooldesign, name) is getattr(home, name)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from pooldesign import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(pooldesign.__all__)
+
+    def test_dir_lists_every_name(self):
+        assert set(pooldesign.__all__) <= set(dir(pooldesign))
+        assert "__version__" in dir(pooldesign)
+
+    def test_unknown_attribute_raises_naming_it(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pooldesign.no_such_name
+
+    def test_first_read_stores_the_name(self, monkeypatch):
+        # later reads must be dict hits, not __getattr__ calls per access
+        monkeypatch.delitem(vars(pooldesign), "samuels_optimal_k", raising=False)
+        value = pooldesign.samuels_optimal_k
+        assert vars(pooldesign)["samuels_optimal_k"] is value
+
+
+PRIOR = PriorSpec(2.0, 5.0, 0.25)
+POINT = LossPoint(11, 0.5, 0.125)
+RECORDS = {
+    "OptimalityRange(k=8, p_low=0.25, p_high=0.5)": OptimalityRange(8, 0.25, 0.5),
+    "LossPoint(k=11, p_star=0.5, sup_loss=0.125)": POINT,
+    "MinimaxResult(k_minimax=11, upper_bound=0.75, "
+    "worst_point=LossPoint(k=11, p_star=0.5, sup_loss=0.125), method='analytic')":
+        MinimaxResult(11, 0.75, POINT, "analytic"),
+    "PriorSpec(a=2.0, b=5.0, upper=0.25)": PRIOR,
+    "BayesResult(k_opt=3, expected_tests_at_opt=0.75, "
+    "prior=PriorSpec(a=2.0, b=5.0, upper=0.25))": BayesResult(3, 0.75, PRIOR),
+    "Mismatch(table_id='T3', row='k_minimax', column='0.001', computed=65, "
+    "expected=64)": Mismatch("T3", "k_minimax", "0.001", 65, 64),
+    "TableReport(table_id='T9', title='t', columns=['a'], rows=[('r', [1.5])])":
+        TableReport("T9", "t", ["a"], [("r", [1.5])]),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("text", RECORDS)
+    def test_repr(self, text):
+        assert repr(RECORDS[text]) == text
+
+    @pytest.mark.parametrize("text", RECORDS)
+    def test_fields_are_read_only(self, text):
+        record = RECORDS[text]
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None  # no __dict__ either
+
+    def test_records_are_tuples(self):
+        k, p_low, p_high = OptimalityRange(8, 0.25, 0.5)
+        assert (k, p_low, p_high) == (8, 0.25, 0.5)
+        assert OptimalityRange(8, 0.25, 0.5) == (8, 0.25, 0.5)
+
+    def test_prior_default_upper_and_hash(self):
+        assert PriorSpec(1.0, 1.0) == PriorSpec.uniform() == PriorSpec.uniform(1.0)
+        assert hash(PriorSpec.uniform(0.5)) == hash(PriorSpec(1.0, 1.0, 0.5))
+        assert len({PriorSpec.uniform(0.5), PriorSpec(1.0, 1.0, 0.5)}) == 1
+
+    @pytest.mark.parametrize(
+        "change", [{"a": -1.0}, {"b": float("inf")}, {"upper": 0.0}, {"upper": 1.5}]
+    )
+    def test_replace_validates(self, change):
+        with pytest.raises(ValueError):
+            PriorSpec.uniform(0.5)._replace(**change)
+
+    def test_make_validates(self):
+        assert PriorSpec._make([0.5, 0.5, 0.3]) == PriorSpec.jeffreys(0.3)
+        with pytest.raises(ValueError):
+            PriorSpec._make([0.5, 0.5, 2.0])

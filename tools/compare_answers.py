@@ -14,7 +14,9 @@ point (analytic and grid) on 608 log-spaced bounds U in [1e-6, 1] and on
 bounds at and one ulp either side of the breakpoints 1 - larger_root(m)
 for m = 3..400, `sup_loss_analytic` on a (k, U) grid, the uniform and
 Jeffreys Bayes sizes, and every query of design-sweep seeds 1-10 (two
-blocks each), with a `RuntimeError` recorded by its class name.
+blocks each), with a `RuntimeError` recorded by its class name. Its
+`records` key holds the `repr` of real answers of each record type, which
+pins their names, fields and field order.
 
 Its `cli` key holds, for each argv of a fixed list, the argv, the exit code,
 stdout and stderr of `pooldesign.cli.main`: every subcommand in the three
@@ -117,6 +119,22 @@ res = {
         for k in range(1, 2001, 7)
     ],
     "sweep": [],
+    "records": [
+        repr(r)
+        for r in (
+            pd.optimality_range(1),
+            pd.optimality_range(8),
+            pd.sup_loss_analytic(5),
+            pd.sup_loss_analytic(30, 0.01),
+            pd.minimax_group_size(0.05),
+            pd.minimax_group_size(0.05, "grid"),
+            pd.PriorSpec(2.0, 5.0),
+            pd.bayes_optimal_k(pd.PriorSpec.jeffreys(0.3)),
+            *pd.check_table(pd.generate_table("T3")),
+            pd.generate_table("T1"),
+            pd.generate_table("T5"),
+        )
+    ],
     "cli": [
         run_cli(argv + ["--format", fmt])
         for argv in CLI_FORMATTED

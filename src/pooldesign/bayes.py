@@ -6,19 +6,21 @@ B(U; a, b) is the incomplete beta function; (1,1) is the uniform prior and
 
 The solver needs no quadrature and no special-function library. With
 R_j = E[p(1-p)^j] = B(U; a+1, b+j) / B(U; a, b), the prior-mean cost of pool
-size k >= 2 is the sum of positive terms 1/k + sum_{j<k} R_j, free of the
+size k >= 2 is C(k) = 1/k + S_k with S_k = sum_{j<k} R_j, free of the
 cancellation in 1 - E[(1-p)^k]. The recurrence in b of DLMF §8.17(iv) gives
 R_{j+1} = ((b+j) R_j + w_j) / (a+b+j+1) with w_j = U^(a+1)(1-U)^(b+j) / B(U; a, b),
-again positive terms, so each k costs a few float operations. R_0 and w_0
+again positive terms, so each step costs a few float operations. R_0 and w_0
 come from the continued fraction of DLMF 8.17.22, taken at U or at 1-U,
-whichever does not cancel. Adaptive quadrature in theta (p = U*sin^2(theta))
-is kept as the independent oracle `expected_tests_under_prior`.
+whichever does not cancel. The same fraction at shape b + k gives S_k and
+R_k at any k in O(1), and `bayes_optimal_k` combines both in a certified
+search. Adaptive quadrature in theta (p = U*sin^2(theta)) is kept as the
+independent oracle `expected_tests_under_prior`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
 from collections import namedtuple
 
 from .core import _check_group_size, _check_upper_bound
@@ -141,8 +143,6 @@ def expected_tests_under_prior(
     return mass / math.exp(math.log(ratio) + float(special.betaln(a, b)))
 
 
-_PATIENCE = 10  # sizes without improvement before the cost scan stops
-_K_CAP = 100_000  # the cost scan gives up at this pool size
 # Terms of the continued fraction before it counts as divergent; the
 # number needed grows like the square root of the larger beta shape.
 _CF_MAX_TERMS = 10_000
@@ -150,20 +150,37 @@ _TINY = 1e-300  # stands in for a zero denominator in Lentz's method
 # log Gamma(x) - (x-1/2) log x + x - log(2 pi)/2 = sum_i _STIRLING[i] / x^(2i+1);
 # the first omitted term is below 7e-16 for x >= 10.
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+# The search walks the recurrence over k <= _WALK when the guessed optimum
+# is below a quarter of it; beyond, jumps of one continued fraction each
+# are cheaper (the crossover measured in docs/decisions.md).
+_WALK = 320
+_K_RESOLVABLE = 10**15  # 1/k is below 5 ulp of costs near 1 above it
+# Costs within this relative distance of the best are a tie in rounding,
+# and ties go to the smaller size
+_TIE = 4e-16
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """h with B(x; a, b) = x^a (1-x)^b h / a, by the continued fraction of
-    DLMF 8.17.22 (modified Lentz); fast for x < (a+1)/(a+b+2)."""
+def _beta_cf(a: float, b: float, x: float, rest: bool = False) -> float:
+    """h with B(x; a, b) = x^a (1-x)^b h / a, or with rest its tail t.
+
+    h = 1/(1 + d_1/(1 + d_2/(1 + ...))) is the continued fraction of DLMF
+    8.17.22 and t = 1/(1 + d_2/(1 + ...)), so h = 1/(1 + d_1 t) with
+    d_1 = -(a+b) x / (a+1), and t = h(a+1, b, x) / h(a, b, x). Modified
+    Lentz; fast for x < (a+1)/(a+b+2). There 1 + d_1 t does not cancel, and
+    log h = -log1p(d_1 t) keeps full relative precision as x -> 0.
+    """
     c = 1.0
-    d = 1.0 - (a + b) * x / (a + 1.0)
+    if rest:
+        d = 1.0 + (b - 1.0) * x / ((a + 1.0) * (a + 2.0))  # 1 + d_2
+    else:
+        d = 1.0 - (a + b) * x / (a + 1.0)  # 1 + d_1
     d = 1.0 / (d if abs(d) > _TINY else _TINY)
     h = d
     for m in range(1, _CF_MAX_TERMS + 1):
-        for num in (
-            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
-        ):
+        n = m + rest
+        even = n * (b - n) * x / ((a + 2 * n - 1.0) * (a + 2 * n))  # d_{2n}
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        for num in (odd, even) if rest else (even, odd):
             d = 1.0 + num * d
             d = 1.0 / (d if abs(d) > _TINY else _TINY)
             c = 1.0 + num / c
@@ -202,67 +219,136 @@ def _log_beta(a: float, b: float) -> float:
 
 
 def _start_values(a: float, b: float, U: float):
-    """(R_0, w_0, log I_U(a, b)) of the cost recurrence.
+    """(R_0, w_0, log I_U(a, b), log h(a, b, U)) of the cost recurrence; the
+    last is nan unless the fraction at U is taken.
 
-    Below (a+1)/(a+b+2), or when more than a tenth of the mass lies above
-    U, both incomplete betas come from the continued fraction at U and the
-    power prefactors cancel. Otherwise each is a complement taken at 1-U,
-    unless that complement would cancel (a tenth again).
+    Below (a+1)/(a+b+2), R_0 and w_0 come from one continued fraction at
+    U and its rest t, with R_0 = U a t / (a+1). Above it, each incomplete
+    beta is a complement taken at 1-U, unless that complement would cancel
+    (more than a tenth of the mass above U); then both are fractions at U.
     """
     if U == 1.0:
-        return a / (a + b), 0.0, 0.0
+        return a / (a + b), 0.0, 0.0, math.nan
     log_z = a * math.log(U) + b * math.log1p(-U) - _log_beta(a, b)
-    if U >= (a + 1.0) / (a + b + 2.0):
-        z = math.exp(log_z)  # U^a (1-U)^b / B(a, b)
-        tail = z * _beta_cf(b, a, 1.0 - U) / b  # 1 - I_U(a, b)
-        if tail <= 0.1:
-            mass = 1.0 - tail
-            mean = a / (a + b)  # B(a+1, b) / B(a, b)
-            mean_tail = z * U * _beta_cf(b, a + 1.0, 1.0 - U) / b
-            if mean_tail <= 0.1 * mean:
-                lower = mean - mean_tail
-            else:
-                lower = z * U * _beta_cf(a + 1.0, b, U) / (a + 1.0)
-            return lower / mass, U * z / mass, math.log(mass)
+    if U < (a + 1.0) / (a + b + 2.0):
+        t = _beta_cf(a, b, U, rest=True)
+        u = -(a + b) * U / (a + 1.0) * t  # h = 1 / (1 + u)
+        log_h = -math.log1p(u)
+        log_mass = log_z + log_h - math.log(a)
+        return U * a * t / (a + 1.0), U * a * (1.0 + u), log_mass, log_h
+    z = math.exp(log_z)  # U^a (1-U)^b / B(a, b)
+    tail = z * _beta_cf(b, a, 1.0 - U) / b  # 1 - I_U(a, b)
+    if tail <= 0.1:
+        mass = 1.0 - tail
+        mean = a / (a + b)  # B(a+1, b) / B(a, b)
+        mean_tail = z * U * _beta_cf(b, a + 1.0, 1.0 - U) / b
+        if mean_tail <= 0.1 * mean:
+            lower = mean - mean_tail
+        else:
+            lower = z * U * _beta_cf(a + 1.0, b, U) / (a + 1.0)
+        return lower / mass, U * z / mass, math.log(mass), math.nan
     h = _beta_cf(a, b, U)
     r0 = U * a * _beta_cf(a + 1.0, b, U) / ((a + 1.0) * h)
-    return r0, U * a / h, log_z + math.log(h / a)
+    return r0, U * a / h, log_z + math.log(h / a), math.log(h)
 
 
-def _prior_costs(prior: PriorSpec):
-    """Prior-mean costs of k = 1, 2, ... by the positive-term recurrence."""
-    a, b, U = prior.a, prior.b, prior.upper
-    try:
-        r, w, log_mass = _start_values(a, b, U)
-    except RuntimeError as exc:  # the continued fraction did not converge
-        raise RuntimeError(f"{prior}: {exc}") from None
+def _far_bound(s: float, r: float, nxt: float) -> float:
+    """A lower bound on C(j) for every j > k, given S_k, R_k and R_{k+1},
+    valid when R_k k^2 >= 1 (docs/decisions.md).
+
+    R_j is log-convex in j, so R_j >= R_k (R_{k+1}/R_k)^(j-k) and the cost
+    beyond k is at least min(C(k), S_k + R_k^2 / (R_k - R_{k+1})).
+    """
+    return s + r * r / (r - nxt) if r > nxt else -math.inf
+
+
+def _tail_size(a: float, b: float, log_g: float):
+    """For a > 1, a size K with C(k) >= 1 for every k >= K, or None.
+
+    E[(1-p)^k] <= G (b+k-1)^(-a) with log G = log_g, from 1 - p <= e^(-p),
+    so C(k) >= 1 wherever phi(k) = a log(b+k-1) - log k >= log_g. For
+    a > 1, phi increases from k0 = (b-1)/(a-1) on and grows without bound.
+    """
+
+    def phi(k):
+        return a * math.log(b + k - 1.0) - math.log(k)
+
+    lo = max(2, math.ceil((b - 1.0) / (a - 1.0)))
+    if phi(lo) >= log_g:
+        return lo
+    hi = 2 * lo
+    while phi(hi) < log_g:
+        if hi > _K_RESOLVABLE:
+            return None
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # phi(lo) < log_g <= phi(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if phi(mid) >= log_g else (mid, hi)
+    return hi
+
+
+def _search(a: float, b: float, U: float):
+    """(k, C(k)) for the smallest k minimizing the prior-mean cost, or None
+    when the prior has no mass in double precision; docs/decisions.md has
+    the certificates. Small optima are walked here, and `bayes_jumps`
+    takes over where the walk leaves the search open."""
+    r0, w0, log_mass, log_h0 = _start_values(a, b, U)
     if math.exp(log_mass) == 0.0:
-        raise RuntimeError(f"{prior} has no mass on (0, upper] in double precision")
-    yield 1.0  # k = 1 tests everyone once
+        return None
     log_q = math.log1p(-U) if U < 1.0 else 0.0  # w_j = w_0 (1-U)^j; w_0 = 0 at U = 1
-    total = r  # R_0 + ... + R_{k-1}
-    for j in itertools.count():
-        r = ((b + j) * r + w * math.exp(j * log_q)) / (a + b + j + 1.0)
-        total += r
-        yield 1.0 / (j + 2) + total
+    best_k, best = 1, 1.0  # k = 1 tests everyone once
+    guess = r0**-0.5 if r0 > 0.0 else math.inf  # the optimum of 1/k + k R_0
+    tail = math.inf  # every k >= tail costs at least C(1) = 1
+    if guess < _WALK / 4:
+        if a > 1.0:  # log G = log Gamma(a) - log B(U; a, b)
+            tail = _tail_size(a, b, math.lgamma(a) - log_mass - _log_beta(a, b)) or tail
+        # walk the positive-term recurrence: s = S_k, r = R_k
+        k, s, r = 1, r0, (b * r0 + w0) / (a + b + 1.0)
+        stop = min(_WALK, tail - 1)
+        bar = best - _TIE * best  # a tie in rounding keeps the smaller k
+        while True:
+            nxt = ((b + k) * r + w0 * math.exp(k * log_q)) / (a + b + k + 1.0)
+            if s >= best or (r * k * k >= 1.0 and _far_bound(s, r, nxt) >= best):
+                return best_k, best
+            if k >= stop:
+                break
+            s += r
+            r = nxt
+            k += 1
+            e = 1.0 / k + s
+            if e < bar:
+                best_k, best = k, e
+                bar = best - _TIE * best
+        if k + 1 >= tail:
+            return best_k, best
+        start, top = (k, s, r), min(2 * k, tail - 1)
+    else:
+        start = 1, r0, (b * r0 + w0) / (a + b + 1.0)
+        top = max(2, round(min(guess, _K_RESOLVABLE)))
+    jumps = sys.modules.get(__package__ + ".bayes_jumps")
+    if jumps is None:  # compiled only when the walk leaves k open
+        from . import bayes_jumps as jumps
+    start_values = r0, w0, log_mass, log_h0
+    return jumps.jump(a, b, U, start_values, start, top, tail, best_k, best)
 
 
 def bayes_optimal_k(prior: PriorSpec) -> BayesResult:
     """Pool size minimizing the prior-mean cost; ties go to the smaller k.
 
-    The scan stops after _PATIENCE sizes without a strict improvement,
-    which also handles cost curves that flatten out without rising.
+    A certified search (docs/decisions.md): small optima come from walking
+    the cost recurrence one size at a time, large ones from a few jumps of
+    O(1) each, and every other size is ruled out by a bound. Costs that
+    agree to rounding are ties. Raises RuntimeError when the prior has no
+    mass in double precision, when a continued fraction diverges, or when
+    no size up to 1e15 is certified.
     """
-    best_k, best = None, math.inf
-    for k, e in enumerate(_prior_costs(prior), 1):
-        if e < best:
-            best_k, best = k, e
-        elif k - best_k >= _PATIENCE:
-            return BayesResult(best_k, best, prior)
-        if k >= _K_CAP:
-            raise RuntimeError(
-                f"pool-size scan reached k={_K_CAP} without bracketing a minimum"
-            )
+    try:
+        found = _search(*prior)
+    except RuntimeError as exc:  # a fraction diverged, or no k up to 1e15 is certified
+        raise RuntimeError(f"{prior}: {exc}") from None
+    if found is None:
+        raise RuntimeError(f"{prior} has no mass on (0, upper] in double precision")
+    return BayesResult(*found, prior)
 
 
 def uniform_optimal_k(U: float) -> int:

@@ -1,12 +1,14 @@
 """Command-line interface: optimal, minimax, bayes, range, and table commands.
 
-Exit codes: 0 success, 2 usage or invalid input, 3 numerical failure,
-4 golden-table mismatch. Output is deterministic; human-readable formats
+Exit codes: 0 success, 2 usage or invalid input, 3 numerical failure or
+a missing optional dependency (numpy for `minimax --method grid`), 4
+golden-table mismatch. Output is deterministic; human-readable formats
 print 6 significant digits, machine formats keep full precision.
 
 Each handler imports the solver modules it runs, so a call loads only
-those: `optimal` and `range` load core and ranges, `bayes` loads bayes,
-`minimax` loads minimax, and `table` loads efficiency.
+those: `optimal` and `range` load core and ranges, `bayes` loads bayes
+(and bayes_jumps for an optimum too large to walk to), `minimax` loads
+minimax, and `table` loads efficiency.
 """
 
 from __future__ import annotations
@@ -232,6 +234,9 @@ def main(argv=None) -> int:
         return _fail(exc, "error", args.format, 2)
     except RuntimeError as exc:
         return _fail(exc, "numerical failure", args.format, 3)
+    except ImportError as exc:  # the oracles' numpy comes with the oracles extra
+        label = "missing dependency (pip install 'pooldesign[oracles]')"
+        return _fail(exc, label, args.format, 3)
 
 
 if __name__ == "__main__":

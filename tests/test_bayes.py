@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -177,6 +178,8 @@ class TestBayesOptimalK:
             PriorSpec(1e-3, 1.0, 1.0),
             PriorSpec(0.058, 2.57, 1.44e-6),
             PriorSpec.jeffreys(1e-4),
+            PriorSpec.jeffreys(1e-6),  # two jumped answers; through lgamma the
+            PriorSpec(4.0, 0.6, 2e-6),  # first is off by 1.3e-12
         ],
     )
     def test_cost_at_optimum_against_high_precision_betainc(self, prior):
@@ -196,6 +199,131 @@ class TestBayesOptimalK:
             want = float(cost(k))
         assert res.expected_tests_at_opt == pytest.approx(want, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize(
+        "U, k, cost", [(0.92, 23, 0.99819), (0.955, 43, 0.99946), (0.99, 198, 0.999975)]
+    )
+    def test_uniform_near_full_range(self, U, k, cost):
+        # a scan that stops after ten sizes without improvement returned 1
+        # here: the cost first rises above 1 and dips below it only later
+        res = bayes_optimal_k(PriorSpec.uniform(U))
+        assert res.k_opt == k
+        assert res.expected_tests_at_opt == pytest.approx(cost, abs=5e-6)
+        assert res.expected_tests_at_opt == pytest.approx(
+            expected_tests_uniform(k, U), rel=1e-12, abs=0
+        )
+        with mp.workdps(50):  # the closed form at the float U
+            u = mp.mpf(U)
+
+            def exact(j):
+                return 1 + mp.mpf(1) / j - (1 - (1 - u) ** (j + 1)) / (u * (j + 1))
+
+            # at 0.92 and 0.99, U (k+1) is nearly k, and C(k) and C(k+1)
+            # agree to 1e-19: a tie in rounding, which goes to the smaller k
+            assert exact(k) < exact(k - 1) < 1
+            assert exact(k) < exact(k + 1) + 1e-18
+
+    @pytest.mark.parametrize(
+        "a, b, U",
+        [
+            (1.05, 1.0, 0.9),
+            (2.0, 0.5, 0.9),
+            (3.0, 0.2, 0.7),
+            (5.0, 2.0, 0.6),
+            (20.0, 0.05, 0.99),
+        ],
+    )
+    def test_individual_testing_wins(self, a, b, U):
+        # a > 1: E[(1-p)^k] decays faster than 1/k, and no pool size beats
+        # testing everyone; the search stops by the tail bound
+        res = bayes_optimal_k(PriorSpec(a, b, U))
+        assert (res.k_opt, res.expected_tests_at_opt) == (1, 1.0)
+        # C(k) >= 1 wherever a log(b+k-1) - log k >= log(Gamma(a) / B(U; a, b)),
+        # which holds from the tail size on; the recurrence covers the rest
+        with mp.workdps(30):
+            log_g = float(mp.loggamma(a) - mp.log(mp.betainc(a, b, 0, U)))
+        tail = bayes._tail_size(a, b, log_g)
+        assert tail is not None and tail < 100
+        for k in (tail, 10 * tail):
+            assert a * math.log(b + k - 1) - math.log(k) >= log_g
+        assert all(cost >= 1.0 for cost in _costs(PriorSpec(a, b, U), 10 * tail))
+
+    @pytest.mark.parametrize("U, k", [(1 - 1e-5, 199998), (1 - 1.4e-9, 1)])
+    def test_uniform_with_nearly_flat_costs(self, U, k):
+        # C(k) - 1 = 1/k - (1 - (1-U)^(k+1)) / (U (k+1)) is within 1e-10 of 0
+        # on the whole basin; the cost floor resolves it. Near U = 1 - 1e-9
+        # the best pool gains 5e-19, a tie with k = 1 in rounding
+        res = bayes_optimal_k(PriorSpec.uniform(U))
+        assert res.k_opt == k
+        with mp.workdps(50):
+            u = mp.mpf(U)
+
+            def exact(j):
+                return 1 + mp.mpf(1) / j - (1 - (1 - u) ** (j + 1)) / (u * (j + 1))
+
+            if k > 1:
+                assert exact(k) < exact(k - 1) and exact(k) < exact(k + 1) + 1e-18
+                want = float(exact(k))
+                assert res.expected_tests_at_opt == pytest.approx(want, rel=1e-12, abs=0)
+            else:
+                j = round(2 / (1 - U))  # near the optimum, which gains (1-U)^2 / 4
+                assert 1 - mp.mpf("1e-18") < exact(j) < 1
+
+    def test_beta_with_nearly_flat_costs(self):
+        # a just below 1 at U = 1: E[(1-p)^k] = B(a, 1+k) / B(a, 1) decays
+        # like k^-a, so pooling wins only near k = 1e8, and by less than 1e-15
+        a = 1 - 1.4e-9
+        res = bayes_optimal_k(PriorSpec(a, 1.0, 1.0))
+        assert (res.k_opt, res.expected_tests_at_opt) == (1, 1.0)
+        with mp.workdps(40):
+            ma = mp.mpf(a)
+            for k in (10**6, 10**7, 10**8, 10**9, 10**10):
+                cost = 1 + mp.mpf(1) / k - mp.beta(ma, 1 + k) / mp.beta(ma, 1)
+                assert cost > 1 - mp.mpf("1e-15")
+
+    @pytest.mark.parametrize(
+        "prior, k",
+        [
+            (PriorSpec.jeffreys(1e-8), 17321),
+            (PriorSpec.uniform(1e-8), 14143),
+            (PriorSpec.jeffreys(1e-10), 173206),
+        ],
+    )
+    def test_small_bound_asymptote(self, prior, k):
+        # C(k) ~ 1/k + k E[p] with E[p] ~ aU/(a+1), so k sqrt(U) tends to
+        # sqrt((a+1)/a) (docs/decisions.md); the offset stays O(1)
+        a, b, U = prior
+        assert bayes_optimal_k(prior).k_opt == k
+        assert abs(k - math.sqrt((a + 1) / (a * U))) < 2
+        with mp.workdps(40):  # C(j+1) - C(j) = R_j - 1/(j(j+1)) changes sign at k
+            ma, mb, mU = mp.mpf(a), mp.mpf(b), mp.mpf(U)
+            mass = mp.betainc(ma, mb, 0, mU)
+
+            def gap(j):
+                r = mp.betainc(ma + 1, mb + j, 0, mU) / mass
+                return r - mp.mpf(1) / (j * (j + 1))
+
+            assert gap(k - 1) < 0 < gap(k)
+
+    def test_matches_the_exact_recurrence(self):
+        # seeded priors, walked and jumped, against the recurrence one size
+        # at a time, stopped once S_K >= best certifies every larger size
+        rng = random.Random(11)
+        jumped = individual = 0
+        for _ in range(120):
+            a, b, U = (
+                math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                for lo, hi in ((0.05, 20.0), (0.05, 50.0), (1e-6, 1.0))
+            )
+            prior = PriorSpec(a, b, U)
+            res = bayes_optimal_k(prior)
+            k, cost, stopped = _scan(prior, 10**6)
+            assert stopped or k == 1, prior
+            assert res.k_opt == k, prior
+            assert res.expected_tests_at_opt == pytest.approx(cost, rel=1e-12, abs=0)
+            jumped += bayes._start_values(a, b, U)[0] ** -0.5 >= bayes._WALK / 4
+            individual += k == 1
+        assert jumped >= 20 and individual >= 1
+
     @pytest.mark.parametrize("U", [1e-6, 1e-4, 0.005, 0.05, 0.3])
     def test_uniform_cost_matches_closed_form(self, U):
         res = bayes_optimal_k(PriorSpec.uniform(U))
@@ -211,8 +339,36 @@ def _threshold(a, b):
     return (a + 1.0) / (a + b + 2.0)
 
 
+def _recurrence(prior):
+    """(k, C(k), S_k) for k = 1, 2, ... by the positive-term recurrence
+    R_{j+1} = ((b+j) R_j + w_j) / (a+b+j+1), one size at a time: the exact
+    oracle of the certified search."""
+    a, b, U = prior
+    r, w, *_ = bayes._start_values(a, b, U)
+    log_q = math.log1p(-U) if U < 1.0 else 0.0  # w_j = w_0 (1-U)^j; w_0 = 0 at U = 1
+    total = r  # S_k = R_0 + ... + R_{k-1}
+    yield 1, 1.0, total  # k = 1 tests everyone once
+    for j in itertools.count():
+        r = ((b + j) * r + w * math.exp(j * log_q)) / (a + b + j + 1.0)
+        total += r
+        yield j + 2, 1.0 / (j + 2) + total, total
+
+
 def _costs(prior, n):
-    return list(itertools.islice(bayes._prior_costs(prior), n))
+    return [cost for _, cost, _ in itertools.islice(_recurrence(prior), n)]
+
+
+def _scan(prior, cap):
+    """The cheapest size by the recurrence, stopped once S_K >= best (every
+    larger size then costs more) or at the cap; and whether it stopped."""
+    best_k, best = 1, 1.0
+    for k, cost, total in _recurrence(prior):
+        if cost < best:
+            best_k, best = k, cost
+        elif total >= best:
+            return best_k, best, True
+        if k >= cap:
+            return best_k, best, False
 
 
 def _log_uniform(lo, hi):
@@ -234,11 +390,18 @@ class TestCostRecurrence:
         ],
     )
     def test_continued_fraction_against_high_precision(self, a, b, x):
+        # h, and below the threshold the rest t of the fraction, h(a+1, b) / h(a, b)
         with mp.workdps(50):
             ma, mb, mx = mp.mpf(a), mp.mpf(b), mp.mpf(x)
-            want = ma * mp.betainc(ma, mb, 0, mx) / (mx**ma * (1 - mx) ** mb)
-        got = bayes._beta_cf(a, b, x)
-        assert got == pytest.approx(float(want), rel=1e-12, abs=0)
+
+            def h(a):
+                return a * mp.betainc(a, mb, 0, mx) / (mx**a * (1 - mx) ** mb)
+
+            want_h, want_t = h(ma), h(ma + 1) / h(ma)
+        assert bayes._beta_cf(a, b, x) == pytest.approx(float(want_h), rel=1e-12, abs=0)
+        if x < _threshold(a, b):
+            t = bayes._beta_cf(a, b, x, rest=True)
+            assert t == pytest.approx(float(want_t), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "a, b, U",
@@ -291,7 +454,7 @@ class TestCostRecurrence:
         ],
     )
     def test_start_values_against_high_precision(self, a, b, U):
-        r0, w0, _ = bayes._start_values(a, b, U)
+        r0, w0, *_ = bayes._start_values(a, b, U)
         with mp.workdps(50):
             ma, mb, mU = mp.mpf(a), mp.mpf(b), mp.mpf(U)
             mass = mp.betainc(ma, mb, 0, mU)
@@ -308,9 +471,9 @@ class TestCostRecurrence:
     )
     def test_argmin_matches_the_scipy_closed_form(self, a, b, U):
         prior = PriorSpec(a, b, min(U, 1.0))
-        k = bayes_optimal_k(prior).k_opt
+        res = bayes_optimal_k(prior)
+        k = res.k_opt
         ks = [j for j in (k - 1, k, k + 1) if j >= 1]
-        got = _costs(prior, k + 1)
         log_mass = math.log(special.betainc(a, b, prior.upper)) + special.betaln(a, b)
 
         def want(j):
@@ -322,13 +485,24 @@ class TestCostRecurrence:
 
         # 1 - B(U; a, b+j) / B(U; a, b) keeps the absolute error of scipy's
         # ratio, about 1e-11 here (1.5e-8 relative at costs near 6e-4)
-        for j in ks:
-            assert got[j - 1] == pytest.approx(want(j), rel=0, abs=1e-10)
+        assert res.expected_tests_at_opt == pytest.approx(want(k), rel=0, abs=1e-10)
         assert want(k) <= min(want(j) for j in ks if j != k) + 1e-10
+        # Only nearly flat priors (a near 1, U near 1) have optima beyond 1e5,
+        # up to 1.3e8 here, where the recurrence is not the solver's path: a
+        # walk to k would take over a minute and drift by 7e-10
+        if k <= 10**5:
+            got = _costs(prior, k + 1)
+            for j in ks:
+                assert got[j - 1] == pytest.approx(want(j), rel=0, abs=1e-10)
 
     def test_prior_without_mass_is_refused(self):
         with pytest.raises(RuntimeError, match="no mass on"):
             bayes_optimal_k(PriorSpec(100.0, 1.0, 1e-6))
+
+    def test_unresolvable_optimum_is_refused(self):
+        # the optimum near sqrt(3/U) = 1.7e15 lies beyond what doubles resolve
+        with pytest.raises(RuntimeError, match=r"a=0\.5.*no pool size up to 1e\+15"):
+            bayes_optimal_k(PriorSpec.jeffreys(1e-30))
 
     def test_divergent_continued_fraction_names_the_prior(self, monkeypatch):
         monkeypatch.setattr(bayes, "_CF_MAX_TERMS", 1)

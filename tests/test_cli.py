@@ -307,6 +307,30 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 print(run([["minimax", "--method", "grid"]]))
 """
 
+BLOCKED_PROBE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = sys.modules["scipy"] = None  # as if not installed
+from pooldesign import cli
+out = []
+for argv in [
+    ["optimal", "--p", "0.02"],
+    ["range", "--k", "8"],
+    ["bayes", "--prior", "uniform", "--upper-bound", "0.1"],
+    ["bayes", "--prior", "jeffreys"],
+    ["bayes", "--prior", "beta", "--a", "2", "--b", "5", "--upper-bound", "0.3"],
+    ["minimax", "--upper-bound", "0.05"],
+    *(["table", "--table", str(n)] for n in range(1, 6)),
+    *(["table", "--table", str(n), "--check"] for n in range(1, 6)),
+    ["minimax", "--method", "grid"],
+    ["minimax", "--method", "grid", "--format", "json"],
+]:
+    sink, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # an escaping exception fails the probe
+    out.append([code, err.getvalue(), sink.getvalue() if "json" in argv else ""])
+print(json.dumps(out))
+"""
+
 LOAD_PROBE = """
 import contextlib, io, json, sys
 def loaded():
@@ -350,7 +374,9 @@ class TestImports:
             [[0, 0], ["pooldesign.cli", "pooldesign.core", "pooldesign.ranges"]],
             [[0, 0, 0], ["pooldesign.bayes"]],
             [[0], ["pooldesign.minimax"]],
-            [[0, 4, 4, 4, 0], ["pooldesign.efficiency"]],  # T2-T4 pinned cells
+            # T2-T4 have pinned cells; the tables' Jeffreys sizes at small
+            # bounds are found by jumps
+            [[0, 4, 4, 4, 0], ["pooldesign.bayes_jumps", "pooldesign.efficiency"]],
         ]
         assert heavy == []
 
@@ -368,6 +394,22 @@ class TestImports:
         assert float(oracle) == pytest.approx(
             pooldesign.expected_tests_uniform(5, 0.3), abs=1e-10
         )
+
+    def test_every_subcommand_runs_without_numpy_and_scipy(self):
+        # both are optional (the oracles extra); only the grid oracle needs
+        # numpy, and without it the CLI exits 3 with a message, not a traceback
+        proc = subprocess.run(
+            [sys.executable, "-c", BLOCKED_PROBE],
+            env={**os.environ, "PYTHONPATH": _src_path()},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads(proc.stdout)
+        assert [code for code, _, _ in runs] == [0] * 11 + [0, 4, 4, 4, 0] + [3, 3]
+        for code, err, _ in runs[-2:]:
+            assert err.startswith("missing dependency") and "oracles" in err
+            assert "numpy" in err and "Traceback" not in err
+        assert "numpy" in json.loads(runs[-1][2])["error"]
 
     def test_no_solver_command_loads_numpy(self):
         # only the grid oracle builds arrays

@@ -14,7 +14,12 @@ point (analytic and grid) on 608 log-spaced bounds U in [1e-6, 1] and on
 bounds at and one ulp either side of the breakpoints 1 - larger_root(m)
 for m = 3..400, `sup_loss_analytic` on a (k, U) grid, the uniform and
 Jeffreys Bayes sizes, and every query of design-sweep seeds 1-10 (two
-blocks each), with a `RuntimeError` recorded by its class name. Its
+blocks each), with a `RuntimeError` recorded by its class name. Three keys
+hold the Bayes answer and cost at the edges: `bayes_near_one` (the uniform
+prior on 100 bounds U in [0.9, 1) and at U = 1 - 1e-3 .. 1 - 1e-6),
+`bayes_small` (uniform and Jeffreys at 41 bounds U in [1e-10, 1e-6]) and
+`bayes_beta` (300 seeded priors with a in [0.05, 20], b in [0.05, 50] and
+U in [1e-6, 1], all log-uniform). Its
 `records` key holds the `repr` of real answers of each record type, which
 pins their names, fields and field order.
 
@@ -30,6 +35,7 @@ import io
 import itertools
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -50,6 +56,26 @@ for m in range(3, 401):
 def mm(U, method="analytic"):
     r = pd.minimax_group_size(U, method)
     return [r.k_minimax, r.worst_point.p_star, r.worst_point.sup_loss]
+
+
+def bayes(a, b, U):
+    try:
+        r = pd.bayes_optimal_k(pd.PriorSpec(a, b, U))
+    except RuntimeError as exc:
+        return [a, b, U, type(exc).__name__]
+    return [a, b, U, r.k_opt, r.expected_tests_at_opt]
+
+
+def log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+rng = random.Random(11)
+SHAPES = ((0.05, 20.0), (0.05, 50.0), (1e-6, 1.0))  # ranges of a, b and U
+BETA = [tuple(log_uniform(rng, lo, hi) for lo, hi in SHAPES) for _ in range(300)]
+NEAR_ONE = [float(U) for U in np.linspace(0.9, 1.0, 101)[:-1]] + [
+    1.0 - 10.0**-e for e in (3, 4, 5, 6)
+]
 
 
 def sup(k, U):
@@ -111,6 +137,11 @@ res = {
     "minimax_bp": [mm(U) for U in bps],
     "uniform": [pd.uniform_optimal_k(U) for U in Us],
     "jeffreys": [pd.bayes_optimal_k(pd.PriorSpec.jeffreys(U)).k_opt for U in Us],
+    "bayes_near_one": [bayes(1.0, 1.0, U) for U in NEAR_ONE],
+    "bayes_small": [
+        bayes(a, a, float(U)) for a in (1.0, 0.5) for U in np.logspace(-10, -6, 41)
+    ],
+    "bayes_beta": [bayes(*prior) for prior in BETA],
     "grid": [mm(U, "grid") for U in (1.0, 0.05, 0.001)],
     "grid_bp": [mm(U, "grid") for U in bps[::120] + bps[1::120] + bps[2::120]],
     "sup": [

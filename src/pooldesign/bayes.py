@@ -23,7 +23,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .core import _check_group_size, _check_upper_bound
+from .core import _K_RESOLVABLE, _check_group_size, _check_upper_bound
 
 __all__ = [
     "PriorSpec",
@@ -154,7 +154,6 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 # is below a quarter of it; beyond, jumps of one continued fraction each
 # are cheaper (the crossover measured in docs/decisions.md).
 _WALK = 320
-_K_RESOLVABLE = 10**15  # 1/k is below 5 ulp of costs near 1 above it
 # Costs within this relative distance of the best are a tie in rounding,
 # and ties go to the smaller size
 _TIE = 4e-16

@@ -2,18 +2,18 @@
 
 `bayes._search` walks small optima one size at a time and hands the search
 to `jump` where the walk leaves it open. A jump evaluates S_k and R_k at any
-k in O(1) from the continued fraction at shape b + k; doubling, the chord
-bound and the cost floor rule out every other size, and `_settle` decides
-between neighbours whose costs agree to rounding (docs/decisions.md). The
-module is separate so that a call whose optimum the walk certifies, as
-most command-line calls do, compiles none of it.
+k in O(1) from the continued fraction at shape b + k; tail, chord and floor
+bounds prune the search of `core`, and `_settle` decides between neighbours
+whose costs agree to rounding (docs/decisions.md). Calls that the walk
+certifies, most command-line calls among them, never compile this module.
 """
 
 from __future__ import annotations
 
 import math
 
-from .bayes import _K_RESOLVABLE, _TIE, _beta_cf, _far_bound, _log_beta, _start_values
+from .bayes import _TIE, _beta_cf, _far_bound, _log_beta, _start_values
+from .core import _K_RESOLVABLE, _branch_and_bound
 
 # R_k k(k+1) within this of 1 is a tie of C(k) and C(k+1) in rounding
 _GAP_RTOL = 1e-14
@@ -75,6 +75,8 @@ def jump(
     def visit(k):
         """S_k and R_k in O(1), from the continued fraction at shape b + k."""
         nonlocal best_k, best
+        if k in S:  # the walk's end keeps the values of the recurrence
+            return
         if U < (a + 1.0) / (a + b + k + 2.0):
             # 1 - S_k = B(U; a, b+k) / B(U; a, b) = (1-U)^k h(a, b+k) / h(a, b)
             t = _beta_cf(a, b + k, U, rest=True)
@@ -100,22 +102,7 @@ def jump(
                 return True
         return best > 0.5 and _floor(a, b, log_c, k + 1, math.inf) >= slack - 1.0
 
-    while True:  # double top until every larger size is certified
-        visit(top)
-        if beyond(top):
-            break
-        if top >= _K_RESOLVABLE:
-            raise RuntimeError(
-                f"no pool size up to {_K_RESOLVABLE:.0e} is certified optimal; "
-                "double precision does not resolve the cost beyond it"
-            )
-        top = min(2 * top, _K_RESOLVABLE, tail - 1)
-    sizes = sorted(S)
-    intervals = list(zip(sizes, sizes[1:]))  # open intervals left to certify
-    while intervals:
-        lo, hi = intervals.pop()
-        if hi - lo < 2 or lo >= top:
-            continue
+    def split(lo, hi):
         # S is concave, so on (lo, hi) C(k) >= 1/k + S_lo + (k - lo) slope,
         # a convex bound whose minimum is at k = 1/sqrt(slope)
         slope = (S[hi] - S[lo]) / (hi - lo)
@@ -123,14 +110,12 @@ def jump(
         if m + 1 < hi and 1.0 / (m + 1) + slope < 1.0 / m:
             m += 1
         slack = best - _TIE * best
-        if 1.0 / m + S[lo] + (m - lo) * slope >= slack:
-            continue
-        if best > 0.5 and _floor(a, b, log_c, lo + 1, hi - 1) >= slack - 1.0:
-            continue  # the floor helps only where costs are close to 1
-        visit(m)
-        if beyond(m):
-            top = min(top, m)
-        intervals += [(m, hi), (lo, m)]
+        pruned = 1.0 / m + S[lo] + (m - lo) * slope >= slack or (
+            best > 0.5 and _floor(a, b, log_c, lo + 1, hi - 1) >= slack - 1.0
+        )  # the floor helps only where costs are close to 1
+        return None if pruned else m
+
+    _branch_and_bound(visit, beyond, split, (k, top), min(_K_RESOLVABLE, tail - 1))
     if best_k > 1 and best_k in R:  # the gap at j = 1 is not C(2) - C(1)
         best_k = _settle(best_k, visit, R)
         best = 1.0 / best_k + S[best_k]
@@ -147,8 +132,7 @@ def _settle(k, visit, R):
     """
 
     def down(j):  # C(j+1) < C(j) beyond rounding
-        if j not in R:
-            visit(j)
+        visit(j)
         return R[j] * j * (j + 1.0) < 1.0 - _GAP_RTOL
 
     if down(k):  # the minimum lies above k

@@ -14,6 +14,7 @@ import math
 # Pooling beats individual testing only for p <= P0 = 1 - (1/3)^(1/3).
 Q0 = (1.0 / 3.0) ** (1.0 / 3.0)
 P0 = 1.0 - Q0
+_K_RESOLVABLE = 10**15  # no solver resolves a larger pool size in double precision
 
 __all__ = [
     "P0",
@@ -86,6 +87,38 @@ def samuels_optimal_k(p: float) -> int:
 def optimal_expected_tests(p: float) -> float:
     """Expected tests per person under the oracle-optimal pool size."""
     return expected_tests(samuels_optimal_k(p), p)
+
+
+def _branch_and_bound(visit, beyond, split, sizes, limit: int) -> None:
+    """The certified pool-size search of the minimax and Bayes solvers.
+
+    visit(k) evaluates size k and keeps the best so far; beyond(k) tells
+    whether every larger size is ruled out; split(lo, hi) is a size in
+    (lo, hi) to visit next, or None if a bound rules them all out. The
+    sizes are visited, the last doubled until beyond holds (RuntimeError at
+    limit), and branch and bound (Land and Doig 1960) certifies the rest.
+    """
+    sizes = list(sizes)
+    for k in sizes:
+        visit(k)
+    top = sizes[-1]
+    while not beyond(top):
+        if top >= limit:
+            raise RuntimeError(
+                f"no pool size up to {limit:.0e} is certified optimal; "
+                "double precision does not resolve the cost beyond it"
+            )
+        top = min(2 * top, limit)
+        visit(top)
+        sizes.append(top)
+    intervals = list(zip(sizes, sizes[1:]))  # open intervals left to certify
+    while intervals:
+        lo, hi = intervals.pop()
+        if hi - lo > 1 and lo < top and (k := split(lo, hi)) is not None:
+            visit(k)
+            if beyond(k):
+                top = min(top, k)
+            intervals += [(k, hi), (lo, k)]
 
 
 def loss(k: int, p: float) -> float:

@@ -20,7 +20,8 @@ import math
 from collections import namedtuple
 from functools import cache, partial
 
-from .core import P0, _check_group_size, _check_upper_bound, samuels_optimal_k
+from .core import P0, _K_RESOLVABLE, _branch_and_bound, _check_group_size
+from .core import _check_upper_bound, samuels_optimal_k
 
 __all__ = [
     "LossPoint",
@@ -30,8 +31,7 @@ __all__ = [
     "minimax_group_size",
 ]
 
-_K_MAX = 100_000  # the crossing search gives up above this pool size
-_K_RESOLVABLE = 10**15  # double precision stops resolving a supremum above it
+_K_RANKED = 10**11  # double precision stops ranking neighbouring suprema above it
 
 
 class LossPoint(namedtuple("LossPoint", "k p_star sup_loss")):
@@ -157,41 +157,25 @@ def sup_loss_grid(k: int, U: float = 1.0, step: float = 1e-6) -> LossPoint:
 def _search(sup) -> LossPoint:
     """Worst point of the smallest k minimizing sup(k).sup_loss.
 
-    J(k) = sup_loss(k) - 1/k is >= 0 and never decreases in k
-    (docs/decisions.md). So sup_loss(k) = 1/k below the crossing, the first
-    k >= 2 with J(k) > 0, and sup_loss(k) >= 1/(b-1) + J(a) on the open
-    interval (a, b), which certifies the sizes above the crossing.
+    J(k) = sup_loss(k) - 1/k >= 0 never decreases in k (docs/decisions.md),
+    so sup_loss(k) > J(K) for k > K, and >= 1/(b-1) + J(a) for k in (a, b).
     """
     point = cache(sup)
+    best = (math.inf, 0)  # (sup_loss, k): ties go to the smaller k
 
-    def key(k):  # orders pool sizes by supremum, ties to the smaller k
-        return point(k).sup_loss, k
+    def visit(k):
+        nonlocal best
+        best = min(best, (point(k).sup_loss, k))
 
-    lo, hi = 1, 2
-    while point(hi).p_star == 0.0:
-        if hi == _K_MAX:
-            raise RuntimeError(
-                f"the p->0 limit binds for every pool size up to {_K_MAX}; "
-                "the minimax pool size is not searched beyond it"
-            )
-        lo, hi = hi, min(2 * hi, _K_MAX)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if point(mid).p_star > 0.0 else (mid, hi)
-    best = min(lo, hi, key=key)
-    top = hi  # every k >= top has sup_loss > J(top) >= the best supremum
-    while point(top).sup_loss - 1.0 / top < key(best)[0]:
-        top *= 2
-        best = min(best, top, key=key)
-    intervals = [(hi, top)]  # open intervals left to certify
-    while intervals:
-        a, b = intervals.pop()
+    def beyond(k):
+        return point(k).sup_loss - 1.0 / k >= best[0]
+
+    def split(a, b):
         bound = 1.0 / (b - 1) + point(a).sup_loss - 1.0 / a
-        if b - a > 1 and (bound, a + 1) <= key(best):
-            mid = (a + b) // 2
-            best = min(best, mid, key=key)
-            intervals += [(mid, b), (a, mid)]
-    return point(best)
+        return (a + b) // 2 if (bound, a + 1) <= best else None
+
+    _branch_and_bound(visit, beyond, split, (1, 2), _K_RANKED)
+    return point(best[1])
 
 
 def minimax_group_size(
@@ -199,8 +183,8 @@ def minimax_group_size(
 ) -> MinimaxResult:
     """Pool size minimizing the worst-case regret over (0, min(U, P0)].
 
-    Ties go to the smaller pool size. Raises RuntimeError when the p->0
-    limit binds for every k up to 100 000, as for bounds U below 4e-10.
+    Ties go to the smaller pool size. Raises RuntimeError when no size up to
+    1e11 is certified, as for bounds U below about 6.6e-22.
     The grid method raises ValueError for a grid_step that sup_loss_grid
     refuses, before shrinking it to U/1e5 for small windows.
     """

@@ -81,11 +81,16 @@ class TestMinimax:
         code, _, err = run(capsys, "minimax", "--upper-bound", "0")
         assert code == 2 and err.strip()
 
-    @pytest.mark.parametrize("U", ["1e-12", "1e-300", "5e-324"])
+    def test_small_bound_exits_zero(self):
+        proc = run_process("minimax", "--upper-bound", "1e-12", "--format", "json")
+        assert proc.returncode == 0 and not proc.stderr
+        assert json.loads(proc.stdout)["k_minimax"] == 2000001
+
+    @pytest.mark.parametrize("U", ["1e-300", "5e-324"])
     def test_crossing_beyond_the_cap_exits_three(self, U):
         proc = run_process("minimax", "--upper-bound", U, "--format", "json")
         assert proc.returncode == 3
-        assert "numerical failure" in proc.stderr and "100000" in proc.stderr
+        assert "numerical failure" in proc.stderr and "double precision" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "error" in json.loads(proc.stdout)
 

@@ -9,6 +9,8 @@ from functools import partial
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pooldesign import (
     P0,
@@ -386,15 +388,16 @@ class TestMinimaxGroupSize:
             == minimax_group_size(1.0).worst_point.sup_loss
         )
 
-    @pytest.mark.parametrize("U", [1e-12, 1e-300, 5e-324])
+    @pytest.mark.parametrize("U", [1e-22, 1e-300, 5e-324])
     def test_crossing_beyond_the_cap_raises_fast(self, U):
+        # the answer would lie above the 1e11 sizes double precision ranks
         start = time.process_time()
-        with pytest.raises(RuntimeError, match="100000"):
+        with pytest.raises(RuntimeError, match="up to 1e\\+11.*double precision"):
             minimax_group_size(U)
         assert time.process_time() - start < 5.0
 
     def test_answers_just_below_the_cap(self):
-        # the crossing lies at 2/sqrt(U) + 1, just below 100000 here
+        # 2/sqrt(U) + 1 lies just below 100 000, a cap the search once had
         assert minimax_group_size(4.01e-10).k_minimax == 99876
 
 
@@ -458,6 +461,36 @@ class TestSearchAgainstBruteForce:
         assert _brute_force_k(sup) == k
         assert minimax._search(sup).k == k
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.integers(2, 3000), st.floats(1e-7, 0.05)), max_size=6
+        ),
+        end=st.integers(2, 3000),
+    )
+    def test_random_curves(self, steps, end):
+        # sup_loss(k) = 1/k + J(k), J a step function >= 0 that never
+        # decreases and reaches 1 at end, so the brute force stops
+        def sup(k):
+            if k == 1:
+                return LossPoint(1, 0.0, 1.0)
+            jump = sum(d for at, d in steps if at <= k) + (k >= end)
+            return LossPoint(k, 0.0, 1.0 / k + jump)
+
+        losses = sorted(sup(k).sup_loss for k in range(1, end + 1))
+        # rounding decides ties (docs/decisions.md), so the minimum must be clear
+        assume(losses[1] - losses[0] > 1e-12)
+        assert minimax._search(sup).k == _brute_force_k(sup)
+
+    @settings(max_examples=50, deadline=None)
+    @given(end=st.integers(minimax._K_RANKED + 2, 10**15))
+    def test_a_minimum_past_the_limit_raises(self, end):
+        def sup(k):
+            return LossPoint(k, 0.0, 1.0 if k == 1 else 1.0 / k + (k >= end))
+
+        with pytest.raises(RuntimeError, match="double precision"):
+            minimax._search(sup)
+
 
 def _mp_supremum(k, U):
     """(p_star, sup_loss) of pool size k at 50 digits.
@@ -483,11 +516,28 @@ def _mp_supremum(k, U):
 
 
 class TestSmallBoundAccuracy:
-    @pytest.mark.parametrize("U, k", [(1e-8, 20001), (1e-9, 63247)])
+    @pytest.mark.parametrize("U, k", [(1e-8, 20001), (1e-9, 63247), (1e-10, 200001)])
     def test_sizes_around_the_answer_against_mpmath(self, U, k):
         assert minimax_group_size(U).k_minimax == k
+        wants = {}
         for j in (k - 1, k, k + 1):
-            want_p, want = _mp_supremum(j, U)
+            want_p, wants[j] = _mp_supremum(j, U)
             got = sup_loss_analytic(j, U)
-            assert got.sup_loss == pytest.approx(want, rel=1e-12, abs=0), j
+            assert got.sup_loss == pytest.approx(wants[j], rel=1e-12, abs=0), j
             assert got.p_star == pytest.approx(want_p, rel=1e-12, abs=0), j
+        assert min(wants, key=wants.get) == k
+
+    @pytest.mark.parametrize(
+        "U, k",
+        [(1e-10, 200001), (1e-11, 632457), (1e-12, 2000001), (1e-13, 6324557),
+         (1e-14, 20000001)],
+    )
+    def test_answers_below_the_old_cap(self, U, k):
+        assert minimax_group_size(U).k_minimax == k
+
+    def test_offset_from_the_asymptote(self):
+        # k ~ 2/sqrt(U) + O(1) (docs/decisions.md), from the smallest bound
+        # the search answers, about 6.6e-22, up to 1e-10
+        for U in np.logspace(math.log10(6.6e-22), -10, 47):
+            k = minimax_group_size(float(U)).k_minimax
+            assert 0.5 < k - 2.0 / math.sqrt(U) < 2.0, U

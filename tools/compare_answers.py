@@ -19,7 +19,9 @@ hold the Bayes answer and cost at the edges: `bayes_near_one` (the uniform
 prior on 100 bounds U in [0.9, 1) and at U = 1 - 1e-3 .. 1 - 1e-6),
 `bayes_small` (uniform and Jeffreys at 41 bounds U in [1e-10, 1e-6]) and
 `bayes_beta` (300 seeded priors with a in [0.05, 20], b in [0.05, 50] and
-U in [1e-6, 1], all log-uniform). Its
+U in [1e-6, 1], all log-uniform). `minimax_small` holds the minimax answer
+on 49 log-spaced bounds U in [1e-22, 1e-10] and at U = 1e-300 and 5e-324,
+below the smallest bound the search answers. Its
 `records` key holds the `repr` of real answers of each record type, which
 pins their names, fields and field order.
 
@@ -56,6 +58,13 @@ for m in range(3, 401):
 def mm(U, method="analytic"):
     r = pd.minimax_group_size(U, method)
     return [r.k_minimax, r.worst_point.p_star, r.worst_point.sup_loss]
+
+
+def mm_small(U):
+    try:
+        return [U, *mm(U)]
+    except RuntimeError as exc:
+        return [U, type(exc).__name__]
 
 
 def bayes(a, b, U):
@@ -99,6 +108,7 @@ CLI_FORMATTED = [  # each runs in the three formats
     ["optimal", "--p", "0.5"],
     ["minimax"],
     ["minimax", "--upper-bound", "0.05"],
+    ["minimax", "--upper-bound", "1e-12"],
     GRID,
     GRID + ["--upper-bound", "0.05", "--grid-step", "1e-5"],
     ["bayes", "--prior", "uniform", "--upper-bound", "0.01"],
@@ -117,7 +127,6 @@ CLI_FORMATTED = [  # each runs in the three formats
     ["bayes", "--prior", "uniform", "--a", "2"],
     ["range", "--k", "2"],
     # exit 3
-    ["minimax", "--upper-bound", "1e-12"],
     ["bayes", "--prior", "beta", "--a", "100", "--b", "1", "--upper-bound", "1e-6"],
     ["range", "--k", "1000000"],
     ["optimal", "--p", "1e-12"],
@@ -142,6 +151,9 @@ res = {
         bayes(a, a, float(U)) for a in (1.0, 0.5) for U in np.logspace(-10, -6, 41)
     ],
     "bayes_beta": [bayes(*prior) for prior in BETA],
+    "minimax_small": [
+        mm_small(U) for U in [*map(float, np.logspace(-22, -10, 49)), 1e-300, 5e-324]
+    ],
     "grid": [mm(U, "grid") for U in (1.0, 0.05, 0.001)],
     "grid_bp": [mm(U, "grid") for U in bps[::120] + bps[1::120] + bps[2::120]],
     "sup": [

@@ -68,8 +68,8 @@ def samuels_optimal_k(p: float) -> int:
 
     Individual testing (k=1) for p > P0. Otherwise the optimum is
     1 + floor(p^-1/2) or 2 + floor(p^-1/2); the fractional-part test
-    resolves most cases and the remaining ones are settled by direct
-    comparison, ties going to the smaller pool. The result is never 2.
+    resolves most cases and the remaining ones are settled by the sign of
+    the cost gap, ties going to the smaller pool. The result is never 2.
     """
     _check_prevalence(p, allow_zero=False)
     if p > P0:
@@ -79,9 +79,9 @@ def samuels_optimal_k(p: float) -> int:
     f = w - i
     if f < i / (2 * i + f):
         return i + 1
-    e1 = expected_tests(i + 1, p)
-    e2 = expected_tests(i + 2, p)
-    return i + 1 if e1 <= e2 else i + 2
+    # E(i+2) - E(i+1), formed without the cancellation of the two costs
+    gap = p * math.exp((i + 1) * math.log1p(-p)) - 1 / ((i + 1) * (i + 2))
+    return i + 1 if gap >= 0.0 else i + 2
 
 
 def optimal_expected_tests(p: float) -> float:

@@ -154,8 +154,8 @@ def sup_loss_grid(k: int, U: float = 1.0, step: float = 1e-6) -> LossPoint:
     return _grid_sup(k, *_grid_base(U, step))
 
 
-def _search(sup) -> LossPoint:
-    """Worst point of the smallest k minimizing sup(k).sup_loss.
+def _search(sup, sizes) -> LossPoint:
+    """Worst point of the smallest k minimizing sup(k).sup_loss, from the start sizes.
 
     J(k) = sup_loss(k) - 1/k >= 0 never decreases in k (docs/decisions.md),
     so sup_loss(k) > J(K) for k > K, and >= 1/(b-1) + J(a) for k in (a, b).
@@ -174,7 +174,7 @@ def _search(sup) -> LossPoint:
         bound = 1.0 / (b - 1) + point(a).sup_loss - 1.0 / a
         return (a + b) // 2 if (bound, a + 1) <= best else None
 
-    _branch_and_bound(visit, beyond, split, (1, 2), _K_RANKED)
+    _branch_and_bound(visit, beyond, split, sizes, _K_RANKED)
     return point(best[1])
 
 
@@ -198,5 +198,6 @@ def minimax_group_size(
         sup = partial(_grid_sup, p=p, opt=opt)
     else:
         raise ValueError(f"method must be 'analytic' or 'grid', got {method!r}")
-    pt = _search(sup)
+    # start also at the small-U asymptote 2/sqrt(U) + 1 (docs/decisions.md)
+    pt = _search(sup, (1, 2, min(round(2.0 / math.sqrt(min(U, P0))) + 1, _K_RANKED)))
     return MinimaxResult(pt.k, U, pt, method)

@@ -1,19 +1,22 @@
 """Prevalence intervals on which a fixed pool size is optimal.
 
-The breakpoints between optimality regions are, in q = 1 - p, the larger
-real roots of q^k (1-q) = 1/(k(k+1)). Pool size l >= 3 is optimal exactly
-between the roots for l and l-1 (with the k=2 root defined as (1/3)^(1/3));
-k = 2 is never optimal and k = 1 owns everything above P0.
+Pool sizes k and k+1 cost the same at the breakpoint p_k, the smaller root of
+p (1-p)^k = 1/(k(k+1)), whose q = 1-p is the larger root of q^k (1-q) =
+1/(k(k+1)). Pool size l >= 3 is optimal exactly on [p_l, p_(l-1)], with
+p_2 = P0; k = 2 is never optimal and k = 1 owns everything above P0.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import lru_cache
 
 from .core import P0, Q0, _check_group_size
 
 __all__ = ["OptimalityRange", "delta", "larger_root", "optimality_range"]
+
+_K_RANGED = 10**13  # endpoint error / range width: 1e-3 here, 1e-2 near 1e14
 
 
 class OptimalityRange(namedtuple("OptimalityRange", "k p_low p_high")):
@@ -41,21 +44,19 @@ def delta(k: int, q: float) -> float:
     return q ** min(k, 2**64) * (1.0 - q) - 1 / (k * (k + 1))
 
 
-@lru_cache(maxsize=4096)  # only the sizes asked for are ever bisected
-def _bisect_larger_root(k: int) -> float:
-    # The bracket (k/(k+1), 1) is valid: delta is positive at its interior
-    # maximum q = k/(k+1) and negative at 1. Bisect to the last float.
-    lo = k / (k + 1)
-    hi = 1.0
+@lru_cache(maxsize=4096)  # only the sizes asked for are ever solved
+def _breakpoint(k: int) -> float:
+    # Newton on g(y) = y + k log1p(-w e^y), y = log(p/w) ~ 1/k: g is concave
+    # and increasing left of its root and g(0) < 0, so each step from y = 0
+    # stays left of the root and moves towards it (docs/decisions.md).
+    w = 1 / (k * (k + 1))  # integer division: 0.0 for huge k, never overflow
+    k = float(min(k, 2**64))  # past 2**64 y < 1e-19 and p = w either way
+    y, p = 0.0, w
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if delta(k, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo if abs(delta(k, lo)) <= abs(delta(k, hi)) else hi
+        y_next = y - (y + k * math.log1p(-p)) / (1.0 - k * p / (1.0 - p))
+        if not y_next > y:
+            return p
+        y, p = y_next, w * math.exp(y_next)
 
 
 def larger_root(k: int) -> float:
@@ -63,25 +64,23 @@ def larger_root(k: int) -> float:
     _check_group_size(k)
     if k < 2:
         raise ValueError(f"roots are defined for k >= 2, got {k}")
-    return Q0 if k == 2 else _bisect_larger_root(int(k))
+    return Q0 if k == 2 else 1.0 - _breakpoint(int(k))
 
 
 def optimality_range(k: int) -> OptimalityRange:
     """Prevalence interval on which pool size k is the oracle choice.
 
-    Raises RuntimeError when the two breakpoints of k coincide in double
-    precision; near 1 the roots step by about 2/k^3 in q against a float
-    spacing of 1.1e-16, so this first happens at k = 262440.
+    Raises RuntimeError for k above 10**13, where the range, about 2/k wide
+    relative to its ends, nears their rounding error (docs/decisions.md).
     """
     _check_group_size(k)
     if k == 2:
         raise ValueError("pool size 2 is never optimal at any prevalence")
     if k == 1:
         return OptimalityRange(1, P0, 1.0)
-    p_low, p_high = 1.0 - larger_root(k), 1.0 - larger_root(k - 1)
-    if p_low >= p_high:
+    if k > _K_RANGED:
         raise RuntimeError(
-            f"the breakpoints of pool size {k} are not separated in double "
-            f"precision (both near p = {p_high:.6g})"
+            f"pool size {k} has no optimality range resolvable in double precision"
         )
-    return OptimalityRange(k, p_low, p_high)
+    p_high = P0 if k == 3 else _breakpoint(int(k) - 1)
+    return OptimalityRange(k, _breakpoint(int(k)), p_high)

@@ -182,18 +182,32 @@ class TestRange:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["range", "--k", str(10**6)],
+            ["range", "--k", str(10**13 + 1)],
             ["range", "--k", str(10**200)],
-            ["optimal", "--p", "1e-12"],
+            ["optimal", "--p", "1e-27"],
         ],
-        ids=["range-1e6", "range-1e200", "optimal-1e-12"],
+        ids=["range-1e13+1", "range-1e200", "optimal-1e-27"],
     )
     def test_unresolvable_range_exits_three(self, argv):
-        # the breakpoints of such pool sizes coincide in double precision
+        # past 10**13 a range nears the rounding error of its endpoints
         proc = run_process(*argv)
         assert proc.returncode == 3
         assert "numerical failure" in proc.stderr
+        assert "double precision" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("k", [10**6, 10**13])
+    def test_large_range_is_answered(self, capsys, k):
+        code, out, _ = run(capsys, "range", "--k", str(k), "--format", "json")
+        rec = json.loads(out)
+        assert code == 0 and rec["k"] == k and 0.0 < rec["p_low"] < rec["p_high"]
+
+    @pytest.mark.parametrize("p, k", [("1e-11", 316228), ("1e-12", 10**6 + 1)])
+    def test_small_prevalence_is_answered(self, capsys, p, k):
+        code, out, _ = run(capsys, "optimal", "--p", p, "--format", "json")
+        rec = json.loads(out)
+        assert code == 0 and rec["k_optimal"] == k
+        assert rec["range_low"] <= float(p) <= rec["range_high"]
 
 
 class TestTable:

@@ -132,6 +132,16 @@ class TestSamuelsRule:
     def test_matches_brute_force(self, p):
         assert samuels_optimal_k(p) == brute_force_k(p)
 
+    def test_small_prevalence_against_mpmath(self):
+        # below p ~ 1e-9 the two costs cancel to more than their gap, so only
+        # the sign of the gap itself decides the size
+        rng = np.random.default_rng(9)
+        with mp.workdps(60):
+            for p in np.exp(rng.uniform(math.log(1e-26), math.log(1e-6), 400)):
+                q, i = 1 - mp.mpf(float(p)), math.floor(float(p) ** -0.5)
+                gap = q ** (i + 1) * (1 - q) - mp.mpf(1) / ((i + 1) * (i + 2))
+                assert samuels_optimal_k(float(p)) == (i + 1 if gap >= 0 else i + 2), p
+
     def test_boundary_fraction_case(self):
         # at p = 0.05 the fractional-part test holds with equality and the
         # rule falls through to the explicit comparison

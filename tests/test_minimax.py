@@ -396,6 +396,17 @@ class TestMinimaxGroupSize:
             minimax_group_size(U)
         assert time.process_time() - start < 5.0
 
+    def test_search_starts_at_the_asymptote(self, monkeypatch):
+        # doubling from 2 alone visits 2, 4, ..., 32768 to pass the answer
+        # 20001 and then bisects: 33 suprema; from 2/sqrt(U) + 1 it takes 18
+        sizes = []
+        real = minimax.sup_loss_analytic
+        monkeypatch.setattr(
+            minimax, "sup_loss_analytic", lambda k, U: sizes.append(k) or real(k, U)
+        )
+        assert minimax_group_size(1e-8).k_minimax == 20001
+        assert 20001 in sizes[:3] and len(sizes) <= 20
+
     def test_answers_just_below_the_cap(self):
         # 2/sqrt(U) + 1 lies just below 100 000, a cap the search once had
         assert minimax_group_size(4.01e-10).k_minimax == 99876
@@ -459,7 +470,7 @@ class TestSearchAgainstBruteForce:
             return LossPoint(j, 0.0 if loss(j) == 1 / j else 0.1, loss(j))
 
         assert _brute_force_k(sup) == k
-        assert minimax._search(sup).k == k
+        assert minimax._search(sup, (1, 2)).k == k
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -467,8 +478,9 @@ class TestSearchAgainstBruteForce:
             st.tuples(st.integers(2, 3000), st.floats(1e-7, 0.05)), max_size=6
         ),
         end=st.integers(2, 3000),
+        start=st.integers(3, 4000),
     )
-    def test_random_curves(self, steps, end):
+    def test_random_curves(self, steps, end, start):
         # sup_loss(k) = 1/k + J(k), J a step function >= 0 that never
         # decreases and reaches 1 at end, so the brute force stops
         def sup(k):
@@ -480,7 +492,10 @@ class TestSearchAgainstBruteForce:
         losses = sorted(sup(k).sup_loss for k in range(1, end + 1))
         # rounding decides ties (docs/decisions.md), so the minimum must be clear
         assume(losses[1] - losses[0] > 1e-12)
-        assert minimax._search(sup).k == _brute_force_k(sup)
+        want = _brute_force_k(sup)
+        assert minimax._search(sup, (1, 2)).k == want
+        # a third start size, as minimax_group_size gives, changes no answer
+        assert minimax._search(sup, (1, 2, start)).k == want
 
     @settings(max_examples=50, deadline=None)
     @given(end=st.integers(minimax._K_RANKED + 2, 10**15))
@@ -489,7 +504,7 @@ class TestSearchAgainstBruteForce:
             return LossPoint(k, 0.0, 1.0 if k == 1 else 1.0 / k + (k >= end))
 
         with pytest.raises(RuntimeError, match="double precision"):
-            minimax._search(sup)
+            minimax._search(sup, (1, 2))
 
 
 def _mp_supremum(k, U):

@@ -1,15 +1,34 @@
 """Tests for the optimality breakpoints and per-size prevalence intervals."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import optimize
 
 from pooldesign import P0, Q0, delta, larger_root, optimality_range, samuels_optimal_k
-from pooldesign.ranges import _bisect_larger_root
+from pooldesign.ranges import _K_RANGED, _breakpoint
 
 # k(k+1) still a finite double, k(k+1) past it, and k itself past it
 HUGE_K = [10**154, 10**200, 2**1100]
 HUGE_K_IDS = ["1e154", "1e200", "2^1100"]
+
+# every size to 60, about 30 log-spaced sizes per decade up to the limit, and
+# two sizes that a bisection in q = 1 - p once refused
+LARGE_K = sorted(
+    {*range(3, 61), *(round(10**e) for e in np.linspace(1.8, 13, 337)), 262440, 10**6}
+)
+
+
+def _mp_breakpoint(k):
+    """The smaller root p of p (1-p)^k = 1/(k(k+1)), at 50 digits; the
+    bracket [1/(k(k+1)), 1/(k+1)] holds it for k >= 3."""
+    with mp.workdps(50):
+        k = mp.mpf(k)
+        return mp.findroot(
+            lambda p: mp.log(p) + k * mp.log1p(-p) + mp.log(k * (k + 1)),
+            (1 / (k * (k + 1)), 1 / (k + 1)),
+            solver="illinois",
+        )
 
 
 class TestDelta:
@@ -72,16 +91,16 @@ class TestLargerRoot:
             larger_root(8.0)
 
     def test_cold_root_fills_only_the_requested_size(self):
-        # each size is bisected on its own; no table of smaller roots is filled
-        _bisect_larger_root.cache_clear()
+        # each size is solved on its own; no table of smaller roots is filled
+        _breakpoint.cache_clear()
         k = 10**6
         r = larger_root(k)
         assert abs(delta(k, r)) <= 1e-12
         assert larger_root(np.int64(k)) == r
-        info = _bisect_larger_root.cache_info()
+        info = _breakpoint.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         larger_root(k - 1)
-        assert _bisect_larger_root.cache_info().currsize == 2
+        assert _breakpoint.cache_info().currsize == 2
 
     @pytest.mark.parametrize("k", HUGE_K, ids=HUGE_K_IDS)
     def test_huge_k_rounds_to_one(self, k):
@@ -103,7 +122,8 @@ class TestOptimalityRange:
             optimality_range(2)
 
     def test_midpoint_consistency(self):
-        for k in (3, 8, 50, 200):
+        sizes = (3, 8, 50, 200, 262440, 10**6, 10**9, 10**12, _K_RANGED - 1, _K_RANGED)
+        for k in sizes:
             rng = optimality_range(k)
             assert samuels_optimal_k(0.5 * (rng.p_low + rng.p_high)) == k
 
@@ -116,11 +136,22 @@ class TestOptimalityRange:
             for p in ps:
                 assert samuels_optimal_k(float(p)) == k
 
-    @pytest.mark.parametrize("k", [262440, 10**6, 10**200], ids=["262440", "1e6", "1e200"])
+    @pytest.mark.parametrize("k", [_K_RANGED + 1, 10**200], ids=["1e13+1", "1e200"])
     def test_unresolvable_range_raises(self, k):
-        # the two breakpoints of k coincide in double precision
-        with pytest.raises(RuntimeError, match="not separated in double precision"):
+        # the endpoints' rounding error nears the width of the range
+        with pytest.raises(RuntimeError, match="resolvable in double precision"):
             optimality_range(k)
+
+    def test_endpoints_against_mpmath(self):
+        # measured: at most 3.0e-16 relative, and 1.0e-3 of the width at 1e13
+        for k in LARGE_K:
+            want_low = _mp_breakpoint(k)
+            want_high = P0 if k == 3 else _mp_breakpoint(k - 1)
+            rng = optimality_range(k)
+            assert rng.p_low == pytest.approx(float(want_low), rel=1e-15, abs=0), k
+            err = max(abs(rng.p_low - want_low), abs(rng.p_high - want_high))
+            assert err <= 0.01 * (want_high - want_low), k
+            assert larger_root(k) == 1.0 - rng.p_low
 
     def test_ranges_tile_without_gaps(self):
         # consecutive sizes share endpoints exactly; k=3 meets the k=1 regime

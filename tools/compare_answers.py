@@ -21,13 +21,16 @@ prior on 100 bounds U in [0.9, 1) and at U = 1 - 1e-3 .. 1 - 1e-6),
 `bayes_beta` (300 seeded priors with a in [0.05, 20], b in [0.05, 50] and
 U in [1e-6, 1], all log-uniform). `minimax_small` holds the minimax answer
 on 49 log-spaced bounds U in [1e-22, 1e-10] and at U = 1e-300 and 5e-324,
-below the smallest bound the search answers. Its
-`records` key holds the `repr` of real answers of each record type, which
-pins their names, fields and field order.
+below the smallest bound the search answers. `ranges` holds the endpoints
+of `optimality_range(k)` as `.hex()` for k = 3..5000 and 94 log-spaced k
+from 10**3.7 up to 10**13, the largest size it answers, and the refusal
+one past it. Its `records` key holds the `repr` of real answers of each
+record type, which pins their names, fields and field order.
 
 Its `cli` key holds, for each argv of a fixed list, the argv, the exit code,
 stdout and stderr of `pooldesign.cli.main`: every subcommand in the three
-formats, `table --table 1..5` with and without `--check`, and argv that exit
+formats, `range` and `optimal` down to k = 10**6 and p = 1e-12,
+`table --table 1..5` with and without `--check`, and argv that exit
 2 (usage or invalid input) and 3 (numerical failure). So the identity of
 the command line is a `cmp` of two dumps as well.
 """
@@ -75,6 +78,14 @@ def bayes(a, b, U):
     return [a, b, U, r.k_opt, r.expected_tests_at_opt]
 
 
+def opt_range(k):
+    try:
+        r = pd.optimality_range(k)
+    except RuntimeError as exc:
+        return [k, type(exc).__name__]
+    return [k, r.p_low.hex(), r.p_high.hex()]
+
+
 def log_uniform(rng, lo, hi):
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
@@ -115,6 +126,9 @@ CLI_FORMATTED = [  # each runs in the three formats
     ["bayes", "--prior", "jeffreys"],
     ["bayes", "--prior", "beta", "--a", "2", "--b", "5", "--upper-bound", "0.3"],
     ["range", "--k", "8"],
+    ["range", "--k", "1000000"],
+    ["optimal", "--p", "1e-11"],
+    ["optimal", "--p", "1e-12"],
     *(["table", "--table", str(n)] for n in range(1, 6)),
     # exit 2
     ["optimal", "--p", "1.5"],
@@ -128,8 +142,7 @@ CLI_FORMATTED = [  # each runs in the three formats
     ["range", "--k", "2"],
     # exit 3
     ["bayes", "--prior", "beta", "--a", "100", "--b", "1", "--upper-bound", "1e-6"],
-    ["range", "--k", "1000000"],
-    ["optimal", "--p", "1e-12"],
+    ["range", "--k", "10000000000001"],
 ]
 CLI_PLAIN = [
     *(["table", "--table", str(n), "--check"] for n in range(1, 6)),
@@ -142,6 +155,11 @@ CLI_PLAIN = [
 
 res = {
     "roots": [pd.larger_root(k).hex() for k in range(2, 5001)],
+    "ranges": [
+        opt_range(k)
+        for k in [*range(3, 5001), *(round(10**e) for e in np.linspace(3.7, 13, 94))]
+        + [10**13 + 1]
+    ],
     "minimax": [mm(U) for U in Us],
     "minimax_bp": [mm(U) for U in bps],
     "uniform": [pd.uniform_optimal_k(U) for U in Us],

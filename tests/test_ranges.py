@@ -12,11 +12,8 @@ from pooldesign.ranges import _K_RANGED, _breakpoint
 HUGE_K = [10**154, 10**200, 2**1100]
 HUGE_K_IDS = ["1e154", "1e200", "2^1100"]
 
-# every size to 60, about 30 log-spaced sizes per decade up to the limit, and
-# two sizes that a bisection in q = 1 - p once refused
-LARGE_K = sorted(
-    {*range(3, 61), *(round(10**e) for e in np.linspace(1.8, 13, 337)), 262440, 10**6}
-)
+# every size to 60, and about 30 log-spaced sizes per decade up to the limit
+LARGE_K = sorted({*range(3, 61), *(round(10**e) for e in np.linspace(1.8, 13, 337))})
 
 
 def _mp_breakpoint(k):
@@ -29,6 +26,18 @@ def _mp_breakpoint(k):
             (1 / (k * (k + 1)), 1 / (k + 1)),
             solver="illinois",
         )
+
+
+def _check_against_mpmath(k):
+    """Both endpoints of range(k) within 1e-15 relative of 50 digits and
+    within 1% of the range's width, and the larger root is 1 - p_low."""
+    want_low = _mp_breakpoint(k)
+    want_high = P0 if k == 3 else _mp_breakpoint(k - 1)
+    rng = optimality_range(k)
+    assert rng.p_low == pytest.approx(float(want_low), rel=1e-15, abs=0), k
+    err = max(abs(rng.p_low - want_low), abs(rng.p_high - want_high))
+    assert err <= 0.01 * (want_high - want_low), k
+    assert larger_root(k) == 1.0 - rng.p_low
 
 
 class TestDelta:
@@ -145,13 +154,14 @@ class TestOptimalityRange:
     def test_endpoints_against_mpmath(self):
         # measured: at most 3.0e-16 relative, and 1.0e-3 of the width at 1e13
         for k in LARGE_K:
-            want_low = _mp_breakpoint(k)
-            want_high = P0 if k == 3 else _mp_breakpoint(k - 1)
-            rng = optimality_range(k)
-            assert rng.p_low == pytest.approx(float(want_low), rel=1e-15, abs=0), k
-            err = max(abs(rng.p_low - want_low), abs(rng.p_high - want_high))
-            assert err <= 0.01 * (want_high - want_low), k
-            assert larger_root(k) == 1.0 - rng.p_low
+            _check_against_mpmath(k)
+
+    @pytest.mark.parametrize("k", [10**6, 262440], ids=["1e6", "262440"])
+    def test_formerly_refused_range_is_answered(self, k):
+        # a bisection in q = 1 - p once refused these sizes
+        _check_against_mpmath(k)
+        rng = optimality_range(k)
+        assert samuels_optimal_k(0.5 * (rng.p_low + rng.p_high)) == k
 
     def test_ranges_tile_without_gaps(self):
         # consecutive sizes share endpoints exactly; k=3 meets the k=1 regime

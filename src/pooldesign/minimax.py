@@ -7,8 +7,10 @@ regret is E(k) - min_m E(m) = max_m g_m(q) with g_m(q) = q^m - q^k + 1/k - 1/m,
 so its supremum is the largest of the sup_q g_m. Each g_m with m < k rises
 up to q_m = (m/k)^(1/(k-m)) and falls after it, so it peaks on the domain at
 max(q_m, 1 - min(U, P0)); sizes m >= k stay below the p->0 limit 1/k.
-These peaks are unimodal in m (docs/decisions.md proves it), so an integer
-bisection finds the largest in O(log k) scalar evaluations and O(1) memory.
+These peaks are unimodal in m (docs/decisions.md proves it), so a gallop up
+from the smallest candidate m_lo finds the largest, m*, in O(log(m* - m_lo))
+scalar evaluations and O(1) memory; in the minimax search m* is nearly always
+m_lo, and it then takes three.
 A plain grid search over p serves as the independent oracle in tests; it is
 the only code here that builds numpy arrays. The minimax k comes from an
 exact search over k with no stopping heuristic.
@@ -64,16 +66,45 @@ def _peak(k: int, m: int, log_floor: float) -> tuple[float, float]:
     return math.exp(m * log_q) * -math.expm1(d * log_q) - d / (k * m), log_q
 
 
+def _domain(U: float) -> tuple[float, int]:
+    """(ln q at the domain end 1 - min(U, P0), the least oracle size m_lo)."""
+    hi = min(U, P0)
+    return math.log1p(-hi), max(3, samuels_optimal_k(hi))
+
+
+def _sup_loss(log_floor: float, m_lo: int, k: int) -> LossPoint:
+    """sup_loss_analytic for an int k, given the _domain constants of U.
+
+    Probes m = m_lo, m_lo+1, m_lo+3, m_lo+7, ..., none past the midpoint of
+    the open bracket, and bisects once a probe fails the predicate
+    peak(m+1) >= peak(m).
+    """
+    limit = 1.0 if k == 1 else 1.0 / k
+    lo, top, reach = m_lo, k - 1, 1
+    if lo <= top:
+        while lo < top:
+            m = min(m_lo + reach - 1, (lo + top) // 2)
+            if _peak(k, m + 1, log_floor)[0] >= _peak(k, m, log_floor)[0]:
+                lo, reach = m + 1, 2 * reach
+            else:
+                top = m
+        best, log_q = _peak(k, lo, log_floor)
+        if best > limit:
+            return LossPoint(k, -math.expm1(log_q), best)
+    return LossPoint(k, 0.0, limit)
+
+
 def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
     """Supremum of the regret of pool size k over p in (0, min(U, P0)].
 
     One candidate per oracle size m < k: the peak of g_m on the domain,
     compared against the p->0 limit. The oracle size does not increase
-    with p, so m runs from max(3, k*(min(U, P0))) only. The peaks are
-    unimodal in m (docs/decisions.md), so an integer bisection on the sign
-    of peak(m+1) - peak(m) finds the largest in O(log k) scalar peaks;
-    ties go to the larger m, the highest q and so the smallest p. Raises
-    RuntimeError for k above 10**15, which double precision cannot resolve.
+    with p, so m runs from m_lo = max(3, k*(min(U, P0))) only. The peaks
+    are unimodal in m (docs/decisions.md), so a gallop from m_lo on the
+    sign of peak(m+1) - peak(m) finds the largest, m*, in O(log(m* - m_lo))
+    scalar peaks, three when m* = m_lo; ties go to the larger m, the highest
+    q and so the smallest p. Raises RuntimeError for k above 10**15, which
+    double precision cannot resolve.
     """
     _check_group_size(k)
     _check_upper_bound(U)
@@ -81,22 +112,7 @@ def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
         raise RuntimeError(
             f"the supremum of pool size {k} is not resolvable in double precision"
         )
-    k = int(k)  # numpy integers would wrap in k*m
-    hi = min(U, P0)
-    limit = 1.0 if k == 1 else 1.0 / k
-    log_floor = math.log1p(-hi)
-    lo, top = max(3, samuels_optimal_k(hi)), k - 1
-    if lo <= top:
-        while lo < top:
-            mid = (lo + top) // 2
-            if _peak(k, mid + 1, log_floor)[0] >= _peak(k, mid, log_floor)[0]:
-                lo = mid + 1
-            else:
-                top = mid
-        best, log_q = _peak(k, lo, log_floor)
-        if best > limit:
-            return LossPoint(k, -math.expm1(log_q), best)
-    return LossPoint(k, 0.0, limit)
+    return _sup_loss(*_domain(U), int(k))  # numpy integers would wrap in k*m
 
 
 def _grid_tests(k, p):
@@ -190,7 +206,7 @@ def minimax_group_size(
     """
     _check_upper_bound(U)
     if method == "analytic":
-        sup = partial(sup_loss_analytic, U=U)
+        sup = partial(_sup_loss, *_domain(U))
     elif method == "grid":
         _check_grid_step(U, grid_step)
         # one grid for the whole search; small windows keep 1e5 grid points

@@ -29,6 +29,7 @@ from pooldesign import (
     sup_loss_grid,
     PriorSpec,
 )
+from pooldesign.minimax import _grid_base, _grid_sup
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -137,9 +138,12 @@ def test_criterion_8_oracle_equivalence():
 
     sup_dev = p_dev = 0.0
     for U in (1.0, 0.3, 0.05, 0.005):
+        # one grid per bound, as sup_loss_grid builds it for each call
+        grid = _grid_base(U, 1e-6)
+        assert _grid_sup(300, *grid) == sup_loss_grid(300, U, 1e-6)
         for k in range(1, 301):
             a = sup_loss_analytic(k, U)
-            g = sup_loss_grid(k, U, 1e-6)
+            g = _grid_sup(k, *grid)
             sup_dev = max(sup_dev, abs(a.sup_loss - g.sup_loss))
             if a.p_star > 0.0:
                 p_dev = max(p_dev, abs(a.p_star - g.p_star))

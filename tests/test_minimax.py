@@ -78,6 +78,20 @@ class TestAnalyticSupremum:
         with pytest.raises(ValueError):
             sup_loss_analytic(8, U)
 
+    @pytest.mark.parametrize(
+        "k, U", [(20001, 1e-8), (201, 1e-4), (63245553205, 1e-21)]
+    )
+    def test_worst_oracle_size_at_m_lo_costs_few_peaks(self, monkeypatch, k, U):
+        # the worst m is m_lo here; a bisection over [m_lo, k-1] took 29, 15
+        # and 69 peaks
+        calls = []
+        real = minimax._peak
+        monkeypatch.setattr(
+            minimax, "_peak", lambda *args: calls.append(args) or real(*args)
+        )
+        sup_loss_analytic(k, U)
+        assert len(calls) <= 3
+
 
 def _segment_supremum(k, U, roots):
     """Oracle-segment enumeration of the supremum; roots[j] = larger_root(j+2).
@@ -185,7 +199,7 @@ def _check_bounds_against_array_form(bounds):
 
 
 class TestAgainstArrayForm:
-    # the bisection over m must find the peak the full array finds
+    # the gallop over m must find the peak the full array finds
     @pytest.mark.parametrize("U", [1.0, P0, 0.05, 1e-3, 1e-6, 1e-9])
     def test_every_size_up_to_2000(self, U):
         _check_against_array_form(U, range(1, 2001))
@@ -206,21 +220,21 @@ def _mp_peak(k, m, U):
     return mp.exp(-c * m) - mp.exp(-c * k) + mp.mpf(1) / k - 1 / m, c
 
 
-def _mp_huge_supremum(k):
-    """sup_loss(k, 1) at 50 digits, from the real maximizer over m.
+def _mp_huge_supremum(k, U=1.0, dps=50):
+    """sup_loss(k, U) at dps digits, from the real maximizer over m.
 
     Bisects the sign of dv/dm = 1/m^2 - c e^(-cm), c = -ln q*, over real m
     in [3, k-1] (docs/decisions.md), then takes the largest peak of the
     integers around it and compares it with the p->0 limit 1/k.
     """
-    with mp.workdps(50):
+    with mp.workdps(dps):
         a, b = mp.mpf(3), mp.mpf(k - 1)
         for _ in range(200):
             mid = (a + b) / 2
-            c = _mp_peak(k, mid, 1.0)[1]
+            c = _mp_peak(k, mid, U)[1]
             a, b = (mid, b) if 1 / mid**2 > c * mp.exp(-c * mid) else (a, mid)
         ms = range(max(3, int(a) - 1), min(k - 1, int(a) + 2) + 1)
-        return float(max([mp.mpf(1) / k] + [_mp_peak(k, mp.mpf(m), 1.0)[0] for m in ms]))
+        return float(max([mp.mpf(1) / k] + [_mp_peak(k, mp.mpf(m), U)[0] for m in ms]))
 
 
 class TestHugePoolSizes:
@@ -245,7 +259,7 @@ class TestHugePoolSizes:
 
 
 class TestUnimodalityLemma:
-    # the lemma behind the bisection over m, checked at 50 digits
+    # the lemma behind the gallop over m, checked at 50 digits
     def test_unclamped_terms(self):
         # x = t ln(1/t)/(1-t) < 1, and t x e^(-x) increases in t
         with mp.workdps(50):
@@ -400,9 +414,9 @@ class TestMinimaxGroupSize:
         # doubling from 2 alone visits 2, 4, ..., 32768 to pass the answer
         # 20001 and then bisects: 33 suprema; from 2/sqrt(U) + 1 it takes 18
         sizes = []
-        real = minimax.sup_loss_analytic
+        real = minimax._sup_loss
         monkeypatch.setattr(
-            minimax, "sup_loss_analytic", lambda k, U: sizes.append(k) or real(k, U)
+            minimax, "_sup_loss", lambda *args: sizes.append(args[-1]) or real(*args)
         )
         assert minimax_group_size(1e-8).k_minimax == 20001
         assert 20001 in sizes[:3] and len(sizes) <= 20
@@ -549,6 +563,20 @@ class TestSmallBoundAccuracy:
     )
     def test_answers_below_the_old_cap(self, U, k):
         assert minimax_group_size(U).k_minimax == k
+
+    @pytest.mark.parametrize(
+        "U, k",
+        [(1e-21, 63245553205), (5.6234132519034906e-21, 26670428645),
+         (1e-19, 6324555322)],
+    )
+    def test_worst_point_near_the_limit_against_mpmath(self, U, k):
+        # a bisection over m probed far from the worst m and was off by
+        # 2.5e-13, 1.8e-12 and 2.7e-14 here
+        pt = minimax_group_size(U).worst_point
+        assert pt.k == k
+        assert pt.sup_loss == pytest.approx(
+            _mp_huge_supremum(k, U, dps=80), rel=1e-15, abs=0
+        )
 
     def test_offset_from_the_asymptote(self):
         # k ~ 2/sqrt(U) + O(1) (docs/decisions.md), from the smallest bound

@@ -20,10 +20,15 @@ independent oracle `expected_tests_under_prior`.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 
-from .core import _K_RESOLVABLE, _check_group_size, _check_upper_bound
+from .core import (
+    _K_RESOLVABLE,
+    _branch_and_bound,
+    _check_group_size,
+    _check_upper_bound,
+    _unresolved,
+)
 
 __all__ = [
     "PriorSpec",
@@ -157,6 +162,8 @@ _WALK = 320
 # Costs within this relative distance of the best are a tie in rounding,
 # and ties go to the smaller size
 _TIE = 4e-16
+# R_k k(k+1) within this of 1 is a tie of C(k) and C(k+1) in rounding
+_GAP_RTOL = 1e-14
 
 
 def _beta_cf(a: float, b: float, x: float, rest: bool = False) -> float:
@@ -286,11 +293,50 @@ def _tail_size(a: float, b: float, log_g: float):
     return hi
 
 
+def _floor(a: float, b: float, log_c: float, i: int, j: float) -> float:
+    """A lower bound on C(k) - 1 over i <= k <= j (j may be inf).
+
+    E[(1-p)^k] <= c B(a, b+k) = phi(k) / k with log c = log_c = -log B(U; a, b),
+    equal up to the mass above U, so C(k) - 1 >= (1 - phi(k)) / k. Since
+    digamma is increasing and concave, phi increases when a < 1, and log
+    phi gains at most b/k^2 per unit of k when a > 1; for a = 1 the bound
+    (b - (c-1) k) / (k (k+b)) is minimized exactly. It resolves the nearly
+    flat costs 1/k - E[(1-p)^k] of priors with a near 1 and U near 1, where
+    the chord bound needs about sqrt(k) splits.
+    """
+    if a == 1.0:  # phi(k) = c k / (b+k), so the bound is exact in k
+        d = math.expm1(log_c)  # c - 1
+
+        def f(k):
+            return 0.0 if k == math.inf else (b - d * k) / (k * (k + b))
+
+        if d <= 0.0:
+            return f(j)  # f decreases to 0
+        k = math.floor(b * (1.0 + math.sqrt(1.0 + d)) / d)  # f is least next to k
+        return min(f(min(max(k, i), j)), f(min(max(k + 1, i), j)))
+    log_phi = log_c + math.log(i) + _log_beta(a, b + i)
+    if j == math.inf and a < 1.0:
+        # phi(k) <= A (k/i)^(1-a) with A = phi(i) (1 + b/i)^a; the least of
+        # (1 - A t^(1-a)) / t over t = k/i >= 1 is at t = 1 when A a >= 1
+        log_big_a = log_phi + a * math.log1p(b / i)
+        if log_big_a + math.log(a) >= 0.0:
+            return (1.0 - math.exp(log_big_a)) / i
+        return -(1.0 - a) / a * math.exp((log_big_a + math.log(a)) / (1.0 - a)) / i
+    if a > 1.0:  # the largest phi on [i, j] is at most phi(i) e^(b/i - b/j)
+        top = math.exp(log_phi + b / i - b / j)
+    else:
+        top = math.exp(log_c + math.log(j) + _log_beta(a, b + j))
+    return (1.0 - top) / (i if top > 1.0 else j)
+
+
 def _search(a: float, b: float, U: float):
     """(k, C(k)) for the smallest k minimizing the prior-mean cost, or None
     when the prior has no mass in double precision; docs/decisions.md has
-    the certificates. Small optima are walked here, and `bayes_jumps`
-    takes over where the walk leaves the search open."""
+    the certificates. Small optima are walked one size at a time. Where the
+    walk leaves the search open, `core._branch_and_bound` jumps: `visit`
+    evaluates S_k and R_k at any k in O(1) from the continued fraction at
+    shape b + k, tail, chord and floor bounds prune, and `_settle` decides
+    between neighbours whose costs agree to rounding."""
     r0, w0, log_mass, log_h0 = _start_values(a, b, U)
     if math.exp(log_mass) == 0.0:
         return None
@@ -298,11 +344,11 @@ def _search(a: float, b: float, U: float):
     best_k, best = 1, 1.0  # k = 1 tests everyone once
     guess = r0**-0.5 if r0 > 0.0 else math.inf  # the optimum of 1/k + k R_0
     tail = math.inf  # every k >= tail costs at least C(1) = 1
+    k, s, r = 1, r0, (b * r0 + w0) / (a + b + 1.0)  # s = S_k, r = R_k
     if guess < _WALK / 4:
         if a > 1.0:  # log G = log Gamma(a) - log B(U; a, b)
             tail = _tail_size(a, b, math.lgamma(a) - log_mass - _log_beta(a, b)) or tail
-        # walk the positive-term recurrence: s = S_k, r = R_k
-        k, s, r = 1, r0, (b * r0 + w0) / (a + b + 1.0)
+        # walk the positive-term recurrence
         stop = min(_WALK, tail - 1)
         bar = best - _TIE * best  # a tie in rounding keeps the smaller k
         while True:
@@ -320,15 +366,91 @@ def _search(a: float, b: float, U: float):
                 bar = best - _TIE * best
         if k + 1 >= tail:
             return best_k, best
-        start, top = (k, s, r), min(2 * k, tail - 1)
+        top = min(2 * k, tail - 1)
     else:
-        start = 1, r0, (b * r0 + w0) / (a + b + 1.0)
         top = max(2, round(min(guess, _K_RESOLVABLE)))
-    jumps = sys.modules.get(__package__ + ".bayes_jumps")
-    if jumps is None:  # compiled only when the walk leaves k open
-        from . import bayes_jumps as jumps
-    start_values = r0, w0, log_mass, log_h0
-    return jumps.jump(a, b, U, start_values, start, top, tail, best_k, best)
+    log_b = _log_beta(a, b)
+    log_c = -log_mass - log_b  # -log B(U; a, b)
+    S, R = {k: s}, {k: r}  # S_k and R_k at the walk's end and at the sizes jumped to
+
+    def visit(k):
+        """S_k and R_k in O(1), from the continued fraction at shape b + k."""
+        nonlocal best_k, best
+        if k in S:  # the walk's end keeps the values of the recurrence
+            return
+        if U < (a + 1.0) / (a + b + k + 2.0):
+            # 1 - S_k = B(U; a, b+k) / B(U; a, b) = (1-U)^k h(a, b+k) / h(a, b)
+            t = _beta_cf(a, b + k, U, rest=True)
+            x = k * log_q - math.log1p(-(a + b + k) * U / (a + 1.0) * t) - log_h0
+            R[k] = math.exp(x) * U * a * t / (a + 1.0)
+        else:
+            r0k, _, log_mass_k, _ = _start_values(a, b + k, U)
+            x = log_mass_k - log_mass + _log_beta(a, b + k) - log_b
+            R[k] = r0k * math.exp(x)
+        S[k] = -math.expm1(x)
+        e = 1.0 / k + S[k]
+        if e < best - _TIE * best or (e <= best + _TIE * best and k < best_k):
+            best_k, best = k, e
+
+    def beyond(k):
+        """Whether every size above k is certified to cost at least best."""
+        s, r, slack = S[k], R[k], best - _TIE * best
+        if s >= slack or k + 1 >= tail:
+            return True
+        if r * k * k >= 1.0:
+            nxt = ((b + k) * r + w0 * math.exp(k * log_q)) / (a + b + k + 1.0)
+            if _far_bound(s, r, nxt) >= slack:
+                return True
+        return best > 0.5 and _floor(a, b, log_c, k + 1, math.inf) >= slack - 1.0
+
+    def split(lo, hi):
+        # S is concave, so on (lo, hi) C(k) >= 1/k + S_lo + (k - lo) slope,
+        # a convex bound whose minimum is at k = 1/sqrt(slope)
+        slope = (S[hi] - S[lo]) / (hi - lo)
+        m = hi - 1 if slope <= 0.0 else min(max(int(slope**-0.5), lo + 1), hi - 1)
+        if m + 1 < hi and 1.0 / (m + 1) + slope < 1.0 / m:
+            m += 1
+        slack = best - _TIE * best
+        pruned = 1.0 / m + S[lo] + (m - lo) * slope >= slack or (
+            best > 0.5 and _floor(a, b, log_c, lo + 1, hi - 1) >= slack - 1.0
+        )  # the floor helps only where costs are close to 1
+        return None if pruned else m
+
+    _branch_and_bound(visit, beyond, split, (k, top), min(_K_RESOLVABLE, tail - 1))
+    if best_k > 1 and best_k in R:  # the gap at j = 1 is not C(2) - C(1)
+        best_k = _settle(best_k, visit, R)
+        best = 1.0 / best_k + S[best_k]
+    return best_k, best
+
+
+def _settle(k, visit, R):
+    """The local minimum next to k by the sign of C(j+1) - C(j) = R_j -
+    1/(j(j+1)), which keeps R_j's full relative precision where the costs
+    of neighbours agree to rounding; ties go to the smaller size.
+
+    The first j >= 2 at which C stops falling is found by galloping and
+    bisecting, because on nearly flat costs it can lie 1e10 sizes away.
+    """
+
+    def down(j):  # C(j+1) < C(j) beyond rounding
+        visit(j)
+        return R[j] * j * (j + 1.0) < 1.0 - _GAP_RTOL
+
+    if down(k):  # the minimum lies above k
+        lo, step = k, 1
+        while down(hi := min(lo + step, _K_RESOLVABLE)):
+            if hi == _K_RESOLVABLE:  # C still falls where doubles stop resolving it
+                raise _unresolved(_K_RESOLVABLE)
+            lo, step = hi, 2 * step
+    else:  # the minimum is k or below it
+        hi, step = k, 1
+        while hi - step >= 2 and not down(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(hi - step, 1)  # down(lo), or lo = 1, below every compared size
+    while hi - lo > 1:  # down(lo) and not down(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if down(mid) else (lo, mid)
+    return hi
 
 
 def bayes_optimal_k(prior: PriorSpec) -> BayesResult:
@@ -338,13 +460,18 @@ def bayes_optimal_k(prior: PriorSpec) -> BayesResult:
     the cost recurrence one size at a time, large ones from a few jumps of
     O(1) each, and every other size is ruled out by a bound. Costs that
     agree to rounding are ties. Raises RuntimeError when the prior has no
-    mass in double precision, when a continued fraction diverges, or when
-    no size up to 1e15 is certified.
+    mass in double precision, when a continued fraction diverges, when no
+    size up to 1e15 is certified, or when the shapes are so large that a
+    value of the search overflows.
     """
     try:
         found = _search(*prior)
     except RuntimeError as exc:  # a fraction diverged, or no k up to 1e15 is certified
         raise RuntimeError(f"{prior}: {exc}") from None
+    except OverflowError as exc:  # logs of huge shapes' terms round past e^709
+        raise RuntimeError(
+            f"{prior}: the shapes are too large for double precision ({exc})"
+        ) from None
     if found is None:
         raise RuntimeError(f"{prior} has no mass on (0, upper] in double precision")
     return BayesResult(*found, prior)

@@ -6,9 +6,8 @@ golden-table mismatch. Output is deterministic; human-readable formats
 print 6 significant digits, machine formats keep full precision.
 
 Each handler imports the solver modules it runs, so a call loads only
-those: `optimal` and `range` load core and ranges, `bayes` loads bayes
-(and bayes_jumps for an optimum too large to walk to), `minimax` loads
-minimax, and `table` loads efficiency.
+those: `optimal` and `range` load core and ranges, `bayes` loads bayes,
+`minimax` loads minimax, and `table` loads efficiency.
 """
 
 from __future__ import annotations

@@ -89,6 +89,14 @@ def optimal_expected_tests(p: float) -> float:
     return expected_tests(samuels_optimal_k(p), p)
 
 
+def _unresolved(limit: int) -> RuntimeError:
+    """The refusal of a search whose optimum may lie beyond limit."""
+    return RuntimeError(
+        f"no pool size up to {limit:.0e} is certified optimal; "
+        "double precision does not resolve the cost beyond it"
+    )
+
+
 def _branch_and_bound(visit, beyond, split, sizes, limit: int) -> None:
     """The certified pool-size search of the minimax and Bayes solvers.
 
@@ -104,10 +112,7 @@ def _branch_and_bound(visit, beyond, split, sizes, limit: int) -> None:
     top = sizes[-1]
     while not beyond(top):
         if top >= limit:
-            raise RuntimeError(
-                f"no pool size up to {limit:.0e} is certified optimal; "
-                "double precision does not resolve the cost beyond it"
-            )
+            raise _unresolved(limit)
         top = min(2 * top, limit)
         visit(top)
         sizes.append(top)

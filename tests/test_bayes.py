@@ -504,6 +504,25 @@ class TestCostRecurrence:
         with pytest.raises(RuntimeError, match=r"a=0\.5.*no pool size up to 1e\+15"):
             bayes_optimal_k(PriorSpec.jeffreys(1e-30))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1e-50, 1e-51), (2.2124659076189647e-177, 2.2222761887293804e-178)],
+    )
+    def test_cost_falling_at_the_size_limit_is_refused(self, a, b):
+        # C(k+1) < C(k) still at k = 1e15, so the settling gallop reaches
+        # the limit before it brackets the minimum
+        refusal = r"no pool size up to 1e\+15.*double precision"
+        with pytest.raises(RuntimeError, match=refusal):
+            bayes_optimal_k(PriorSpec(a, b, 1.0))
+
+    @pytest.mark.parametrize(
+        "a, b, U", [(1e18, 5e17, 0.9), (1e300, 1e300, 0.5), (1e308, 1e5, 1.0)]
+    )
+    def test_shapes_too_large_for_doubles_are_refused(self, a, b, U):
+        # logs of terms near a |log U| round by more than e^709 allows
+        with pytest.raises(RuntimeError, match="too large for double precision"):
+            bayes_optimal_k(PriorSpec(a, b, U))
+
     def test_divergent_continued_fraction_names_the_prior(self, monkeypatch):
         monkeypatch.setattr(bayes, "_CF_MAX_TERMS", 1)
         with pytest.raises(RuntimeError, match=r"a=2\.0.*did not converge"):

@@ -159,6 +159,26 @@ class TestBayes:
         assert code == 3
         assert "numerical failure" in err and "a=0.5" in err
 
+    @pytest.mark.parametrize(
+        "a, b, U",
+        [
+            ("1e-50", "1e-51", "1"),
+            ("2.2124659076189647e-177", "2.2222761887293804e-178", "1"),
+            ("1e18", "5e17", "0.9"),
+            ("1e300", "1e300", "0.5"),
+        ],
+        ids=["tiny-1e-50", "tiny-2e-177", "huge-1e18", "huge-1e300"],
+    )
+    def test_shapes_beyond_double_precision_exit_three(self, a, b, U):
+        proc = run_process(
+            "bayes", "--prior", "beta", "--a", a, "--b", b, "--upper-bound", U,
+            "--format", "json",
+        )
+        assert proc.returncode == 3
+        assert "numerical failure" in proc.stderr and "double precision" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "double precision" in json.loads(proc.stdout)["error"]
+
     def test_quadrature_failure_exits_three(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise QuadratureError("did not converge", 0.1)
@@ -393,9 +413,7 @@ class TestImports:
             [[0, 0], ["pooldesign.cli", "pooldesign.core", "pooldesign.ranges"]],
             [[0, 0, 0], ["pooldesign.bayes"]],
             [[0], ["pooldesign.minimax"]],
-            # T2-T4 have pinned cells; the tables' Jeffreys sizes at small
-            # bounds are found by jumps
-            [[0, 4, 4, 4, 0], ["pooldesign.bayes_jumps", "pooldesign.efficiency"]],
+            [[0, 4, 4, 4, 0], ["pooldesign.efficiency"]],  # T2-T4 have pinned cells
         ]
         assert heavy == []
 

@@ -31,8 +31,11 @@ Its `cli` key holds, for each argv of a fixed list, the argv, the exit code,
 stdout and stderr of `pooldesign.cli.main`: every subcommand in the three
 formats, `range` and `optimal` down to k = 10**6 and p = 1e-12,
 `table --table 1..5` with and without `--check`, and argv that exit
-2 (usage or invalid input) and 3 (numerical failure). So the identity of
-the command line is a `cmp` of two dumps as well.
+2 (usage or invalid input) and 3 (numerical failure), among them beta
+priors whose shapes are too small or too large for double precision. An
+exception that escapes `cli.main` is recorded by its class name in place
+of the exit code. So the identity of the command line is a `cmp` of two
+dumps as well.
 """
 
 import contextlib
@@ -110,6 +113,8 @@ def run_cli(argv):
             code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects the argv
             code = exc.code
+        except Exception as exc:  # a crash, recorded by its class name
+            code = type(exc).__name__
     return [argv, code, out.getvalue(), err.getvalue()]
 
 
@@ -143,6 +148,15 @@ CLI_FORMATTED = [  # each runs in the three formats
     # exit 3
     ["bayes", "--prior", "beta", "--a", "100", "--b", "1", "--upper-bound", "1e-6"],
     ["range", "--k", "10000000000001"],
+    *(
+        ["bayes", "--prior", "beta", "--a", a, "--b", b, "--upper-bound", U]
+        for a, b, U in (
+            ("1e-50", "1e-51", "1"),
+            ("2.2124659076189647e-177", "2.2222761887293804e-178", "1"),
+            ("1e18", "5e17", "0.9"),
+            ("1e300", "1e300", "0.5"),
+        )
+    ),
 ]
 CLI_PLAIN = [
     *(["table", "--table", str(n), "--check"] for n in range(1, 6)),

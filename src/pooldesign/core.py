@@ -59,8 +59,8 @@ def expected_tests(k: int, p: float) -> float:
     _check_prevalence(p, allow_zero=True)
     if k == 1:
         return 1.0
-    # exp(k*log1p(-p)) keeps (1-p)^k accurate for k up to ~1e4
-    return 1.0 - math.exp(k * math.log1p(-p)) + 1.0 / k
+    # 1 - (1-p)^k as -expm1(k*log1p(-p)) keeps full relative precision at small p
+    return 1.0 / k - math.expm1(k * math.log1p(-p))
 
 
 def samuels_optimal_k(p: float) -> int:

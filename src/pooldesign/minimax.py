@@ -9,8 +9,7 @@ up to q_m = (m/k)^(1/(k-m)) and falls after it, so it peaks on the domain at
 max(q_m, 1 - min(U, P0)); sizes m >= k stay below the p->0 limit 1/k.
 These peaks are unimodal in m (docs/decisions.md proves it), so a gallop up
 from the smallest candidate m_lo finds the largest, m*, in O(log(m* - m_lo))
-scalar evaluations and O(1) memory; in the minimax search m* is nearly always
-m_lo, and it then takes three.
+scalar peaks and O(1) memory, two when the peak of m_lo + 1 is clamped.
 A plain grid search over p serves as the independent oracle in tests; it is
 the only code here that builds numpy arrays. The minimax k comes from an
 exact search over k with no stopping heuristic.
@@ -23,7 +22,7 @@ from collections import namedtuple
 from functools import cache, partial
 
 from .core import P0, _K_RESOLVABLE, _branch_and_bound, _check_group_size
-from .core import _check_upper_bound, samuels_optimal_k
+from .core import _check_upper_bound, _unresolved, samuels_optimal_k
 
 __all__ = [
     "LossPoint",
@@ -32,8 +31,6 @@ __all__ = [
     "sup_loss_grid",
     "minimax_group_size",
 ]
-
-_K_RANKED = 10**11  # double precision stops ranking neighbouring suprema above it
 
 
 class LossPoint(namedtuple("LossPoint", "k p_star sup_loss")):
@@ -76,15 +73,16 @@ def _sup_loss(log_floor: float, m_lo: int, k: int) -> LossPoint:
     """sup_loss_analytic for an int k, given the _domain constants of U.
 
     Probes m = m_lo, m_lo+1, m_lo+3, m_lo+7, ..., none past the midpoint of
-    the open bracket, and bisects once a probe fails the predicate
-    peak(m+1) >= peak(m).
+    the open bracket, and bisects once a probe fails the predicate: m+1 is
+    unclamped and peak(m+1) >= peak(m). A clamped m+1 never rises above m.
     """
     limit = 1.0 if k == 1 else 1.0 / k
     lo, top, reach = m_lo, k - 1, 1
     if lo <= top:
         while lo < top:
             m = min(m_lo + reach - 1, (lo + top) // 2)
-            if _peak(k, m + 1, log_floor)[0] >= _peak(k, m, log_floor)[0]:
+            up, log_q = _peak(k, m + 1, log_floor)
+            if log_q > log_floor and up >= _peak(k, m, log_floor)[0]:
                 lo, reach = m + 1, 2 * reach
             else:
                 top = m
@@ -100,11 +98,11 @@ def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
     One candidate per oracle size m < k: the peak of g_m on the domain,
     compared against the p->0 limit. The oracle size does not increase
     with p, so m runs from m_lo = max(3, k*(min(U, P0))) only. The peaks
-    are unimodal in m (docs/decisions.md), so a gallop from m_lo on the
-    sign of peak(m+1) - peak(m) finds the largest, m*, in O(log(m* - m_lo))
-    scalar peaks, three when m* = m_lo; ties go to the larger m, the highest
-    q and so the smallest p. Raises RuntimeError for k above 10**15, which
-    double precision cannot resolve.
+    are unimodal in m and stop rising once clamped to the domain end
+    (docs/decisions.md), so a gallop from m_lo finds the largest, m*, in
+    O(log(m* - m_lo)) scalar peaks, two when m_lo + 1 is clamped; ties go
+    to the highest q and so the smallest p. Raises RuntimeError for k above
+    10**15, which double precision cannot resolve.
     """
     _check_group_size(k)
     _check_upper_bound(U)
@@ -119,7 +117,7 @@ def _grid_tests(k, p):
     """E(k, p) on an array of p; k >= 2 is a size or an array of sizes."""
     import numpy as np
 
-    return 1.0 - np.exp(k * np.log1p(-p)) + 1.0 / k
+    return 1.0 / k - np.expm1(k * np.log1p(-p))
 
 
 def _check_grid_step(U: float, step: float) -> None:
@@ -190,7 +188,7 @@ def _search(sup, sizes) -> LossPoint:
         bound = 1.0 / (b - 1) + point(a).sup_loss - 1.0 / a
         return (a + b) // 2 if (bound, a + 1) <= best else None
 
-    _branch_and_bound(visit, beyond, split, sizes, _K_RANKED)
+    _branch_and_bound(visit, beyond, split, sizes, _K_RESOLVABLE)
     return point(best[1])
 
 
@@ -200,7 +198,7 @@ def minimax_group_size(
     """Pool size minimizing the worst-case regret over (0, min(U, P0)].
 
     Ties go to the smaller pool size. Raises RuntimeError when no size up to
-    1e11 is certified, as for bounds U below about 6.6e-22.
+    1e15 is certified, as for bounds U below about 6.25e-30.
     The grid method raises ValueError for a grid_step that sup_loss_grid
     refuses, before shrinking it to U/1e5 for small windows.
     """
@@ -209,11 +207,13 @@ def minimax_group_size(
         sup = partial(_sup_loss, *_domain(U))
     elif method == "grid":
         _check_grid_step(U, grid_step)
+        if U / 1e5 == 0.0:  # the step underflows, far below the answered range
+            raise _unresolved(_K_RESOLVABLE)
         # one grid for the whole search; small windows keep 1e5 grid points
         p, opt = _grid_base(U, min(grid_step, U / 1e5))
         sup = partial(_grid_sup, p=p, opt=opt)
     else:
         raise ValueError(f"method must be 'analytic' or 'grid', got {method!r}")
     # start also at the small-U asymptote 2/sqrt(U) + 1 (docs/decisions.md)
-    pt = _search(sup, (1, 2, min(round(2.0 / math.sqrt(min(U, P0))) + 1, _K_RANKED)))
+    pt = _search(sup, (1, 2, min(round(2.0 / math.sqrt(min(U, P0))) + 1, _K_RESOLVABLE)))
     return MinimaxResult(pt.k, U, pt, method)

@@ -82,17 +82,22 @@ class TestMinimax:
         assert code == 2 and err.strip()
 
     def test_small_bound_exits_zero(self):
-        proc = run_process("minimax", "--upper-bound", "1e-12", "--format", "json")
-        assert proc.returncode == 0 and not proc.stderr
-        assert json.loads(proc.stdout)["k_minimax"] == 2000001
+        for U, k in (("1e-12", 2000001), ("1e-22", 200000000001)):
+            proc = run_process("minimax", "--upper-bound", U, "--format", "json")
+            assert proc.returncode == 0 and not proc.stderr, U
+            assert json.loads(proc.stdout)["k_minimax"] == k
 
-    @pytest.mark.parametrize("U", ["1e-300", "5e-324"])
+    @pytest.mark.parametrize("U", ["6e-30", "1e-300", "1e-320", "5e-324"])
     def test_crossing_beyond_the_cap_exits_three(self, U):
-        proc = run_process("minimax", "--upper-bound", U, "--format", "json")
-        assert proc.returncode == 3
-        assert "numerical failure" in proc.stderr and "double precision" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "error" in json.loads(proc.stdout)
+        for method in ("analytic", "grid"):
+            proc = run_process(
+                "minimax", "--method", method, "--upper-bound", U, "--format", "json"
+            )
+            assert proc.returncode == 3, method
+            assert "numerical failure" in proc.stderr
+            assert "double precision" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert "error" in json.loads(proc.stdout)
 
     def test_oversized_grid_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(minimax, "_grid_base", None)  # building a grid fails

@@ -59,6 +59,15 @@ class TestExpectedTests:
             want = float(1 - (1 - mp.mpf("0.0005")) ** 10000 + mp.mpf(1) / 10000)
         assert expected_tests(10000, 0.0005) == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("e", [4, 8, 12, 16, 20, 24])
+    def test_small_prevalence_at_the_optimum_against_mpmath(self, e):
+        # 1 - exp(k log1p(-p)) cancelled here: off by up to 1.1e-5 relative
+        p = 10.0**-e
+        k = samuels_optimal_k(p)
+        with mp.workdps(50):
+            want = float(1 - (1 - mp.mpf(p)) ** k + mp.mpf(1) / k)
+        assert expected_tests(k, p) == pytest.approx(want, rel=5e-16, abs=0)
+
     @pytest.mark.parametrize("k", [0, -1, 2.5, True])
     def test_rejects_bad_group_size(self, k):
         with pytest.raises(ValueError):

@@ -9,12 +9,13 @@ from functools import partial
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pooldesign import (
     P0,
     LossPoint,
+    core,
     larger_root,
     minimax,
     minimax_group_size,
@@ -79,18 +80,20 @@ class TestAnalyticSupremum:
             sup_loss_analytic(8, U)
 
     @pytest.mark.parametrize(
-        "k, U", [(20001, 1e-8), (201, 1e-4), (63245553205, 1e-21)]
+        "k, U",
+        [(20001, 1e-8), (201, 1e-4), (63245553205, 1e-21), (200000000001, 1e-22)],
     )
     def test_worst_oracle_size_at_m_lo_costs_few_peaks(self, monkeypatch, k, U):
-        # the worst m is m_lo here; a bisection over [m_lo, k-1] took 29, 15
-        # and 69 peaks
+        # the worst m is m_lo here and the peak of m_lo + 1 is clamped, which
+        # settles it; a bisection over [m_lo, k-1] took 29, 15 and 69 peaks at
+        # the first three, and comparing the clamped peaks took 3, 3, 3 and 73
         calls = []
         real = minimax._peak
         monkeypatch.setattr(
             minimax, "_peak", lambda *args: calls.append(args) or real(*args)
         )
         sup_loss_analytic(k, U)
-        assert len(calls) <= 3
+        assert len(calls) <= 2
 
 
 def _segment_supremum(k, U, roots):
@@ -221,7 +224,7 @@ def _mp_peak(k, m, U):
 
 
 def _mp_huge_supremum(k, U=1.0, dps=50):
-    """sup_loss(k, U) at dps digits, from the real maximizer over m.
+    """sup_loss(k, U) at dps digits (an mpf), from the real maximizer over m.
 
     Bisects the sign of dv/dm = 1/m^2 - c e^(-cm), c = -ln q*, over real m
     in [3, k-1] (docs/decisions.md), then takes the largest peak of the
@@ -234,18 +237,18 @@ def _mp_huge_supremum(k, U=1.0, dps=50):
             c = _mp_peak(k, mid, U)[1]
             a, b = (mid, b) if 1 / mid**2 > c * mp.exp(-c * mid) else (a, mid)
         ms = range(max(3, int(a) - 1), min(k - 1, int(a) + 2) + 1)
-        return float(max([mp.mpf(1) / k] + [_mp_peak(k, mp.mpf(m), U)[0] for m in ms]))
+        return max([mp.mpf(1) / k] + [_mp_peak(k, mp.mpf(m), U)[0] for m in ms])
 
 
 class TestHugePoolSizes:
     @pytest.mark.parametrize("k", [10**6, 10**8, 10**10, 10**12])
     def test_against_mpmath(self, k):
         got = sup_loss_analytic(k, 1.0).sup_loss
-        assert got == pytest.approx(_mp_huge_supremum(k), rel=1e-13, abs=0)
+        assert got == pytest.approx(float(_mp_huge_supremum(k)), rel=1e-13, abs=0)
 
     def test_largest_resolvable_size(self):
         assert sup_loss_analytic(10**15, 1.0).sup_loss == pytest.approx(
-            _mp_huge_supremum(10**15), rel=1e-12, abs=0
+            float(_mp_huge_supremum(10**15)), rel=1e-12, abs=0
         )
 
     def test_numpy_integer_size_does_not_wrap(self):
@@ -283,6 +286,21 @@ class TestUnimodalityLemma:
                 assert (v_plus - v_minus) / (2 * h) == pytest.approx(slope, rel=1e-15)
                 x = c * m
                 assert (slope > 0) == (c > x**2 * mp.exp(-x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(5, 1000), log_U=st.floats(-7.0, 0.0))
+    @example(k=400, log_U=-3.0)
+    def test_a_clamped_successor_never_rises(self, k, log_U):
+        # for m >= m_lo with the peak of m + 1 clamped to the domain end,
+        # peak(m+1) - peak(m) = 1/(m(m+1)) - hi (1-hi)^m <= 0
+        hi_f = min(10.0**log_U, P0)
+        with mp.workdps(50):
+            hi = mp.mpf(hi_f)
+            for m in range(max(3, samuels_optimal_k(hi_f)), k - 1):
+                if mp.log(mp.mpf(m + 1) / k) / (k - m - 1) > mp.log1p(-hi):
+                    break  # unclamped, and so is every larger size
+                assert hi < mp.mpf(1) / (m + 1), (k, hi_f, m)
+                assert hi * (1 - hi) ** m * m * (m + 1) >= 1, (k, hi_f, m)
 
     @pytest.mark.parametrize("U", [1.0, 0.05, 1e-3, 1e-4])
     def test_integer_peaks_rise_then_fall(self, U):
@@ -380,6 +398,17 @@ class TestMinimaxGroupSize:
     def test_bounded_values(self, U, k):
         assert minimax_group_size(U).k_minimax == k
 
+    @pytest.mark.parametrize("e", range(16, 30))
+    def test_grid_agrees_at_small_bounds(self, e):
+        # 1 - exp(k log1p(-p)) + 1/k cancelled in the grid's costs, which
+        # put its answer 13 below at 1e-18 and 5470 above at 1e-20
+        a = minimax_group_size(10.0**-e)
+        g = minimax_group_size(10.0**-e, "grid")
+        assert g.k_minimax == a.k_minimax
+        assert g.worst_point.sup_loss == pytest.approx(
+            a.worst_point.sup_loss, rel=1e-15, abs=0
+        )
+
     def test_bounded_matches_grid_oracle(self):
         for U in (0.05, 0.001):
             a = minimax_group_size(U)
@@ -402,13 +431,15 @@ class TestMinimaxGroupSize:
             == minimax_group_size(1.0).worst_point.sup_loss
         )
 
-    @pytest.mark.parametrize("U", [1e-22, 1e-300, 5e-324])
+    @pytest.mark.parametrize("U", [6e-30, 1e-300, 1e-320, 5e-324])
     def test_crossing_beyond_the_cap_raises_fast(self, U):
-        # the answer would lie above the 1e11 sizes double precision ranks
-        start = time.process_time()
-        with pytest.raises(RuntimeError, match="up to 1e\\+11.*double precision"):
-            minimax_group_size(U)
-        assert time.process_time() - start < 5.0
+        # the answer would lie above the 1e15 sizes double precision resolves;
+        # at 1e-320 and 5e-324 the grid step U/1e5 underflows to 0
+        for method in ("analytic", "grid"):
+            start = time.process_time()
+            with pytest.raises(RuntimeError, match="up to 1e\\+15.*double precision"):
+                minimax_group_size(U, method)
+            assert time.process_time() - start < 5.0, method
 
     def test_search_starts_at_the_asymptote(self, monkeypatch):
         # doubling from 2 alone visits 2, 4, ..., 32768 to pass the answer
@@ -512,7 +543,7 @@ class TestSearchAgainstBruteForce:
         assert minimax._search(sup, (1, 2, start)).k == want
 
     @settings(max_examples=50, deadline=None)
-    @given(end=st.integers(minimax._K_RANKED + 2, 10**15))
+    @given(end=st.integers(core._K_RESOLVABLE + 2, 10**18))
     def test_a_minimum_past_the_limit_raises(self, end):
         def sup(k):
             return LossPoint(k, 0.0, 1.0 if k == 1 else 1.0 / k + (k >= end))
@@ -567,20 +598,22 @@ class TestSmallBoundAccuracy:
     @pytest.mark.parametrize(
         "U, k",
         [(1e-21, 63245553205), (5.6234132519034906e-21, 26670428645),
-         (1e-19, 6324555322)],
+         (1e-19, 6324555322), (1e-22, 200000000001), (10**-22.75, 474274741134),
+         (1e-29, 632455532033677)],
     )
     def test_worst_point_near_the_limit_against_mpmath(self, U, k):
         # a bisection over m probed far from the worst m and was off by
-        # 2.5e-13, 1.8e-12 and 2.7e-14 here
+        # 2.5e-13, 1.8e-12 and 2.7e-14 at the first three bounds; comparing
+        # clamped peaks walked a plateau of float ties at 1e-22
         pt = minimax_group_size(U).worst_point
+        wants = {j: _mp_huge_supremum(j, U, dps=80) for j in (k - 1, k, k + 1)}
         assert pt.k == k
-        assert pt.sup_loss == pytest.approx(
-            _mp_huge_supremum(k, U, dps=80), rel=1e-15, abs=0
-        )
+        assert pt.sup_loss == pytest.approx(float(wants[k]), rel=1e-15, abs=0)
+        assert min(wants, key=wants.get) == k
 
     def test_offset_from_the_asymptote(self):
         # k ~ 2/sqrt(U) + O(1) (docs/decisions.md), from the smallest bound
-        # the search answers, about 6.6e-22, up to 1e-10
-        for U in np.logspace(math.log10(6.6e-22), -10, 47):
+        # the search answers, about 6.3e-30, up to 1e-10
+        for U in np.logspace(math.log10(6.3e-30), -10, 80):
             k = minimax_group_size(float(U)).k_minimax
             assert 0.5 < k - 2.0 / math.sqrt(U) < 2.0, U

@@ -94,6 +94,16 @@ def expected_tests_uniform(k: int, U: float) -> float:
     _check_upper_bound(U)
     if k == 1:
         return 1.0
+    if k * U < 1.0:
+        # 1/k plus the mean of 1 - (1-p)^k by its binomial series: the closed
+        # form below cancels 1 against its last term when kU is small; these
+        # terms alternate and fall by (k-n)U/(n+2) < 1/3 each, so nothing does
+        mean, term, n = 0.0, 0.5 * k * U, 1
+        while mean + term != mean:
+            mean += term
+            term *= -(k - n) * U / (n + 2)
+            n += 1
+        return 1.0 / k + mean
     # (1-U)^(k+1) - 1 without cancellation at small U; exactly -1 at U = 1
     tail_m1 = -1.0 if U == 1.0 else math.expm1((k + 1) * math.log1p(-U))
     return 1.0 + 1.0 / k + tail_m1 / (U * (k + 1))

@@ -12,14 +12,15 @@ from the smallest candidate m_lo finds the largest, m*, in O(log(m* - m_lo))
 scalar peaks and O(1) memory, two when the peak of m_lo + 1 is clamped.
 A plain grid search over p serves as the independent oracle in tests; it is
 the only code here that builds numpy arrays. The minimax k comes from an
-exact search over k with no stopping heuristic.
+exact branch and bound over k with no stopping heuristic; it prunes sizes
+by the regret at the worst prevalence of a size it has already visited.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cache, partial
+from functools import partial
 
 from .core import P0, _K_RESOLVABLE, _branch_and_bound, _check_group_size
 from .core import _check_upper_bound, _unresolved, samuels_optimal_k
@@ -168,28 +169,53 @@ def sup_loss_grid(k: int, U: float = 1.0, step: float = 1e-6) -> LossPoint:
     return _grid_sup(k, *_grid_base(U, step))
 
 
+def _regret_floor(pt: LossPoint, lo: int, hi: int) -> tuple[float, int]:
+    """(a lower bound on sup_loss(k) for every k in [lo, hi], the k where it is least).
+
+    sup_loss(k) >= pt.sup_loss + E(k, p) - E(pt.k, p) at p = pt.p_star, and
+    E(., p) falls to k*(p), rises and may fall again, so the least is at
+    k*(p) clamped into [lo, hi] or at hi (docs/decisions.md).
+    """
+    j, p = pt.k, pt.p_star
+    if p == 0.0:
+        return 1.0 / hi, hi
+    log_q = math.log1p(-p)
+
+    def at(i):  # E(i, p) - E(j, p) = up - down in log q, as _peak forms g_m
+        up, down = -math.exp(j * log_q) * math.expm1((i - j) * log_q), (i - j) / (i * j)
+        # less a rounding allowance of 4e-15 of the magnitude of the terms
+        return pt.sup_loss + up - down - 4e-15 * (pt.sup_loss + abs(up) + abs(down)), i
+
+    return min(at(min(max(samuels_optimal_k(p), lo), hi)), at(hi))
+
+
 def _search(sup, sizes) -> LossPoint:
     """Worst point of the smallest k minimizing sup(k).sup_loss, from the start sizes.
 
     J(k) = sup_loss(k) - 1/k >= 0 never decreases in k (docs/decisions.md),
     so sup_loss(k) > J(K) for k > K, and >= 1/(b-1) + J(a) for k in (a, b).
+    So is the _regret_floor of a and of b. An interval none prunes is split
+    where the largest is least, at the midpoint if that is 1/(b-1) + J(a).
     """
-    point = cache(sup)
+    points = {}
     best = (math.inf, 0)  # (sup_loss, k): ties go to the smaller k
 
     def visit(k):
         nonlocal best
-        best = min(best, (point(k).sup_loss, k))
+        points[k] = pt = sup(k)
+        best = min(best, (pt.sup_loss, k))
 
     def beyond(k):
-        return point(k).sup_loss - 1.0 / k >= best[0]
+        return points[k].sup_loss - 1.0 / k >= best[0]
 
     def split(a, b):
-        bound = 1.0 / (b - 1) + point(a).sup_loss - 1.0 / a
-        return (a + b) // 2 if (bound, a + 1) <= best else None
+        bound = 1.0 / (b - 1) + points[a].sup_loss - 1.0 / a
+        floor, k = max(_regret_floor(points[j], a + 1, b - 1) for j in (a, b))
+        bound, k = (bound, (a + b) // 2) if bound >= floor else (floor, k)
+        return k if (bound, a + 1) <= best else None
 
     _branch_and_bound(visit, beyond, split, sizes, _K_RESOLVABLE)
-    return point(best[1])
+    return points[best[1]]
 
 
 def minimax_group_size(

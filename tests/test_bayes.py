@@ -90,6 +90,16 @@ class TestUniformClosedForm:
             want = 1 + mp.mpf(1) / k + ((1 - u) ** (k + 1) - 1) / (u * (k + 1))
         assert expected_tests_uniform(k, U) == pytest.approx(float(want), rel=1e-13)
 
+    @pytest.mark.parametrize("U, k", [(1e-6, 1415), (1e-8, 14143), (1e-10, 141422)])
+    def test_uniform_optimum_against_high_precision(self, U, k):
+        # the cost there is about 2 sqrt(U), so 1 + 1/k + expm1(...)/(U(k+1))
+        # cancelled and was off by 6.4e-14, 7.0e-13 and 5.4e-12 relative
+        with mp.workdps(50):
+            u = mp.mpf(U)
+            want = 1 + mp.mpf(1) / k + ((1 - u) ** (k + 1) - 1) / (u * (k + 1))
+        assert uniform_optimal_k(U) == k
+        assert expected_tests_uniform(k, U) == pytest.approx(float(want), rel=1e-15, abs=0)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             expected_tests_uniform(0, 0.5)

@@ -4,7 +4,7 @@ import itertools
 import math
 import time
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 
 import mpmath as mp
 import numpy as np
@@ -443,18 +443,36 @@ class TestMinimaxGroupSize:
 
     def test_search_starts_at_the_asymptote(self, monkeypatch):
         # doubling from 2 alone visits 2, 4, ..., 32768 to pass the answer
-        # 20001 and then bisects: 33 suprema; from 2/sqrt(U) + 1 it takes 18
-        sizes = []
-        real = minimax._sup_loss
-        monkeypatch.setattr(
-            minimax, "_sup_loss", lambda *args: sizes.append(args[-1]) or real(*args)
-        )
+        # 20001 and then bisects: 33 suprema; from 2/sqrt(U) + 1 and bisecting
+        # it took 18; the regret floor at the worst prevalence of 20001 prunes
+        # both sides of it, so it now visits 1, 2, 20001 and 40002 only
+        sizes = _count_suprema(monkeypatch)
         assert minimax_group_size(1e-8).k_minimax == 20001
-        assert 20001 in sizes[:3] and len(sizes) <= 20
+        assert 20001 in sizes[:3] and len(sizes) <= 5
+
+    def test_suprema_per_search(self, monkeypatch):
+        # bisecting down to width 1 took up to 15 suprema per bound here and
+        # 22 to 53 on the decades; the regret floor prunes nearly every interval
+        sizes = _count_suprema(monkeypatch)
+        for bounds, most in ((LOG_SPACED_U, 7), ([10.0**-e for e in range(10, 30)], 5)):
+            for U in bounds:
+                sizes.clear()
+                minimax_group_size(U)
+                assert len(sizes) <= most, (U, sizes)
 
     def test_answers_just_below_the_cap(self):
         # 2/sqrt(U) + 1 lies just below 100 000, a cap the search once had
         assert minimax_group_size(4.01e-10).k_minimax == 99876
+
+
+def _count_suprema(monkeypatch):
+    """The list of sizes whose supremum the analytic search evaluates."""
+    sizes = []
+    real = minimax._sup_loss
+    monkeypatch.setattr(
+        minimax, "_sup_loss", lambda *args: sizes.append(args[-1]) or real(*args)
+    )
+    return sizes
 
 
 def _brute_force_k(sup):
@@ -512,7 +530,9 @@ class TestSearchAgainstBruteForce:
         def sup(j):
             if j == 1:
                 return LossPoint(1, 0.0, 1.0)
-            return LossPoint(j, 0.0 if loss(j) == 1 / j else 0.1, loss(j))
+            # no real worst prevalence, so p_star = 0 and only the interval
+            # bound 1/(b-1) + J(a) prunes, as for test_random_curves
+            return LossPoint(j, 0.0, loss(j))
 
         assert _brute_force_k(sup) == k
         assert minimax._search(sup, (1, 2)).k == k
@@ -550,6 +570,44 @@ class TestSearchAgainstBruteForce:
 
         with pytest.raises(RuntimeError, match="double precision"):
             minimax._search(sup, (1, 2))
+
+
+def _check_floor(sup, a, b):
+    """The regret floors of a and b on (a, b) are at most every sup_loss there."""
+    least = min(sup(k).sup_loss for k in range(a + 1, b))
+    for j in (a, b):
+        floor, k = minimax._regret_floor(sup(j), a + 1, b - 1)
+        assert a < k < b
+        assert floor <= least, (j, floor, least)
+
+
+class TestRegretFloor:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_U=st.floats(-12.0, 0.0),
+        offset=st.integers(-300, 300),
+        width=st.integers(2, 300),
+    )
+    # 22 and 23 share their worst point, so the floor of 22 on (22, 24) is
+    # exact; an allowance of 1e-15 of the floor alone left it one ulp high
+    @example(log_U=-2.0, offset=1, width=2)
+    def test_bounds_every_size_in_the_interval(self, log_U, offset, width):
+        U = 10.0**log_U
+        a = max(2, minimax_group_size(U).k_minimax + offset)
+        _check_floor(partial(sup_loss_analytic, U=U), a, a + width)
+
+    @pytest.mark.parametrize("U", [1.0, 0.05, 1e-3])
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.integers(2, 200), width=st.integers(2, 300))
+    def test_bounds_every_grid_size_in_the_interval(self, U, a, width):
+        _check_floor(_grid_sups(U), a, a + width)
+
+
+@cache
+def _grid_sups(U):
+    """sup_loss_grid(., U) at the grid method's step, on one grid for every k."""
+    p, opt = _grid_base(U, min(1e-6, U / 1e5))
+    return cache(partial(minimax._grid_sup, p=p, opt=opt))
 
 
 def _mp_supremum(k, U):

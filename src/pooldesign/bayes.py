@@ -279,11 +279,15 @@ def _far_bound(s: float, r: float, nxt: float) -> float:
 
 
 def _tail_size(a: float, b: float, log_g: float):
-    """For a > 1, a size K with C(k) >= 1 for every k >= K, or None.
+    """For a > 1, a size K with C(k) >= 1 for every k >= K, or None if K
+    is above 1e15 + 1, past every size the search visits.
 
     E[(1-p)^k] <= G (b+k-1)^(-a) with log G = log_g, from 1 - p <= e^(-p),
     so C(k) >= 1 wherever phi(k) = a log(b+k-1) - log k >= log_g. For
     a > 1, phi increases from k0 = (b-1)/(a-1) on and grows without bound.
+    In x = log k, phi = (a-1) x + a log1p((b-1) e^(-x)) is convex for b > 1
+    and concave for b < 1, so Newton's method from x = log_g/(a-1) nears
+    the root from one side; a gallop and a bisection around it give K.
     """
 
     def phi(k):
@@ -292,11 +296,22 @@ def _tail_size(a: float, b: float, log_g: float):
     lo = max(2, math.ceil((b - 1.0) / (a - 1.0)))
     if phi(lo) >= log_g:
         return lo
-    hi = 2 * lo
+    if lo > _K_RESOLVABLE or phi(_K_RESOLVABLE + 1) < log_g:
+        return None
+    x = max(log_g / (a - 1.0), math.log(lo))
+    for _ in range(8):
+        e = (b - 1.0) * math.exp(-x)
+        step = ((a - 1.0) * x + a * math.log1p(e) - log_g) / (a / (1.0 + e) - 1.0)
+        x -= step
+        if abs(step) < 1e-12:
+            break
+    hi, step = max(lo + 1, math.ceil(math.exp(x))), 1
     while phi(hi) < log_g:
-        if hi > _K_RESOLVABLE:
-            return None
-        lo, hi = hi, 2 * hi
+        lo, hi, step = hi, hi + step, 2 * step
+    step = 1
+    while hi - step > lo and phi(hi - step) >= log_g:
+        hi, step = hi - step, 2 * step
+    lo = max(lo, hi - step)
     while hi - lo > 1:  # phi(lo) < log_g <= phi(hi)
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if phi(mid) >= log_g else (mid, hi)
@@ -377,7 +392,9 @@ def _search(a: float, b: float, U: float):
         if k + 1 >= tail:
             return best_k, best
         top = min(2 * k, tail - 1)
-    else:
+    else:  # the next term of the small-U asymptote, with E[p^2] = R_0 - R_1
+        if guess < _K_RESOLVABLE:  # no guess^2 overflows, and g2 is not nan
+            guess += guess * guess * (r0 - r) / (2.0 * r0)
         top = max(2, round(min(guess, _K_RESOLVABLE)))
     log_b = _log_beta(a, b)
     log_c = -log_mass - log_b  # -log B(U; a, b)

@@ -103,17 +103,18 @@ def _branch_and_bound(visit, beyond, split, sizes, limit: int) -> None:
     visit(k) evaluates size k and keeps the best so far; beyond(k) tells
     whether every larger size is ruled out; split(lo, hi) is a size in
     (lo, hi) to visit next, or None if a bound rules them all out. The
-    sizes are visited, the last doubled until beyond holds (RuntimeError at
-    limit), and branch and bound (Land and Doig 1960) certifies the rest.
+    sizes are visited, then the last plus 1 and plus 3, and then doubled,
+    until beyond holds (RuntimeError at limit): the callers start next to
+    the answer. Branch and bound (Land and Doig 1960) certifies the rest.
     """
     sizes = list(sizes)
     for k in sizes:
         visit(k)
-    top = sizes[-1]
+    top, steps = sizes[-1], iter((1, 2))
     while not beyond(top):
         if top >= limit:
             raise _unresolved(limit)
-        top = min(2 * top, limit)
+        top = min(top + next(steps, top), limit)
         visit(top)
         sizes.append(top)
     intervals = list(zip(sizes, sizes[1:]))  # open intervals left to certify

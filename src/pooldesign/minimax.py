@@ -13,7 +13,8 @@ scalar peaks and O(1) memory, two when the peak of m_lo + 1 is clamped.
 A plain grid search over p serves as the independent oracle in tests; it is
 the only code here that builds numpy arrays. The minimax k comes from an
 exact branch and bound over k with no stopping heuristic; it prunes sizes
-by the regret at the worst prevalence of a size it has already visited.
+by the regret at the worst prevalence of a size it has already visited,
+and the sizes above the answer by the regret at the domain end.
 """
 
 from __future__ import annotations
@@ -169,12 +170,13 @@ def sup_loss_grid(k: int, U: float = 1.0, step: float = 1e-6) -> LossPoint:
     return _grid_sup(k, *_grid_base(U, step))
 
 
-def _regret_floor(pt: LossPoint, lo: int, hi: int) -> tuple[float, int]:
+def _regret_floor(pt: LossPoint, lo: int, hi: float) -> tuple[float, float]:
     """(a lower bound on sup_loss(k) for every k in [lo, hi], the k where it is least).
 
     sup_loss(k) >= pt.sup_loss + E(k, p) - E(pt.k, p) at p = pt.p_star, and
-    E(., p) falls to k*(p), rises and may fall again, so the least is at
-    k*(p) clamped into [lo, hi] or at hi (docs/decisions.md).
+    E(., p) falls to k*(p), rises and may fall again towards 1, so the least
+    is at k*(p) clamped into [lo, hi] or at hi, which may be inf
+    (docs/decisions.md).
     """
     j, p = pt.k, pt.p_star
     if p == 0.0:
@@ -182,20 +184,23 @@ def _regret_floor(pt: LossPoint, lo: int, hi: int) -> tuple[float, int]:
     log_q = math.log1p(-p)
 
     def at(i):  # E(i, p) - E(j, p) = up - down in log q, as _peak forms g_m
-        up, down = -math.exp(j * log_q) * math.expm1((i - j) * log_q), (i - j) / (i * j)
+        up = -math.exp(j * log_q) * math.expm1((i - j) * log_q)  # q^j at i = inf
+        down = 1.0 / j if i == math.inf else (i - j) / (i * j)
         # less a rounding allowance of 4e-15 of the magnitude of the terms
         return pt.sup_loss + up - down - 4e-15 * (pt.sup_loss + abs(up) + abs(down)), i
 
     return min(at(min(max(samuels_optimal_k(p), lo), hi)), at(hi))
 
 
-def _search(sup, sizes) -> LossPoint:
+def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
     """Worst point of the smallest k minimizing sup(k).sup_loss, from the start sizes.
 
     J(k) = sup_loss(k) - 1/k >= 0 never decreases in k (docs/decisions.md),
     so sup_loss(k) > J(K) for k > K, and >= 1/(b-1) + J(a) for k in (a, b).
     So is the _regret_floor of a and of b. An interval none prunes is split
     where the largest is least, at the midpoint if that is 1/(b-1) + J(a).
+    The _regret_floor of an anchor, a point of zero regret, bounds every
+    size above K too.
     """
     points = {}
     best = (math.inf, 0)  # (sup_loss, k): ties go to the smaller k
@@ -206,7 +211,10 @@ def _search(sup, sizes) -> LossPoint:
         best = min(best, (pt.sup_loss, k))
 
     def beyond(k):
-        return points[k].sup_loss - 1.0 / k >= best[0]
+        if points[k].sup_loss - 1.0 / k >= best[0]:
+            return True
+        floor = _regret_floor(anchor, k + 1, math.inf)[0] if anchor else -math.inf
+        return (floor, k + 1) > best  # ties go to the smaller k, as in split
 
     def split(a, b):
         bound = 1.0 / (b - 1) + points[a].sup_loss - 1.0 / a
@@ -224,7 +232,8 @@ def minimax_group_size(
     """Pool size minimizing the worst-case regret over (0, min(U, P0)].
 
     Ties go to the smaller pool size. Raises RuntimeError when no size up to
-    1e15 is certified, as for bounds U below about 6.25e-30.
+    1e15 is certified, as for bounds U below about 4e-30, where the
+    asymptote 2/sqrt(U) of the answer passes 1e15.
     The grid method raises ValueError for a grid_step that sup_loss_grid
     refuses, before shrinking it to U/1e5 for small windows.
     """
@@ -240,6 +249,9 @@ def minimax_group_size(
         sup = partial(_grid_sup, p=p, opt=opt)
     else:
         raise ValueError(f"method must be 'analytic' or 'grid', got {method!r}")
-    # start also at the small-U asymptote 2/sqrt(U) + 1 (docs/decisions.md)
-    pt = _search(sup, (1, 2, min(round(2.0 / math.sqrt(min(U, P0))) + 1, _K_RESOLVABLE)))
+    # start also at the small-U asymptote 2/sqrt(U) + 1; the oracle size at the
+    # domain end has zero regret there, a point both methods evaluate
+    hi = min(U, P0)
+    start = (1, 2, min(round(2.0 / math.sqrt(hi)) + 1, _K_RESOLVABLE))
+    pt = _search(sup, start, LossPoint(samuels_optimal_k(hi), hi, 0.0))
     return MinimaxResult(pt.k, U, pt, method)

@@ -334,6 +334,53 @@ class TestBayesOptimalK:
             individual += k == 1
         assert jumped >= 20 and individual >= 1
 
+    def test_continued_fractions_per_search(self, monkeypatch):
+        # the jump starts at the second-order small-U estimate of the optimum
+        # and steps by 1 and 2 before doubling; from R_0^(-1/2), doubling, the
+        # uniform prior at U = 1e-5 took fractions at shapes b + 0, 447, 894
+        # and 448 for its answer 448
+        shapes = []
+        real = bayes._beta_cf
+        monkeypatch.setattr(
+            bayes, "_beta_cf", lambda a, b, x, **kw: shapes.append(b) or real(a, b, x, **kw)
+        )
+        for prior, k in ((PriorSpec.uniform(1e-5), 448), (PriorSpec.jeffreys(1e-5), 549)):
+            shapes.clear()
+            assert bayes_optimal_k(prior).k_opt == k
+            assert len(shapes) == 3 and prior.b + k in shapes, shapes
+        # seeded jumped priors took 4.81 fractions a search on average
+        rng = random.Random(11)
+        counts = []
+        while len(counts) < 200:
+            a, b, U = (
+                math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                for lo, hi in ((0.05, 20.0), (0.05, 50.0), (1e-6, 1.0))
+            )
+            if bayes._start_values(a, b, U)[0] ** -0.5 < bayes._WALK / 4:
+                continue  # walked
+            shapes.clear()
+            bayes_optimal_k(PriorSpec(a, b, U))
+            counts.append(len(shapes))
+        assert sum(counts) / len(counts) <= 3.8
+
+    def test_tail_size_against_bisection(self):
+        # Newton's method and a short bracket find the size that doubling
+        # and bisecting phi found, with about 4 phi calls and 3 Newton steps
+        # on these draws where that took 38. The roots are drawn up to 1e12:
+        # above about 1e13 the rounding of phi exceeds its rise per size, and
+        # the two may stop at different sizes where the computed phi crosses
+        # log_g
+        rng = random.Random(5)
+        for _ in range(3000):
+            a = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
+            b = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            rise = math.exp(rng.uniform(0.0, math.log(1e12)))
+            x = max(2.0, (b - 1.0) / (a - 1.0)) + rise  # phi increases from there on
+            for root in (x, 1e4 * x + 1e15):  # the second is past the limit
+                log_g = a * math.log(b + root - 1.0) - math.log(root)
+                want = _tail_size_by_bisection(a, b, log_g)
+                assert bayes._tail_size(a, b, log_g) == want, (a, b, log_g)
+
     @pytest.mark.parametrize("U", [1e-6, 1e-4, 0.005, 0.05, 0.3])
     def test_uniform_cost_matches_closed_form(self, U):
         res = bayes_optimal_k(PriorSpec.uniform(U))
@@ -341,6 +388,28 @@ class TestBayesOptimalK:
             expected_tests_uniform(res.k_opt, U), rel=1e-12, abs=0
         )
         assert uniform_optimal_k(U) == res.k_opt
+
+
+def _tail_size_by_bisection(a, b, log_g):
+    """The least k >= max(2, (b-1)/(a-1)) with a log(b+k-1) - log k >= log_g,
+    by doubling and bisecting, or None for a k above 1e15 + 1: the oracle of
+    bayes._tail_size."""
+
+    def phi(k):
+        return a * math.log(b + k - 1.0) - math.log(k)
+
+    lo = max(2, math.ceil((b - 1.0) / (a - 1.0)))
+    if phi(lo) >= log_g:
+        return lo
+    hi = 2 * lo
+    while phi(hi) < log_g:
+        if hi > 10**15:
+            return None
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # phi(lo) < log_g <= phi(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if phi(mid) >= log_g else (mid, hi)
+    return hi if hi <= 10**15 + 1 else None
 
 
 def _threshold(a, b):

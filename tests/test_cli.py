@@ -87,7 +87,7 @@ class TestMinimax:
             assert proc.returncode == 0 and not proc.stderr, U
             assert json.loads(proc.stdout)["k_minimax"] == k
 
-    @pytest.mark.parametrize("U", ["6e-30", "1e-300", "1e-320", "5e-324"])
+    @pytest.mark.parametrize("U", ["3.9e-30", "1e-300", "1e-320", "5e-324"])
     def test_crossing_beyond_the_cap_exits_three(self, U):
         for method in ("analytic", "grid"):
             proc = run_process(

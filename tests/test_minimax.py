@@ -431,7 +431,7 @@ class TestMinimaxGroupSize:
             == minimax_group_size(1.0).worst_point.sup_loss
         )
 
-    @pytest.mark.parametrize("U", [6e-30, 1e-300, 1e-320, 5e-324])
+    @pytest.mark.parametrize("U", [3.9e-30, 1e-300, 1e-320, 5e-324])
     def test_crossing_beyond_the_cap_raises_fast(self, U):
         # the answer would lie above the 1e15 sizes double precision resolves;
         # at 1e-320 and 5e-324 the grid step U/1e5 underflows to 0
@@ -445,20 +445,30 @@ class TestMinimaxGroupSize:
         # doubling from 2 alone visits 2, 4, ..., 32768 to pass the answer
         # 20001 and then bisects: 33 suprema; from 2/sqrt(U) + 1 and bisecting
         # it took 18; the regret floor at the worst prevalence of 20001 prunes
-        # both sides of it, so it now visits 1, 2, 20001 and 40002 only
+        # below it, and the floor of the oracle size at U rules out every size
+        # above it, where doubling visited 40002 too
         sizes = _count_suprema(monkeypatch)
         assert minimax_group_size(1e-8).k_minimax == 20001
-        assert 20001 in sizes[:3] and len(sizes) <= 5
+        assert sizes == [1, 2, 20001]
 
     def test_suprema_per_search(self, monkeypatch):
         # bisecting down to width 1 took up to 15 suprema per bound here and
-        # 22 to 53 on the decades; the regret floor prunes nearly every interval
+        # 22 to 53 on the decades; the regret floor prunes nearly every
+        # interval, and the steps of 1 and 2 past the start land on the
+        # answer where doubling overshot it: 2898 suprema in all and 7 at
+        # most on the log-spaced bounds
         sizes = _count_suprema(monkeypatch)
-        for bounds, most in ((LOG_SPACED_U, 7), ([10.0**-e for e in range(10, 30)], 5)):
-            for U in bounds:
-                sizes.clear()
-                minimax_group_size(U)
-                assert len(sizes) <= most, (U, sizes)
+        total = 0
+        for U in LOG_SPACED_U:
+            sizes.clear()
+            minimax_group_size(U)
+            assert len(sizes) <= 6, (U, sizes)
+            total += len(sizes)
+        assert total <= 2300
+        for U in [10.0**-e for e in range(10, 30)]:
+            sizes.clear()
+            minimax_group_size(U)
+            assert len(sizes) <= 5, (U, sizes)
 
     def test_answers_just_below_the_cap(self):
         # 2/sqrt(U) + 1 lies just below 100 000, a cap the search once had
@@ -581,6 +591,20 @@ def _check_floor(sup, a, b):
         assert floor <= least, (j, floor, least)
 
 
+def _check_anchor_floor(sup, U, k):
+    """The regret floor of the oracle size at min(U, P0) over (k, inf) is at
+    most every sup_loss on (k, k + 300], and the limit of the floor over
+    (k, K] as K grows."""
+    hi = min(U, P0)
+    anchor = LossPoint(samuels_optimal_k(hi), hi, 0.0)
+    floor, _ = minimax._regret_floor(anchor, k + 1, math.inf)
+    least = min(sup(j).sup_loss for j in range(k + 1, k + 301))
+    assert floor <= least, (k, floor, least)
+    # over (k, 1e15] the floor differs by 1e-15 - q^(1e15) and rounding
+    far, _ = minimax._regret_floor(anchor, k + 1, 10**15)
+    assert floor <= far <= floor + 1e-14, (k, floor, far)
+
+
 class TestRegretFloor:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -601,6 +625,21 @@ class TestRegretFloor:
     @given(a=st.integers(2, 200), width=st.integers(2, 300))
     def test_bounds_every_grid_size_in_the_interval(self, U, a, width):
         _check_floor(_grid_sups(U), a, a + width)
+
+    # the oracle size at the domain end has zero regret there, so its floor
+    # bounds every size above k, as the search uses it beyond its top
+    @settings(max_examples=200, deadline=None)
+    @given(log_U=st.floats(-12.0, 0.0), offset=st.integers(-300, 300))
+    def test_anchor_bounds_every_larger_size(self, log_U, offset):
+        U = 10.0**log_U
+        k = max(1, minimax_group_size(U).k_minimax + offset)
+        _check_anchor_floor(partial(sup_loss_analytic, U=U), U, k)
+
+    @pytest.mark.parametrize("U", [1.0, 0.05, 1e-3])
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 200))
+    def test_anchor_bounds_every_larger_grid_size(self, U, k):
+        _check_anchor_floor(_grid_sups(U), U, k)
 
 
 @cache
@@ -657,12 +696,16 @@ class TestSmallBoundAccuracy:
         "U, k",
         [(1e-21, 63245553205), (5.6234132519034906e-21, 26670428645),
          (1e-19, 6324555322), (1e-22, 200000000001), (10**-22.75, 474274741134),
-         (1e-29, 632455532033677)],
+         (1e-29, 632455532033677), (6e-30, 816496580927727),
+         (5e-30, 894427190999917), (4.5e-30, 942809041582065),
+         (4.1e-30, 987729596649591)],
     )
     def test_worst_point_near_the_limit_against_mpmath(self, U, k):
         # a bisection over m probed far from the worst m and was off by
         # 2.5e-13, 1.8e-12 and 2.7e-14 at the first three bounds; comparing
-        # clamped peaks walked a plateau of float ties at 1e-22
+        # clamped peaks walked a plateau of float ties at 1e-22; doubling
+        # past the start refused the last four, where J(1e15) stays below
+        # the best supremum
         pt = minimax_group_size(U).worst_point
         wants = {j: _mp_huge_supremum(j, U, dps=80) for j in (k - 1, k, k + 1)}
         assert pt.k == k
@@ -671,7 +714,7 @@ class TestSmallBoundAccuracy:
 
     def test_offset_from_the_asymptote(self):
         # k ~ 2/sqrt(U) + O(1) (docs/decisions.md), from the smallest bound
-        # the search answers, about 6.3e-30, up to 1e-10
-        for U in np.logspace(math.log10(6.3e-30), -10, 80):
+        # the search answers, about 4e-30, up to 1e-10
+        for U in np.logspace(math.log10(4.1e-30), -10, 80):
             k = minimax_group_size(float(U)).k_minimax
             assert 0.5 < k - 2.0 / math.sqrt(U) < 2.0, U

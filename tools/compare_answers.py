@@ -20,19 +20,21 @@ prior on 100 bounds U in [0.9, 1) and at U = 1 - 1e-3 .. 1 - 1e-6),
 `bayes_small` (uniform and Jeffreys at 41 bounds U in [1e-10, 1e-6]) and
 `bayes_beta` (300 seeded priors with a in [0.05, 20], b in [0.05, 50] and
 U in [1e-6, 1], all log-uniform). `minimax_small` holds the minimax answer
-on 77 log-spaced bounds U in [1e-29, 1e-10], at U = 6.3e-30, and at
-U = 6e-30, 1e-300 and 5e-324, below the smallest bound the search answers;
-`grid_small` holds the grid method's answer at U = 1e-16, 1e-17, ...,
-1e-29. A `RuntimeError` in either is recorded by its class name. `ranges`
-holds the endpoints of `optimality_range(k)` as `.hex()` for k = 3..5000
-and 94 log-spaced k from 10**3.7 up to 10**13, the largest size it
-answers, and the refusal one past it. Its `records` key holds the `repr` of real answers of each
-record type, which pins their names, fields and field order.
+on 77 log-spaced bounds U in [1e-29, 1e-10], at U = 6.3e-30, 6e-30,
+5e-30, 4.5e-30 and 4.1e-30, near the smallest bound the search answers,
+and at U = 3.9e-30, 1e-300 and 5e-324, below it; `grid_small` holds the
+grid method's answer at U = 1e-16, 1e-17, ..., 1e-29 and at the five
+bounds from 6e-30 to 3.9e-30. A `RuntimeError` in either is recorded by
+its class name. `ranges` holds the endpoints of `optimality_range(k)` as
+`.hex()` for k = 3..5000 and 94 log-spaced k from 10**3.7 up to 10**13,
+the largest size it answers, and the refusal one past it. Its `records`
+key holds the `repr` of real answers of each record type, which pins
+their names, fields and field order.
 
 Its `cli` key holds, for each argv of a fixed list, the argv, the exit code,
 stdout and stderr of `pooldesign.cli.main`: every subcommand in the three
 formats, `range` and `optimal` down to k = 10**6 and p = 1e-12, `minimax`
-down to U = 1e-22, `table --table 1..5` with and without `--check`, and
+(both methods) down to U = 4.1e-30, `table --table 1..5` with and without `--check`, and
 argv that exit 2 (usage or invalid input) and 3 (numerical failure), among
 them `minimax` below the smallest bound it answers, with the grid method
 at bounds whose grid step U/1e5 underflows, and beta priors whose shapes
@@ -105,6 +107,10 @@ NEAR_ONE = [float(U) for U in np.linspace(0.9, 1.0, 101)[:-1]] + [
 ]
 
 
+# the smallest bounds answered, and the largest refused, 3.9e-30
+NEAR_LIMIT = [6e-30, 5e-30, 4.5e-30, 4.1e-30, 3.9e-30]
+
+
 def sup(k, U):
     p = pd.sup_loss_analytic(k, U)
     return [k, U, p.p_star, p.sup_loss]
@@ -150,9 +156,14 @@ CLI_FORMATTED = [  # each runs in the three formats
     ["bayes", "--prior", "jeffreys", "--b", "3"],
     ["bayes", "--prior", "uniform", "--a", "2"],
     ["range", "--k", "2"],
+    *(
+        argv + ["--upper-bound", U]
+        for argv in (["minimax"], GRID)
+        for U in ("6e-30", "5e-30", "4.5e-30", "4.1e-30")
+    ),
     # exit 3
-    ["minimax", "--upper-bound", "6e-30"],
-    *(GRID + ["--upper-bound", U] for U in ("6e-30", "1e-320", "5e-324")),
+    ["minimax", "--upper-bound", "3.9e-30"],
+    *(GRID + ["--upper-bound", U] for U in ("3.9e-30", "1e-320", "5e-324")),
     ["bayes", "--prior", "beta", "--a", "100", "--b", "1", "--upper-bound", "1e-6"],
     ["range", "--k", "10000000000001"],
     *(
@@ -192,9 +203,12 @@ res = {
     "bayes_beta": [bayes(*prior) for prior in BETA],
     "minimax_small": [
         mm_small(U)
-        for U in [*map(float, np.logspace(-29, -10, 77)), 6.3e-30, 6e-30, 1e-300, 5e-324]
+        for U in [*map(float, np.logspace(-29, -10, 77)), 6.3e-30, *NEAR_LIMIT]
+        + [1e-300, 5e-324]
     ],
-    "grid_small": [mm_small(10.0**-e, "grid") for e in range(16, 30)],
+    "grid_small": [
+        mm_small(U, "grid") for U in [*(10.0**-e for e in range(16, 30)), *NEAR_LIMIT]
+    ],
     "grid": [mm(U, "grid") for U in (1.0, 0.05, 0.001)],
     "grid_bp": [mm(U, "grid") for U in bps[::120] + bps[1::120] + bps[2::120]],
     "sup": [

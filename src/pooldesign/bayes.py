@@ -278,46 +278,6 @@ def _far_bound(s: float, r: float, nxt: float) -> float:
     return s + r * r / (r - nxt) if r > nxt else -math.inf
 
 
-def _tail_size(a: float, b: float, log_g: float):
-    """For a > 1, a size K with C(k) >= 1 for every k >= K, or None if K
-    is above 1e15 + 1, past every size the search visits.
-
-    E[(1-p)^k] <= G (b+k-1)^(-a) with log G = log_g, from 1 - p <= e^(-p),
-    so C(k) >= 1 wherever phi(k) = a log(b+k-1) - log k >= log_g. For
-    a > 1, phi increases from k0 = (b-1)/(a-1) on and grows without bound.
-    In x = log k, phi = (a-1) x + a log1p((b-1) e^(-x)) is convex for b > 1
-    and concave for b < 1, so Newton's method from x = log_g/(a-1) nears
-    the root from one side; a gallop and a bisection around it give K.
-    """
-
-    def phi(k):
-        return a * math.log(b + k - 1.0) - math.log(k)
-
-    lo = max(2, math.ceil((b - 1.0) / (a - 1.0)))
-    if phi(lo) >= log_g:
-        return lo
-    if lo > _K_RESOLVABLE or phi(_K_RESOLVABLE + 1) < log_g:
-        return None
-    x = max(log_g / (a - 1.0), math.log(lo))
-    for _ in range(8):
-        e = (b - 1.0) * math.exp(-x)
-        step = ((a - 1.0) * x + a * math.log1p(e) - log_g) / (a / (1.0 + e) - 1.0)
-        x -= step
-        if abs(step) < 1e-12:
-            break
-    hi, step = max(lo + 1, math.ceil(math.exp(x))), 1
-    while phi(hi) < log_g:
-        lo, hi, step = hi, hi + step, 2 * step
-    step = 1
-    while hi - step > lo and phi(hi - step) >= log_g:
-        hi, step = hi - step, 2 * step
-    lo = max(lo, hi - step)
-    while hi - lo > 1:  # phi(lo) < log_g <= phi(hi)
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if phi(mid) >= log_g else (mid, hi)
-    return hi
-
-
 def _floor(a: float, b: float, log_c: float, i: int, j: float) -> float:
     """A lower bound on C(k) - 1 over i <= k <= j (j may be inf).
 
@@ -360,27 +320,23 @@ def _search(a: float, b: float, U: float):
     the certificates. Small optima are walked one size at a time. Where the
     walk leaves the search open, `core._branch_and_bound` jumps: `visit`
     evaluates S_k and R_k at any k in O(1) from the continued fraction at
-    shape b + k, tail, chord and floor bounds prune, and `_settle` decides
-    between neighbours whose costs agree to rounding."""
+    shape b + k, the far, chord and floor bounds prune (the floor also
+    ends a > 1 priors, where k = 1 wins from some size on), and `_settle`
+    decides between neighbours whose costs agree to rounding."""
     r0, w0, log_mass, log_h0 = _start_values(a, b, U)
     if math.exp(log_mass) == 0.0:
         return None
     log_q = math.log1p(-U) if U < 1.0 else 0.0  # w_j = w_0 (1-U)^j; w_0 = 0 at U = 1
     best_k, best = 1, 1.0  # k = 1 tests everyone once
     guess = r0**-0.5 if r0 > 0.0 else math.inf  # the optimum of 1/k + k R_0
-    tail = math.inf  # every k >= tail costs at least C(1) = 1
     k, s, r = 1, r0, (b * r0 + w0) / (a + b + 1.0)  # s = S_k, r = R_k
-    if guess < _WALK / 4:
-        if a > 1.0:  # log G = log Gamma(a) - log B(U; a, b)
-            tail = _tail_size(a, b, math.lgamma(a) - log_mass - _log_beta(a, b)) or tail
-        # walk the positive-term recurrence
-        stop = min(_WALK, tail - 1)
+    if guess < _WALK / 4:  # walk the positive-term recurrence
         bar = best - _TIE * best  # a tie in rounding keeps the smaller k
         while True:
             nxt = ((b + k) * r + w0 * math.exp(k * log_q)) / (a + b + k + 1.0)
             if s >= best or (r * k * k >= 1.0 and _far_bound(s, r, nxt) >= best):
                 return best_k, best
-            if k >= stop:
+            if k >= _WALK:
                 break
             s += r
             r = nxt
@@ -389,9 +345,7 @@ def _search(a: float, b: float, U: float):
             if e < bar:
                 best_k, best = k, e
                 bar = best - _TIE * best
-        if k + 1 >= tail:
-            return best_k, best
-        top = min(2 * k, tail - 1)
+        top = 2 * k
     else:  # the next term of the small-U asymptote, with E[p^2] = R_0 - R_1
         if guess < _K_RESOLVABLE:  # no guess^2 overflows, and g2 is not nan
             guess += guess * guess * (r0 - r) / (2.0 * r0)
@@ -422,7 +376,7 @@ def _search(a: float, b: float, U: float):
     def beyond(k):
         """Whether every size above k is certified to cost at least best."""
         s, r, slack = S[k], R[k], best - _TIE * best
-        if s >= slack or k + 1 >= tail:
+        if s >= slack:
             return True
         if r * k * k >= 1.0:
             nxt = ((b + k) * r + w0 * math.exp(k * log_q)) / (a + b + k + 1.0)
@@ -443,7 +397,7 @@ def _search(a: float, b: float, U: float):
         )  # the floor helps only where costs are close to 1
         return None if pruned else m
 
-    _branch_and_bound(visit, beyond, split, (k, top), min(_K_RESOLVABLE, tail - 1))
+    _branch_and_bound(visit, beyond, split, (k, top), _K_RESOLVABLE)
     if best_k > 1 and best_k in R:  # the gap at j = 1 is not C(2) - C(1)
         best_k = _settle(best_k, visit, R)
         best = 1.0 / best_k + S[best_k]

@@ -196,11 +196,11 @@ def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
     """Worst point of the smallest k minimizing sup(k).sup_loss, from the start sizes.
 
     J(k) = sup_loss(k) - 1/k >= 0 never decreases in k (docs/decisions.md),
-    so sup_loss(k) > J(K) for k > K, and >= 1/(b-1) + J(a) for k in (a, b).
-    So is the _regret_floor of a and of b. An interval none prunes is split
-    where the largest is least, at the midpoint if that is 1/(b-1) + J(a).
-    The _regret_floor of an anchor, a point of zero regret, bounds every
-    size above K too.
+    so sup_loss(k) > J(K) for k > K. On (a, b) the _regret_floor of a and of
+    b bound sup_loss(k); the floor of a is never below 1/(b-1) + J(a). An
+    interval neither prunes is split where the larger floor is least. The
+    _regret_floor of an anchor, a point of zero regret, bounds every size
+    above K too.
     """
     points = {}
     best = (math.inf, 0)  # (sup_loss, k): ties go to the smaller k
@@ -217,9 +217,7 @@ def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
         return (floor, k + 1) > best  # ties go to the smaller k, as in split
 
     def split(a, b):
-        bound = 1.0 / (b - 1) + points[a].sup_loss - 1.0 / a
-        floor, k = max(_regret_floor(points[j], a + 1, b - 1) for j in (a, b))
-        bound, k = (bound, (a + b) // 2) if bound >= floor else (floor, k)
+        bound, k = max(_regret_floor(points[j], a + 1, b - 1) for j in (a, b))
         return k if (bound, a + 1) <= best else None
 
     _branch_and_bound(visit, beyond, split, sizes, _K_RESOLVABLE)

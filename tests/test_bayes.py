@@ -244,18 +244,15 @@ class TestBayesOptimalK:
     )
     def test_individual_testing_wins(self, a, b, U):
         # a > 1: E[(1-p)^k] decays faster than 1/k, and no pool size beats
-        # testing everyone; the search stops by the tail bound
-        res = bayes_optimal_k(PriorSpec(a, b, U))
+        # testing everyone; the cost floor certifies the sizes past the walk
+        prior = PriorSpec(a, b, U)
+        res = bayes_optimal_k(prior)
         assert (res.k_opt, res.expected_tests_at_opt) == (1, 1.0)
-        # C(k) >= 1 wherever a log(b+k-1) - log k >= log(Gamma(a) / B(U; a, b)),
-        # which holds from the tail size on; the recurrence covers the rest
-        with mp.workdps(30):
-            log_g = float(mp.loggamma(a) - mp.log(mp.betainc(a, b, 0, U)))
-        tail = bayes._tail_size(a, b, log_g)
-        assert tail is not None and tail < 100
-        for k in (tail, 10 * tail):
-            assert a * math.log(b + k - 1) - math.log(k) >= log_g
-        assert all(cost >= 1.0 for cost in _costs(PriorSpec(a, b, U), 10 * tail))
+        assert all(cost >= 1.0 for cost in _costs(prior, 1000))
+        with mp.workdps(30):  # C(k) = 1 + 1/k - B(U; a, b+k) / B(U; a, b)
+            mass = mp.betainc(a, b, 0, U)
+            for k in (10, 100, 1000):
+                assert 1 + mp.mpf(1) / k - mp.betainc(a, b + k, 0, U) / mass >= 1
 
     @pytest.mark.parametrize("U, k", [(1 - 1e-5, 199998), (1 - 1.4e-9, 1)])
     def test_uniform_with_nearly_flat_costs(self, U, k):
@@ -316,23 +313,30 @@ class TestBayesOptimalK:
 
     def test_matches_the_exact_recurrence(self):
         # seeded priors, walked and jumped, against the recurrence one size
-        # at a time, stopped once S_K >= best certifies every larger size
-        rng = random.Random(11)
-        jumped = individual = 0
-        for _ in range(120):
-            a, b, U = (
-                math.exp(rng.uniform(math.log(lo), math.log(hi)))
-                for lo, hi in ((0.05, 20.0), (0.05, 50.0), (1e-6, 1.0))
-            )
-            prior = PriorSpec(a, b, U)
-            res = bayes_optimal_k(prior)
-            k, cost, stopped = _scan(prior, 10**6)
-            assert stopped or k == 1, prior
-            assert res.k_opt == k, prior
-            assert res.expected_tests_at_opt == pytest.approx(cost, rel=1e-12, abs=0)
-            jumped += bayes._start_values(a, b, U)[0] ** -0.5 >= bayes._WALK / 4
-            individual += k == 1
-        assert jumped >= 20 and individual >= 1
+        # at a time, stopped once S_K >= best certifies every larger size;
+        # a k = 1 answer is scanned up to 10^6. The second set, a > 1 at
+        # high prevalence, is where C(k) >= 1 from some size on, and the
+        # cost floor certifies the sizes past the walk
+        for seed, shapes, base, min_jumped, min_individual in (
+            (11, ((0.05, 20.0), (0.05, 50.0), (1e-6, 1.0)), 0.0, 20, 1),
+            (5, ((1e-6, 50.0), (0.01, 50.0), (1e-3, 1.0)), 1.0, 0, 4),
+        ):
+            rng = random.Random(seed)
+            jumped = individual = 0
+            for _ in range(120):
+                a, b, U = (
+                    math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                    for lo, hi in shapes
+                )
+                prior = PriorSpec(base + a, b, U)
+                res = bayes_optimal_k(prior)
+                k, cost, stopped = _scan(prior, 10**6)
+                assert stopped or k == 1, prior
+                assert res.k_opt == k, prior
+                assert res.expected_tests_at_opt == pytest.approx(cost, rel=1e-12, abs=0)
+                jumped += bayes._start_values(*prior)[0] ** -0.5 >= bayes._WALK / 4
+                individual += k == 1
+            assert jumped >= min_jumped and individual >= min_individual, seed
 
     def test_continued_fractions_per_search(self, monkeypatch):
         # the jump starts at the second-order small-U estimate of the optimum
@@ -363,24 +367,6 @@ class TestBayesOptimalK:
             counts.append(len(shapes))
         assert sum(counts) / len(counts) <= 3.8
 
-    def test_tail_size_against_bisection(self):
-        # Newton's method and a short bracket find the size that doubling
-        # and bisecting phi found, with about 4 phi calls and 3 Newton steps
-        # on these draws where that took 38. The roots are drawn up to 1e12:
-        # above about 1e13 the rounding of phi exceeds its rise per size, and
-        # the two may stop at different sizes where the computed phi crosses
-        # log_g
-        rng = random.Random(5)
-        for _ in range(3000):
-            a = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
-            b = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
-            rise = math.exp(rng.uniform(0.0, math.log(1e12)))
-            x = max(2.0, (b - 1.0) / (a - 1.0)) + rise  # phi increases from there on
-            for root in (x, 1e4 * x + 1e15):  # the second is past the limit
-                log_g = a * math.log(b + root - 1.0) - math.log(root)
-                want = _tail_size_by_bisection(a, b, log_g)
-                assert bayes._tail_size(a, b, log_g) == want, (a, b, log_g)
-
     @pytest.mark.parametrize("U", [1e-6, 1e-4, 0.005, 0.05, 0.3])
     def test_uniform_cost_matches_closed_form(self, U):
         res = bayes_optimal_k(PriorSpec.uniform(U))
@@ -388,28 +374,6 @@ class TestBayesOptimalK:
             expected_tests_uniform(res.k_opt, U), rel=1e-12, abs=0
         )
         assert uniform_optimal_k(U) == res.k_opt
-
-
-def _tail_size_by_bisection(a, b, log_g):
-    """The least k >= max(2, (b-1)/(a-1)) with a log(b+k-1) - log k >= log_g,
-    by doubling and bisecting, or None for a k above 1e15 + 1: the oracle of
-    bayes._tail_size."""
-
-    def phi(k):
-        return a * math.log(b + k - 1.0) - math.log(k)
-
-    lo = max(2, math.ceil((b - 1.0) / (a - 1.0)))
-    if phi(lo) >= log_g:
-        return lo
-    hi = 2 * lo
-    while phi(hi) < log_g:
-        if hi > 10**15:
-            return None
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:  # phi(lo) < log_g <= phi(hi)
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if phi(mid) >= log_g else (mid, hi)
-    return hi if hi <= 10**15 + 1 else None
 
 
 def _threshold(a, b):
@@ -594,13 +558,19 @@ class TestCostRecurrence:
         with pytest.raises(RuntimeError, match=refusal):
             bayes_optimal_k(PriorSpec(a, b, 1.0))
 
-    @pytest.mark.parametrize(
-        "a, b, U", [(1e18, 5e17, 0.9), (1e300, 1e300, 0.5), (1e308, 1e5, 1.0)]
-    )
+    @pytest.mark.parametrize("a, b, U", [(1e18, 5e17, 0.9), (1e300, 1e300, 0.5)])
     def test_shapes_too_large_for_doubles_are_refused(self, a, b, U):
         # logs of terms near a |log U| round by more than e^709 allows
         with pytest.raises(RuntimeError, match="too large for double precision"):
             bayes_optimal_k(PriorSpec(a, b, U))
+
+    @pytest.mark.parametrize("a", [1e300, 1e308])
+    def test_huge_shape_on_the_whole_interval_is_answered(self, a):
+        # at U = 1 the mass sits at p near 1 and no pool size pays; the
+        # search needs log B(a, b) only, by Stirling's series, where
+        # log Gamma(a) would overflow near a = 1e308
+        res = bayes_optimal_k(PriorSpec(a, 1e5, 1.0))
+        assert (res.k_opt, res.expected_tests_at_opt) == (1, 1.0)
 
     def test_divergent_continued_fraction_names_the_prior(self, monkeypatch):
         monkeypatch.setattr(bayes, "_CF_MAX_TERMS", 1)

@@ -540,8 +540,8 @@ class TestSearchAgainstBruteForce:
         def sup(j):
             if j == 1:
                 return LossPoint(1, 0.0, 1.0)
-            # no real worst prevalence, so p_star = 0 and only the interval
-            # bound 1/(b-1) + J(a) prunes, as for test_random_curves
+            # no real worst prevalence, so p_star = 0: split prunes by the
+            # floor 1/(b-1) only, and beyond by J(K), as for test_random_curves
             return LossPoint(j, 0.0, loss(j))
 
         assert _brute_force_k(sup) == k
@@ -583,12 +583,19 @@ class TestSearchAgainstBruteForce:
 
 
 def _check_floor(sup, a, b):
-    """The regret floors of a and b on (a, b) are at most every sup_loss there."""
+    """The regret floors of a and b on (a, b) are at most every sup_loss
+    there, and the floor of a is at least 1/(b-1) + J(a), up to its rounding
+    allowance: the search prunes by the floors alone."""
     least = min(sup(k).sup_loss for k in range(a + 1, b))
     for j in (a, b):
         floor, k = minimax._regret_floor(sup(j), a + 1, b - 1)
         assert a < k < b
         assert floor <= least, (j, floor, least)
+    # floor(k) - (1/k + J(a)) = q^a - q^k >= 0, with terms below 1 + 1/a
+    pt = sup(a)
+    floor, _ = minimax._regret_floor(pt, a + 1, b - 1)
+    bound = 1.0 / (b - 1) + pt.sup_loss - 1.0 / a
+    assert floor >= bound - 5e-15 * (pt.sup_loss + 1.0 + 1.0 / a), (floor, bound)
 
 
 def _check_anchor_floor(sup, U, k):

@@ -14,12 +14,15 @@ point (analytic and grid) on 608 log-spaced bounds U in [1e-6, 1] and on
 bounds at and one ulp either side of the breakpoints 1 - larger_root(m)
 for m = 3..400, `sup_loss_analytic` on a (k, U) grid, the uniform and
 Jeffreys Bayes sizes, and every query of design-sweep seeds 1-10 (two
-blocks each), with a `RuntimeError` recorded by its class name. Three keys
+blocks each), with a `RuntimeError` recorded by its class name. Four keys
 hold the Bayes answer and cost at the edges: `bayes_near_one` (the uniform
 prior on 100 bounds U in [0.9, 1) and at U = 1 - 1e-3 .. 1 - 1e-6),
-`bayes_small` (uniform and Jeffreys at 41 bounds U in [1e-10, 1e-6]) and
+`bayes_small` (uniform and Jeffreys at 41 bounds U in [1e-10, 1e-6]),
 `bayes_beta` (300 seeded priors with a in [0.05, 20], b in [0.05, 50] and
-U in [1e-6, 1], all log-uniform). `minimax_small` holds the minimax answer
+U in [1e-6, 1], all log-uniform) and `bayes_tail` (300 seeded priors with
+a > 1 at high prevalence: a - 1 in [1e-6, 50], b in [0.01, 50] and U in
+[1e-3, 1], all log-uniform, where no size beats k = 1 from some size
+on). `minimax_small` holds the minimax answer
 on 77 log-spaced bounds U in [1e-29, 1e-10], at U = 6.3e-30, 6e-30,
 5e-30, 4.5e-30 and 4.1e-30, near the smallest bound the search answers,
 and at U = 3.9e-30, 1e-300 and 5e-324, below it; `grid_small` holds the
@@ -38,7 +41,8 @@ formats, `range` and `optimal` down to k = 10**6 and p = 1e-12, `minimax`
 argv that exit 2 (usage or invalid input) and 3 (numerical failure), among
 them `minimax` below the smallest bound it answers, with the grid method
 at bounds whose grid step U/1e5 underflows, and beta priors whose shapes
-are too small or too large for double precision. An
+are too small or too large for double precision, next to Beta(1e308, 1e5)
+on (0, 1], which is answered. An
 exception that escapes `cli.main` is recorded by its class name in place
 of the exit code. So the identity of the command line is a `cmp` of two
 dumps as well.
@@ -102,6 +106,11 @@ def log_uniform(rng, lo, hi):
 rng = random.Random(11)
 SHAPES = ((0.05, 20.0), (0.05, 50.0), (1e-6, 1.0))  # ranges of a, b and U
 BETA = [tuple(log_uniform(rng, lo, hi) for lo, hi in SHAPES) for _ in range(300)]
+TAIL_SHAPES = ((1e-6, 50.0), (0.01, 50.0), (1e-3, 1.0))  # ranges of a - 1, b and U
+TAIL = []
+for _ in range(300):
+    a_m1, b, U = (log_uniform(rng, lo, hi) for lo, hi in TAIL_SHAPES)
+    TAIL.append((1.0 + a_m1, b, U))
 NEAR_ONE = [float(U) for U in np.linspace(0.9, 1.0, 101)[:-1]] + [
     1.0 - 10.0**-e for e in (3, 4, 5, 6)
 ]
@@ -141,6 +150,7 @@ CLI_FORMATTED = [  # each runs in the three formats
     ["bayes", "--prior", "uniform", "--upper-bound", "0.01"],
     ["bayes", "--prior", "jeffreys"],
     ["bayes", "--prior", "beta", "--a", "2", "--b", "5", "--upper-bound", "0.3"],
+    ["bayes", "--prior", "beta", "--a", "1e308", "--b", "1e5"],
     ["range", "--k", "8"],
     ["range", "--k", "1000000"],
     ["optimal", "--p", "1e-11"],
@@ -201,6 +211,7 @@ res = {
         bayes(a, a, float(U)) for a in (1.0, 0.5) for U in np.logspace(-10, -6, 41)
     ],
     "bayes_beta": [bayes(*prior) for prior in BETA],
+    "bayes_tail": [bayes(*prior) for prior in TAIL],
     "minimax_small": [
         mm_small(U)
         for U in [*map(float, np.logspace(-29, -10, 77)), 6.3e-30, *NEAR_LIMIT]

@@ -65,10 +65,10 @@ def _peak(k: int, m: int, log_floor: float) -> tuple[float, float]:
     return math.exp(m * log_q) * -math.expm1(d * log_q) - d / (k * m), log_q
 
 
-def _domain(U: float) -> tuple[float, int]:
-    """(ln q at the domain end 1 - min(U, P0), the least oracle size m_lo)."""
+def _domain(U: float) -> tuple[float, float, int]:
+    """(the domain end hi = min(U, P0), ln q there, the least oracle size k*(hi) >= 3)."""
     hi = min(U, P0)
-    return math.log1p(-hi), max(3, samuels_optimal_k(hi))
+    return hi, math.log1p(-hi), samuels_optimal_k(hi)
 
 
 def _sup_loss(log_floor: float, m_lo: int, k: int) -> LossPoint:
@@ -99,7 +99,7 @@ def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
 
     One candidate per oracle size m < k: the peak of g_m on the domain,
     compared against the p->0 limit. The oracle size does not increase
-    with p, so m runs from m_lo = max(3, k*(min(U, P0))) only. The peaks
+    with p, so m runs from m_lo = k*(min(U, P0)) >= 3 only. The peaks
     are unimodal in m and stop rising once clamped to the domain end
     (docs/decisions.md), so a gallop from m_lo finds the largest, m*, in
     O(log(m* - m_lo)) scalar peaks, two when m_lo + 1 is clamped; ties go
@@ -112,7 +112,8 @@ def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
         raise RuntimeError(
             f"the supremum of pool size {k} is not resolvable in double precision"
         )
-    return _sup_loss(*_domain(U), int(k))  # numpy integers would wrap in k*m
+    _, log_floor, m_lo = _domain(U)
+    return _sup_loss(log_floor, m_lo, int(k))  # numpy integers would wrap in k*m
 
 
 def _grid_tests(k, p):
@@ -236,8 +237,9 @@ def minimax_group_size(
     refuses, before shrinking it to U/1e5 for small windows.
     """
     _check_upper_bound(U)
+    hi, log_floor, m_lo = _domain(U)
     if method == "analytic":
-        sup = partial(_sup_loss, *_domain(U))
+        sup = partial(_sup_loss, log_floor, m_lo)
     elif method == "grid":
         _check_grid_step(U, grid_step)
         if U / 1e5 == 0.0:  # the step underflows, far below the answered range
@@ -249,7 +251,6 @@ def minimax_group_size(
         raise ValueError(f"method must be 'analytic' or 'grid', got {method!r}")
     # start also at the small-U asymptote 2/sqrt(U) + 1; the oracle size at the
     # domain end has zero regret there, a point both methods evaluate
-    hi = min(U, P0)
     start = (1, 2, min(round(2.0 / math.sqrt(hi)) + 1, _K_RESOLVABLE))
-    pt = _search(sup, start, LossPoint(samuels_optimal_k(hi), hi, 0.0))
+    pt = _search(sup, start, LossPoint(m_lo, hi, 0.0))
     return MinimaxResult(pt.k, U, pt, method)

@@ -44,7 +44,6 @@ def delta(k: int, q: float) -> float:
     return q ** min(k, 2**64) * (1.0 - q) - 1 / (k * (k + 1))
 
 
-@lru_cache(maxsize=4096)  # only the sizes asked for are ever solved
 def _breakpoint(k: int) -> float:
     # Newton on g(y) = y + k log1p(-w e^y), y = log(p/w) ~ 1/k: g is concave
     # and increasing left of its root and g(0) < 0, so each step from y = 0
@@ -67,12 +66,21 @@ def larger_root(k: int) -> float:
     return Q0 if k == 2 else 1.0 - _breakpoint(int(k))
 
 
+@lru_cache(maxsize=4096)  # only the sizes asked for are ever solved
+def _range(k: int) -> OptimalityRange:
+    """The record of an int 3 <= k <= _K_RANGED, built once."""
+    p_high = P0 if k == 3 else _breakpoint(k - 1)
+    return OptimalityRange(k, _breakpoint(k), p_high)
+
+
 def optimality_range(k: int) -> OptimalityRange:
     """Prevalence interval on which pool size k is the oracle choice.
 
     Raises RuntimeError for k above 10**13, where the range, about 2/k wide
     relative to its ends, nears their rounding error (docs/decisions.md).
     """
+    if type(k) is int and 3 <= k <= _K_RANGED:
+        return _range(k)
     _check_group_size(k)
     if k == 2:
         raise ValueError("pool size 2 is never optimal at any prevalence")
@@ -82,5 +90,4 @@ def optimality_range(k: int) -> OptimalityRange:
         raise RuntimeError(
             f"pool size {k} has no optimality range resolvable in double precision"
         )
-    p_high = P0 if k == 3 else _breakpoint(int(k) - 1)
-    return OptimalityRange(k, _breakpoint(int(k)), p_high)
+    return _range(int(k))._replace(k=k)  # a numpy k stays the caller's

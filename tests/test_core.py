@@ -1,6 +1,7 @@
 """Tests for the Dorfman cost model, Samuels' rule, and the loss function."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -22,6 +23,24 @@ from pooldesign import (
 
 # p grid shared by the monotonicity checks
 GRID = (np.arange(1, 99001) * 1e-5).tolist()
+
+# the threshold and its neighbours, a mid and a high prevalence, and p so
+# small that k*(p) passes every range and float limit
+EDGES = [
+    P0,
+    math.nextafter(P0, 0.0),
+    math.nextafter(P0, 1.0),
+    0.3,
+    0.9,
+    1e-12,
+    1e-300,
+    5e-324,
+]
+# 2000 seeded log-uniform p in [1e-15, 0.9], and the edges
+SITES = [
+    *np.exp(np.random.default_rng(20).uniform(math.log(1e-15), math.log(0.9), 2000)).tolist(),
+    *EDGES,
+]
 
 
 def brute_force_k(p: float) -> int:
@@ -107,8 +126,14 @@ class TestGroupSizeTypes:
     @pytest.mark.parametrize("name", SIZED)
     @pytest.mark.parametrize("k", [True, 8.0])
     def test_rejects_bool_and_float(self, name, k):
+        SIZED[name](8)  # equal to 8.0 and hashed alike, so a cache would serve it
         with pytest.raises(ValueError, match="positive integer"):
             SIZED[name](k)
+
+    @pytest.mark.parametrize("k", [np.int32(8), np.int64(8)], ids=["int32", "int64"])
+    def test_range_keeps_a_numpy_size(self, k):
+        optimality_range(int(k))  # the cached record holds an int
+        assert type(optimality_range(k).k) is type(k)
 
 
 class TestSamuelsRule:
@@ -191,6 +216,11 @@ class TestOptimalExpectedTests:
     def test_vanishes_as_p_drops(self):
         assert optimal_expected_tests(1e-10) < 3e-5
 
+    def test_is_the_cost_of_the_samuels_size(self):
+        # exactly, bit for bit: the cost is formed inline, as expected_tests forms it
+        for p in SITES:
+            assert optimal_expected_tests(p) == expected_tests(samuels_optimal_k(p), p), p
+
 
 class TestLoss:
     def test_zero_at_the_optimum(self):
@@ -215,6 +245,50 @@ class TestLoss:
     def test_rejects_bad_inputs(self, args):
         with pytest.raises(ValueError):
             loss(*args)
+
+    def test_is_the_difference_of_the_costs(self):
+        for p in SITES:
+            for k in (1, 3, 8, 100):
+                assert loss(k, p) == expected_tests(k, p) - optimal_expected_tests(p), (k, p)
+
+
+# each function checks its inputs in order, k before p, and a p rejected by
+# expected_tests names [0, 1) while a zero reaching the Samuels rule names (0, 1)
+OPEN = "prevalence must lie in (0, 1), got "
+HALF_OPEN = "prevalence must lie in [0, 1), got "
+NOT_INTEGER = "group size must be a positive integer, got "
+INVALID = [
+    (samuels_optimal_k, (0.0,), OPEN + "0.0"),
+    (samuels_optimal_k, (-1.0,), OPEN + "-1.0"),
+    (samuels_optimal_k, (1.0,), OPEN + "1.0"),
+    (samuels_optimal_k, (math.nan,), OPEN + "nan"),
+    (samuels_optimal_k, (math.inf,), OPEN + "inf"),
+    (samuels_optimal_k, (True,), OPEN + "True"),
+    (optimal_expected_tests, (0.0,), OPEN + "0.0"),
+    (optimal_expected_tests, (-3,), OPEN + "-3"),
+    (expected_tests, (8, -1.0), HALF_OPEN + "-1.0"),
+    (expected_tests, (8, 1.0), HALF_OPEN + "1.0"),
+    (expected_tests, (8, math.nan), HALF_OPEN + "nan"),
+    (expected_tests, (8.0, 0.02), NOT_INTEGER + "8.0"),
+    (expected_tests, (True, 0.02), NOT_INTEGER + "True"),
+    (expected_tests, (0, -1.0), "group size must be >= 1, got 0"),
+    (expected_tests, (-3, 0.02), "group size must be >= 1, got -3"),
+    (loss, (8, -1.0), HALF_OPEN + "-1.0"),
+    (loss, (8, math.inf), HALF_OPEN + "inf"),
+    (loss, (8.0, 0.0), NOT_INTEGER + "8.0"),
+    (optimality_range, (0,), "group size must be >= 1, got 0"),
+    (optimality_range, (8.0,), NOT_INTEGER + "8.0"),
+    (optimality_range, (2,), "pool size 2 is never optimal at any prevalence"),
+    (larger_root, (1,), "roots are defined for k >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, message", INVALID, ids=[f"{fn.__name__}{args}" for fn, args, _ in INVALID]
+)
+def test_invalid_input_message(fn, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*args)
 
 
 class TestBranchAndBound:

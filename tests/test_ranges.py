@@ -6,7 +6,7 @@ import pytest
 from scipy import optimize
 
 from pooldesign import P0, Q0, delta, larger_root, optimality_range, samuels_optimal_k
-from pooldesign.ranges import _K_RANGED, _breakpoint
+from pooldesign.ranges import _K_RANGED, _range
 
 # k(k+1) still a finite double, k(k+1) past it, and k itself past it
 HUGE_K = [10**154, 10**200, 2**1100]
@@ -100,16 +100,22 @@ class TestLargerRoot:
             larger_root(8.0)
 
     def test_cold_root_fills_only_the_requested_size(self):
-        # each size is solved on its own; no table of smaller roots is filled
-        _breakpoint.cache_clear()
+        # each range is solved on its own; no table of smaller sizes is filled,
+        # and the roots themselves are not cached
+        _range.cache_clear()
         k = 10**6
-        r = larger_root(k)
-        assert abs(delta(k, r)) <= 1e-12
-        assert larger_root(np.int64(k)) == r
-        info = _breakpoint.cache_info()
+        rng = optimality_range(k)
+        assert abs(delta(k, 1.0 - rng.p_low)) <= 1e-12
+        assert abs(delta(k - 1, 1.0 - rng.p_high)) <= 1e-12
+        assert optimality_range(k) is rng
+        info = _range.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        larger_root(k - 1)
-        assert _breakpoint.cache_info().currsize == 2
+        assert optimality_range(np.int64(k)) == rng
+        assert larger_root(k) == 1.0 - rng.p_low
+        info = _range.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        optimality_range(k - 1)
+        assert _range.cache_info().currsize == 2
 
     @pytest.mark.parametrize("k", HUGE_K, ids=HUGE_K_IDS)
     def test_huge_k_rounds_to_one(self, k):

@@ -1,11 +1,17 @@
 """Tests for relative efficiency and the embedded reference tables."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from pooldesign import (
+    P0,
     check_table,
+    expected_tests,
     generate_table,
+    optimal_expected_tests,
     relative_efficiency,
     samuels_optimal_k,
 )
@@ -35,6 +41,34 @@ class TestRelativeEfficiency:
             relative_efficiency(0, 0.1)
         with pytest.raises(ValueError):
             relative_efficiency(8, 0.0)
+
+    def test_is_the_ratio_of_the_costs(self):
+        # exactly, on 2000 seeded log-uniform p in [1e-15, 0.9] and the edges
+        rng = np.random.default_rng(20)
+        ps = np.exp(rng.uniform(math.log(1e-15), math.log(0.9), 2000)).tolist()
+        ps += [P0, math.nextafter(P0, 0.0), math.nextafter(P0, 1.0), 0.3, 0.9]
+        ps += [1e-12, 1e-300, 5e-324]
+        for p in ps:
+            for k in (1, 3, 8, 13, 100):
+                want = expected_tests(k, p) / optimal_expected_tests(p)
+                assert relative_efficiency(k, p) == want, (k, p)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((8, -1.0), "prevalence must lie in [0, 1), got -1.0"),
+            ((8, 0.0), "prevalence must lie in (0, 1), got 0.0"),
+            ((8, 1.0), "prevalence must lie in [0, 1), got 1.0"),
+            ((8, math.nan), "prevalence must lie in [0, 1), got nan"),
+            ((8.0, 0.0), "group size must be a positive integer, got 8.0"),
+            ((True, 0.02), "group size must be a positive integer, got True"),
+            ((0, -1.0), "group size must be >= 1, got 0"),
+        ],
+    )
+    def test_invalid_input_message(self, args, message):
+        # k before p; the zero prevalence reaches the Samuels rule's check
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            relative_efficiency(*args)
 
 
 class TestCellMatching:

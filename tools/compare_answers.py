@@ -34,6 +34,18 @@ the largest size it answers, and the refusal one past it. Its `records`
 key holds the `repr` of real answers of each record type, which pins
 their names, fields and field order.
 
+Its `sites` key holds, for the first site-batch chunk of seeds 1-5 (1280
+p) and at P0, P0 one ulp either side, 0.3, 0.9, 1e-12, 1e-300 and 5e-324,
+the p, `samuels_optimal_k(p)`, the `.hex()` of `optimal_expected_tests(p)`,
+`expected_tests(8, p)`, `relative_efficiency(8, p)`,
+`relative_efficiency(13, p)` and `loss(8, p)`, and the range of k*(p) as in
+`ranges`; then the `repr` of each site function on numpy inputs, which pins
+the numpy result types. Its `errors` key holds, for each public scalar
+function with one argument x (and the other valid) or with both x, the
+exception class and message, or the `repr` of the result, at x = 0.0,
+-1.0, 1.0, nan, inf, True, 8.0, 0, -3, None and '0.5': the checks, their
+order and their messages.
+
 Its `cli` key holds, for each argv of a fixed list, the argv, the exit code,
 stdout and stderr of `pooldesign.cli.main`: every subcommand in the three
 formats, `range` and `optimal` down to k = 10**6 and p = 1e-12, `minimax`
@@ -123,6 +135,77 @@ NEAR_LIMIT = [6e-30, 5e-30, 4.5e-30, 4.1e-30, 3.9e-30]
 def sup(k, U):
     p = pd.sup_loss_analytic(k, U)
     return [k, U, p.p_star, p.sup_loss]
+
+
+SITE_EDGES = [
+    pd.P0,
+    math.nextafter(pd.P0, 0.0),
+    math.nextafter(pd.P0, 1.0),
+    0.3,
+    0.9,
+    1e-12,
+    1e-300,
+    5e-324,
+]
+# the first chunk of each seed: a block holds one ("sites", ps) query
+SITE_PS = [
+    p for seed in range(1, 6) for p in next(workloads.blocks("site-batch", seed))[0][1]
+] + SITE_EDGES
+
+
+def site(p):
+    k = pd.samuels_optimal_k(p)
+    costs = (
+        pd.optimal_expected_tests(p),
+        pd.expected_tests(8, p),
+        pd.relative_efficiency(8, p),
+        pd.relative_efficiency(13, p),
+        pd.loss(8, p),
+    )
+    return [p.hex(), k, *(x.hex() for x in costs), opt_range(k)]
+
+
+# numpy inputs give numpy results where the arithmetic passes them through
+NUMPY_SITES = [
+    pd.samuels_optimal_k(np.float64(0.02)),
+    pd.optimal_expected_tests(np.float64(0.02)),
+    pd.expected_tests(np.int64(8), 0.02),
+    pd.expected_tests(8, np.float64(0.02)),
+    pd.relative_efficiency(np.int64(8), 0.02),
+    pd.relative_efficiency(8, np.float64(0.02)),
+    pd.loss(np.int64(8), 0.02),
+    pd.loss(np.int64(8), 0.0),
+    pd.optimality_range(np.int64(8)),
+    pd.optimality_range(np.int32(3)),
+    pd.optimality_range(np.int64(1)),
+]
+
+# each public scalar function with one bad argument x, or with two
+BAD = [0.0, -1.0, 1.0, math.nan, math.inf, True, 8.0, 0, -3, None, "0.5"]
+SCALAR_CALLS = {
+    "samuels_optimal_k(x)": pd.samuels_optimal_k,
+    "optimal_expected_tests(x)": pd.optimal_expected_tests,
+    "optimality_range(x)": pd.optimality_range,
+    "larger_root(x)": pd.larger_root,
+    "expected_tests(x, 0.02)": lambda x: pd.expected_tests(x, 0.02),
+    "expected_tests(8, x)": lambda x: pd.expected_tests(8, x),
+    "expected_tests(x, x)": lambda x: pd.expected_tests(x, x),
+    "relative_efficiency(x, 0.02)": lambda x: pd.relative_efficiency(x, 0.02),
+    "relative_efficiency(8, x)": lambda x: pd.relative_efficiency(8, x),
+    "relative_efficiency(x, x)": lambda x: pd.relative_efficiency(x, x),
+    "loss(x, 0.02)": lambda x: pd.loss(x, 0.02),
+    "loss(8, x)": lambda x: pd.loss(8, x),
+    "loss(x, x)": lambda x: pd.loss(x, x),
+    "delta(x, 0.5)": lambda x: pd.delta(x, 0.5),
+    "delta(8, x)": lambda x: pd.delta(8, x),
+}
+
+
+def error(call, x):
+    try:
+        return ["returned", repr(call(x))]
+    except Exception as exc:  # the class and message are what is compared
+        return [type(exc).__name__, str(exc)]
 
 
 def run_cli(argv):
@@ -228,6 +311,8 @@ res = {
         for k in range(1, 2001, 7)
     ],
     "sweep": [],
+    "sites": [site(p) for p in SITE_PS] + [repr(x) for x in NUMPY_SITES],
+    "errors": [[name, repr(x), error(call, x)] for name, call in SCALAR_CALLS.items() for x in BAD],
     "records": [
         repr(r)
         for r in (

@@ -5,18 +5,19 @@ a missing optional dependency (numpy for `minimax --method grid`), 4
 golden-table mismatch. Output is deterministic; human-readable formats
 print 6 significant digits, machine formats keep full precision.
 
-Each handler imports the solver modules it runs, so a call loads only
-those: `optimal` and `range` load core and ranges, `bayes` loads bayes,
-`minimax` loads minimax, and `table` loads efficiency.
+`_COMMANDS` holds each command's handler, help line and flags; `_parse`
+reads argv by it, without argparse, and `--help` prints it. Each handler
+imports the solver modules it runs, so a call loads only those: `optimal`
+and `range` load core and ranges, `bayes` loads bayes, `minimax` loads
+minimax, and `table` loads efficiency. Only JSON output imports `json`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
 FORMATS = ("csv", "json", "markdown")
+_REQUIRED = object()  # the default of a flag that must be given
 
 
 def _fmt(value, machine: bool) -> str:
@@ -27,6 +28,7 @@ def _fmt(value, machine: bool) -> str:
 
 def _emit_record(name: str, fields: dict, output: str) -> None:
     if output == "json":
+        import json
         print(json.dumps({"command": name, **fields}, sort_keys=False))
     elif output == "csv":
         print(",".join(fields))
@@ -41,6 +43,7 @@ def _emit_record(name: str, fields: dict, output: str) -> None:
 
 def _emit_table(report, output: str) -> None:
     if output == "json":
+        import json
         payload = {
             "table": report.table_id,
             "title": report.title,
@@ -61,10 +64,10 @@ def _emit_table(report, output: str) -> None:
             print("| " + " | ".join([label] + cells) + " |")
 
 
-def _cmd_optimal(args) -> int:
+def _cmd_optimal(args: dict) -> int:
     from . import core, ranges
 
-    p = args.p
+    p = args["p"]
     k = core.samuels_optimal_k(p)
     rng = ranges.optimality_range(k)
     _emit_record(
@@ -76,16 +79,16 @@ def _cmd_optimal(args) -> int:
             "range_low": rng.p_low,
             "range_high": rng.p_high,
         },
-        args.format,
+        args["format"],
     )
     return 0
 
 
-def _cmd_minimax(args) -> int:
+def _cmd_minimax(args: dict) -> int:
     from . import minimax
 
-    step = {} if args.grid_step is None else {"grid_step": args.grid_step}
-    res = minimax.minimax_group_size(args.upper_bound, args.method, **step)
+    step = {} if args["grid_step"] is None else {"grid_step": args["grid_step"]}
+    res = minimax.minimax_group_size(args["upper_bound"], args["method"], **step)
     _emit_record(
         "minimax",
         {
@@ -95,53 +98,53 @@ def _cmd_minimax(args) -> int:
             "worst_p": res.worst_point.p_star,
             "worst_loss": res.worst_point.sup_loss,
         },
-        args.format,
+        args["format"],
     )
     return 0
 
 
-def _cmd_bayes(args) -> int:
+def _cmd_bayes(args: dict) -> int:
     from .bayes import PriorSpec, bayes_optimal_k
 
-    if args.prior == "uniform":
-        prior = PriorSpec.uniform(args.upper_bound)
-    elif args.prior == "jeffreys":
-        prior = PriorSpec.jeffreys(args.upper_bound)
+    if args["prior"] == "uniform":
+        prior = PriorSpec.uniform(args["upper_bound"])
+    elif args["prior"] == "jeffreys":
+        prior = PriorSpec.jeffreys(args["upper_bound"])
     else:
-        if args.a is None or args.b is None:
+        if args["a"] is None or args["b"] is None:
             raise ValueError("--prior beta requires --a and --b")
-        prior = PriorSpec(args.a, args.b, args.upper_bound)
+        prior = PriorSpec(args["a"], args["b"], args["upper_bound"])
     res = bayes_optimal_k(prior)
     _emit_record(
         "bayes",
         {
-            "prior": args.prior,
+            "prior": args["prior"],
             "a": prior.a,
             "b": prior.b,
             "upper_bound": prior.upper,
             "k_optimal": res.k_opt,
             "expected_tests": res.expected_tests_at_opt,
         },
-        args.format,
+        args["format"],
     )
     return 0
 
 
-def _cmd_range(args) -> int:
+def _cmd_range(args: dict) -> int:
     from . import ranges
 
-    rng = ranges.optimality_range(args.k)
+    rng = ranges.optimality_range(args["k"])
     _emit_record(
-        "range", {"k": rng.k, "p_low": rng.p_low, "p_high": rng.p_high}, args.format
+        "range", {"k": rng.k, "p_low": rng.p_low, "p_high": rng.p_high}, args["format"]
     )
     return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args: dict) -> int:
     from . import efficiency
 
-    report = efficiency.generate_table(f"T{args.table}")
-    if args.check:
+    report = efficiency.generate_table(f"T{args['table']}")
+    if args["check"]:
         mismatches = efficiency.check_table(report)
         if mismatches:
             for m in mismatches:
@@ -151,91 +154,138 @@ def _cmd_table(args) -> int:
                     file=sys.stderr,
                 )
             return 4
-        print(f"table {args.table}: all cells match")
+        print(f"table {args['table']}: all cells match")
         return 0
-    _emit_table(report, args.format)
+    _emit_table(report, args["format"])
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pooldesign",
-        description="Pool sizes for Dorfman two-stage group testing.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command: (handler, help line, {flag: (kind, default)}). A kind is float or
+# int, a tuple or range of the choices, or bool for a flag that takes no value.
+_FORMAT = (FORMATS, "markdown")
+_COMMANDS = {
+    "optimal": (_cmd_optimal, "optimal pool size for a known prevalence",
+                {"--p": (float, _REQUIRED), "--format": _FORMAT}),
+    "minimax": (_cmd_minimax, "pool size minimizing worst-case regret",
+                {"--upper-bound": (float, 1.0),
+                 "--method": (("analytic", "grid"), "analytic"),
+                 "--grid-step": (float, None), "--format": _FORMAT}),
+    "bayes": (_cmd_bayes, "pool size minimizing prior-mean cost",
+              {"--prior": (("uniform", "jeffreys", "beta"), _REQUIRED),
+               "--a": (float, None), "--b": (float, None),
+               "--upper-bound": (float, 1.0), "--format": _FORMAT}),
+    "range": (_cmd_range, "prevalence interval where a pool size is optimal",
+              {"--k": (int, _REQUIRED), "--format": _FORMAT}),
+    "table": (_cmd_table, "regenerate a reference table",
+              {"--table": (range(1, 6), _REQUIRED), "--check": (bool, False),
+               "--format": _FORMAT}),
+}
+_USAGE = f"pooldesign {{{','.join(_COMMANDS)}}} [--flag value ...]"
 
-    def add_common(p):
-        p.add_argument("--format", choices=FORMATS, default="markdown")
 
-    p_opt = sub.add_parser("optimal", help="optimal pool size for a known prevalence")
-    p_opt.add_argument("--p", type=float, required=True)
-    add_common(p_opt)
-    p_opt.set_defaults(func=_cmd_optimal)
+def _synopsis(command: str) -> str:
+    words = [f"pooldesign {command}"]
+    for flag, (kind, default) in _COMMANDS[command][2].items():
+        if not isinstance(kind, type):
+            flag += " {" + ",".join(map(str, kind)) + "}"
+        elif kind is not bool:
+            flag += " " + kind.__name__.upper()
+        words.append(flag if default is _REQUIRED else f"[{flag}]")
+    return " ".join(words)
 
-    p_mm = sub.add_parser("minimax", help="pool size minimizing worst-case regret")
-    p_mm.add_argument("--upper-bound", dest="upper_bound", type=float, default=1.0)
-    p_mm.add_argument("--method", choices=("analytic", "grid"), default="analytic")
-    p_mm.add_argument("--grid-step", dest="grid_step", type=float, default=None)
-    add_common(p_mm)
-    p_mm.set_defaults(func=_cmd_minimax)
 
-    p_bayes = sub.add_parser("bayes", help="pool size minimizing prior-mean cost")
-    p_bayes.add_argument(
-        "--prior", choices=("uniform", "jeffreys", "beta"), required=True
-    )
-    p_bayes.add_argument("--a", type=float, default=None)
-    p_bayes.add_argument("--b", type=float, default=None)
-    p_bayes.add_argument("--upper-bound", dest="upper_bound", type=float, default=1.0)
-    add_common(p_bayes)
-    p_bayes.set_defaults(func=_cmd_bayes)
+def _usage_error(message: str, command: str | None = None, flag: str | None = None):
+    usage = _synopsis(command) if command else _USAGE
+    error = f"argument {flag}: {message}" if flag else message
+    print(f"usage: {usage}\npooldesign: error: {error}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p_rng = sub.add_parser("range", help="prevalence interval where a pool size is optimal")
-    p_rng.add_argument("--k", type=int, required=True)
-    add_common(p_rng)
-    p_rng.set_defaults(func=_cmd_range)
 
-    p_tab = sub.add_parser("table", help="regenerate a reference table")
-    p_tab.add_argument("--table", type=int, choices=range(1, 6), required=True)
-    p_tab.add_argument("--check", action="store_true")
-    add_common(p_tab)
-    p_tab.set_defaults(func=_cmd_table)
+def _help():
+    print(f"usage: {_USAGE}\n\nPool sizes for Dorfman two-stage group testing.")
+    for name, (_, line, _) in _COMMANDS.items():
+        print(f"\n{name}: {line}\n  {_synopsis(name)}")
+    print("\nFlags are named in full; a value follows its flag or '=' (--p=0.02).")
+    raise SystemExit(0)
 
-    return parser
+
+def _parse(argv) -> tuple[str, dict]:
+    """The command and its flag values, keyed by flag name without dashes."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _help()
+    if command not in _COMMANDS:
+        what = f"invalid command: {command!r}" if argv else "a command is required"
+        _usage_error(f"{what} (choose from {', '.join(map(repr, _COMMANDS))})")
+    flags, given, stray = _COMMANDS[command][2], {}, []
+    # --flag=value reads as --flag value; a value may begin with "-"
+    pieces = [a.split("=", 1) if a.startswith("--") else [a] for a in argv[1:]]
+    words = iter([word for piece in pieces for word in piece])
+    for flag in words:
+        if flag in ("-h", "--help"):
+            _help()
+        if flag not in flags:  # refused after the rest, so a later --help wins
+            stray.append(flag)
+            continue
+        kind = flags[flag][0]
+        if kind is bool:
+            given[flag] = True
+            continue
+        if (text := next(words, None)) is None:
+            _usage_error("expected one argument", command, flag)
+        convert = kind if isinstance(kind, type) else type(kind[0])
+        try:
+            value = convert(text)
+        except ValueError:
+            _usage_error(f"invalid {convert.__name__} value: {text!r}", command, flag)
+        if convert is not kind and value not in kind:
+            choices = ", ".join(map(repr, kind))
+            error = f"invalid choice: {value!r} (choose from {choices})"
+            _usage_error(error, command, flag)
+        given[flag] = value  # the last of a repeated flag wins
+    if stray:
+        _usage_error(f"unrecognized arguments: {' '.join(stray)}", command)
+    missing = [f for f, (_, d) in flags.items() if d is _REQUIRED and f not in given]
+    if missing:
+        required = ", ".join(missing)
+        _usage_error(f"the following arguments are required: {required}", command)
+    args = {f[2:].replace("-", "_"): given.get(f, d) for f, (_, d) in flags.items()}
+    return command, args
 
 
 def _fail(exc: Exception, label: str, output: str, code: int) -> int:
     print(f"{label}: {exc}", file=sys.stderr)
     if output == "json":
+        import json
         print(json.dumps({"error": str(exc)}))
     return code
 
 
-def _ignored_flag(args) -> str | None:
+def _ignored_flag(command: str, args: dict) -> str | None:
     """The message for a flag the chosen command would ignore, if one is set."""
-    if args.command == "bayes" and args.prior != "beta":
-        if args.a is not None or args.b is not None:
-            return f"--a and --b apply only to --prior beta, not {args.prior}"
-    if args.command == "minimax" and args.method != "grid":
-        if args.grid_step is not None:
+    if command == "bayes" and args["prior"] != "beta":
+        if args["a"] is not None or args["b"] is not None:
+            return f"--a and --b apply only to --prior beta, not {args['prior']}"
+    if command == "minimax" and args["method"] != "grid":
+        if args["grid_step"] is not None:
             return "--grid-step applies only to --method grid"
     return None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    ignored = _ignored_flag(args)
+    command, args = _parse(sys.argv[1:] if argv is None else argv)
+    ignored = _ignored_flag(command, args)
     if ignored:
-        parser.error(ignored)
+        _usage_error(ignored, command)
     try:
-        return args.func(args)
+        return _COMMANDS[command][0](args)
     except (ValueError, OSError) as exc:
-        return _fail(exc, "error", args.format, 2)
+        return _fail(exc, "error", args["format"], 2)
     except RuntimeError as exc:
-        return _fail(exc, "numerical failure", args.format, 3)
+        return _fail(exc, "numerical failure", args["format"], 3)
     except ImportError as exc:  # the oracles' numpy comes with the oracles extra
         label = "missing dependency (pip install 'pooldesign[oracles]')"
-        return _fail(exc, label, args.format, 3)
+        return _fail(exc, label, args["format"], 3)
 
 
 if __name__ == "__main__":

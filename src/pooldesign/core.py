@@ -143,6 +143,4 @@ def loss(k: int, p: float) -> float:
     for k = 1, which closes the domain for worst-case searches.
     """
     cost = expected_tests(k, p)
-    if p == 0.0:
-        return 1.0 if k == 1 else 1.0 / k
-    return cost - optimal_expected_tests(p)
+    return cost if p == 0.0 else cost - optimal_expected_tests(p)

@@ -311,6 +311,79 @@ class TestDeterminismAndConfig:
             assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ([], "command"),
+            (["bogus"], "'bogus'"),
+            (["minimax", "--upper", "0.05"], "--upper"),  # no prefix matching
+            (["bayes", "--prior", "jeffreys", "--upper", "0.05"], "--upper"),
+            (["range", "--k"], "--k"),
+            (["range", "--k", "x"], "--k"),
+            (["range", "--k", "8.0"], "--k"),
+            (["optimal", "--p", "0.02x"], "--p"),
+            (["bayes", "--prior", "flat"], "--prior"),
+            (["table", "--table", "0"], "--table"),
+            (["optimal"], "--p"),
+            (["bayes", "--upper-bound", "0.1"], "--prior"),
+            (["optimal", "--p", "0.02", "extra"], "extra"),
+            (["range", "8"], "8"),
+            (["minimax", "--grid-step", "1e-5"], "--grid-step"),
+        ],
+    )
+    def test_usage_error_exits_two(self, capsys, argv, named):
+        for extra in ([], ["--format", "json"]):  # no JSON error record either
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + extra)
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, "")
+            assert err.startswith("usage: pooldesign")
+            error = err.splitlines()[-1]
+            assert error.startswith("pooldesign: error: ") and named in error
+
+    def test_joined_value_reads_as_the_next_argument(self, capsys):
+        joined = run(capsys, "optimal", "--p=0.02")
+        assert joined == run(capsys, "optimal", "--p", "0.02")
+        joined = run(capsys, "table", "--table=01", "--format=csv")
+        assert joined == run(capsys, "table", "--table", "1", "--format", "csv")
+
+    def test_last_repeat_wins_and_values_may_start_with_a_dash(self, capsys):
+        code, out, _ = run(
+            capsys, "optimal", "--p", "0.5", "--p", "0.02", "--format", "json"
+        )
+        assert (code, json.loads(out)["k_optimal"]) == (0, 8)
+        code, _, err = run(capsys, "minimax", "--upper-bound", "-0.5")
+        assert code == 2 and err == "error: upper bound must lie in (0, 1], got -0.5\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["-h"], ["bayes", "--help"], ["range", "--k", "8", "-h"],
+         ["range", "--bogus", "-h"]],  # help wins over an unknown argument
+    )
+    def test_help_lists_every_command_and_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        for command in ("optimal", "minimax", "bayes", "range", "table"):
+            assert f"\n{command}: " in out and f"pooldesign {command} " in out
+        for flag in ("--prior {uniform,jeffreys,beta}", "[--a FLOAT]", "[--b FLOAT]",
+                     "[--upper-bound FLOAT]", "[--format {csv,json,markdown}]"):
+            assert flag in out
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["pooldesign", "range", "--k", "8", "--format", "json"]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert cli.main() == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 8
+
+    def test_prefix_of_a_flag_exits_two_without_a_traceback(self):
+        proc = run_process("minimax", "--upper", "0.05")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "--upper" in proc.stderr and "Traceback" not in proc.stderr
+
+
 IMPORT_PROBE = """
 import contextlib, io, sys
 from pooldesign import cli
@@ -376,30 +449,40 @@ print(json.dumps(out))
 """
 
 LOAD_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 def loaded():
     return {m for m in sys.modules if m.split(".")[0] == "pooldesign"}
-seen = set()
+seen, steps = set(), []
 def step(argvs=()):
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         codes = [cli.main(argv) for argv in argvs]
     new = sorted(loaded() - seen)
     seen.update(new)
-    print(json.dumps([codes, new]))
+    steps.append([codes, new])
 import pooldesign
 step()
 from pooldesign import cli
-step([["optimal", "--p", "0.02"], ["range", "--k", "8"]])
+step([["optimal", "--p", "0.02"], ["range", "--k", "8", "--format", "csv"]])
 step([
-    ["bayes", "--prior", "uniform", "--upper-bound", "0.1"],
+    ["bayes", "--prior", "uniform", "--upper-bound", "0.1", "--format", "csv"],
     ["bayes", "--prior", "jeffreys"],
     ["bayes", "--prior", "beta", "--a", "2", "--b", "5", "--upper-bound", "0.3"],
 ])
 step([["minimax", "--upper-bound", "0.05"]])
 step([["table", "--table", str(n), "--check"] for n in range(1, 6)])
-heavy = ("dataclasses", "inspect", "typing", "numbers", "numpy", "scipy")
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in heavy)))
+step([["table", "--table", "1"], ["table", "--table", "2", "--format", "csv"]])
+json_before = "json" in sys.modules  # recorded before this probe imports json
+heavy = ("dataclasses", "inspect", "typing", "numbers", "numpy", "scipy",
+         "argparse", "gettext", "locale")
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in heavy)
+step([["optimal", "--p", "0.02", "--format", "json"]])
+json_after = "json" in sys.modules
+import json
+for s in steps:
+    print(json.dumps(s))
+print(json.dumps(heavy))
+print(json.dumps([json_before, json_after]))
 """
 
 
@@ -412,15 +495,19 @@ class TestImports:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        *steps, heavy = map(json.loads, proc.stdout.splitlines())
+        *steps, heavy, json_loaded = map(json.loads, proc.stdout.splitlines())
         assert steps == [
             [[], ["pooldesign"]],  # import pooldesign loads no submodule
             [[0, 0], ["pooldesign.cli", "pooldesign.core", "pooldesign.ranges"]],
             [[0, 0, 0], ["pooldesign.bayes"]],
             [[0], ["pooldesign.minimax"]],
             [[0, 4, 4, 4, 0], ["pooldesign.efficiency"]],  # T2-T4 have pinned cells
+            [[0, 0], []],
+            [[0], []],
         ]
-        assert heavy == []
+        assert heavy == []  # no argparse, gettext or locale either
+        # markdown, csv and `table --check` print no JSON and load no json
+        assert json_loaded == [False, True]
 
     def test_no_subcommand_loads_scipy(self):
         # only the quadrature oracle needs scipy, and it imports it itself

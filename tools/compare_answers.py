@@ -49,15 +49,18 @@ order and their messages.
 Its `cli` key holds, for each argv of a fixed list, the argv, the exit code,
 stdout and stderr of `pooldesign.cli.main`: every subcommand in the three
 formats, `range` and `optimal` down to k = 10**6 and p = 1e-12, `minimax`
-(both methods) down to U = 4.1e-30, `table --table 1..5` with and without `--check`, and
-argv that exit 2 (usage or invalid input) and 3 (numerical failure), among
-them `minimax` below the smallest bound it answers, with the grid method
-at bounds whose grid step U/1e5 underflows, and beta priors whose shapes
-are too small or too large for double precision, next to Beta(1e308, 1e5)
-on (0, 1], which is answered. An
-exception that escapes `cli.main` is recorded by its class name in place
-of the exit code. So the identity of the command line is a `cmp` of two
-dumps as well.
+(both methods) down to U = 4.1e-30, `table --table 1..5` with and without
+`--check`, and argv that exit 2 (usage or invalid input) and 3 (numerical
+failure), among them `minimax` below the smallest bound it answers, with
+the grid method at bounds whose grid step U/1e5 underflows, and beta priors
+whose shapes are too small or too large for double precision, next to
+Beta(1e308, 1e5) on (0, 1], which is answered. Argv for the parser itself
+come last: `--help` and `bayes --help`, `--flag=value`, `--table 01`, and
+argv it refuses (no command or an unknown one, an unknown flag or a prefix
+of one, a missing or malformed value, a stray argument). The `SystemExit`
+code of `--help` or of a refused argv stands in for the exit code, and an
+exception that escapes `cli.main` is recorded by its class name. So the
+identity of the command line is a `cmp` of two dumps as well.
 """
 
 import contextlib
@@ -213,7 +216,7 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
+        except SystemExit as exc:  # the parser rejects the argv, or prints help
             code = exc.code
         except Exception as exc:  # a crash, recorded by its class name
             code = type(exc).__name__
@@ -271,10 +274,20 @@ CLI_FORMATTED = [  # each runs in the three formats
 ]
 CLI_PLAIN = [
     *(["table", "--table", str(n), "--check"] for n in range(1, 6)),
-    # exit 2 from argparse
+    ["--help"],
+    ["bayes", "--help"],
+    ["minimax", "--upper-bound=0.05", "--format=json"],
+    ["table", "--table", "01", "--check"],
+    # exit 2 from the parser
     ["table", "--table", "6"],
     ["optimal", "--p", "0.02", "--grid-step", "1e-5"],
     ["--config", "x", "optimal", "--p", "0.02"],
+    [],
+    ["bogus"],
+    ["minimax", "--upper", "0.05"],
+    ["range", "--k"],
+    ["range", "--k", "x"],
+    ["optimal", "--p", "0.02", "extra"],
 ]
 
 

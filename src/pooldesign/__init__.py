@@ -27,11 +27,11 @@ _HOMES = {
     "minimax_group_size": "minimax",
     "PriorSpec": "bayes",
     "BayesResult": "bayes",
-    "QuadratureError": "bayes",
-    "jeffreys_constant": "bayes",
-    "expected_tests_uniform": "bayes",
+    "QuadratureError": "oracles",
+    "jeffreys_constant": "oracles",
+    "expected_tests_uniform": "oracles",
     "uniform_optimal_k": "bayes",
-    "expected_tests_under_prior": "bayes",
+    "expected_tests_under_prior": "oracles",
     "bayes_optimal_k": "bayes",
     "relative_efficiency": "efficiency",
     "generate_table": "efficiency",

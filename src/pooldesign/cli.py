@@ -9,10 +9,9 @@ print 6 significant digits, machine formats keep full precision.
 reads argv by it, without argparse, and `--help` prints it. Each handler
 imports the solver modules it runs, so a call loads only those: `optimal`
 and `range` load core and ranges, `bayes` loads bayes, `minimax` loads
-minimax, and `table` loads efficiency. Only JSON output imports `json`.
+minimax, and `table` loads efficiency. JSON output comes from `_json`,
+which writes what `json.dumps` writes by default, without importing `json`.
 """
-
-from __future__ import annotations
 
 import sys
 
@@ -26,10 +25,49 @@ def _fmt(value, machine: bool) -> str:
     return str(value)
 
 
+# json.dumps escapes these by name, other characters outside " " to "~" as \uXXXX
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _quote(text: str) -> str:
+    """text as a JSON string, escaped to ASCII as json.dumps escapes it."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    out = []
+    # UTF-16 code units: a pair of surrogates for each character above U+FFFF
+    units = text.encode("utf-16-be", "surrogatepass")
+    for i in range(0, len(units), 2):
+        c = chr(units[i] << 8 | units[i + 1])
+        out.append(_ESCAPES.get(c) or (c if " " <= c <= "~" else f"\\u{ord(c):04x}"))
+    return '"' + "".join(out) + '"'
+
+
+def _json(value) -> str:
+    """value as json.dumps(value) writes it: separators ", " and ": ", keys
+    in insertion order, ASCII only, and NaN and Infinity for the specials.
+    It stands in for json, whose import costs more than the output it writes."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):  # not repr: numpy 2 writes np.float64(...)
+        text = float.__repr__(value)
+        return _SPECIALS.get(text, text)
+    if isinstance(value, dict):
+        items = (f"{_quote(key)}: {_json(item)}" for key, item in value.items())
+        return "{" + ", ".join(items) + "}"
+    return "[" + ", ".join(map(_json, value)) + "]"  # a list or tuple
+
+
 def _emit_record(name: str, fields: dict, output: str) -> None:
     if output == "json":
-        import json
-        print(json.dumps({"command": name, **fields}, sort_keys=False))
+        print(_json({"command": name, **fields}))
     elif output == "csv":
         print(",".join(fields))
         print(",".join(_fmt(v, machine=True) for v in fields.values()))
@@ -43,14 +81,13 @@ def _emit_record(name: str, fields: dict, output: str) -> None:
 
 def _emit_table(report, output: str) -> None:
     if output == "json":
-        import json
         payload = {
             "table": report.table_id,
             "title": report.title,
             "columns": report.columns,
             "rows": [{"label": label, "values": vals} for label, vals in report.rows],
         }
-        print(json.dumps(payload, sort_keys=False))
+        print(_json(payload))
     elif output == "csv":
         print(",".join(["row"] + report.columns))
         for label, vals in report.rows:
@@ -111,8 +148,6 @@ def _cmd_bayes(args: dict) -> int:
     elif args["prior"] == "jeffreys":
         prior = PriorSpec.jeffreys(args["upper_bound"])
     else:
-        if args["a"] is None or args["b"] is None:
-            raise ValueError("--prior beta requires --a and --b")
         prior = PriorSpec(args["a"], args["b"], args["upper_bound"])
     res = bayes_optimal_k(prior)
     _emit_record(
@@ -256,16 +291,19 @@ def _parse(argv) -> tuple[str, dict]:
 def _fail(exc: Exception, label: str, output: str, code: int) -> int:
     print(f"{label}: {exc}", file=sys.stderr)
     if output == "json":
-        import json
-        print(json.dumps({"error": str(exc)}))
+        print(_json({"error": str(exc)}))
     return code
 
 
-def _ignored_flag(command: str, args: dict) -> str | None:
-    """The message for a flag the chosen command would ignore, if one is set."""
-    if command == "bayes" and args["prior"] != "beta":
-        if args["a"] is not None or args["b"] is not None:
+def _flag_conflict(command: str, args: dict) -> str | None:
+    """The message for a flag the chosen command would ignore, or for a
+    shape that --prior beta needs and lacks, if there is one."""
+    if command == "bayes":
+        shapes_given = [args["a"] is not None, args["b"] is not None]
+        if args["prior"] != "beta" and any(shapes_given):
             return f"--a and --b apply only to --prior beta, not {args['prior']}"
+        if args["prior"] == "beta" and not all(shapes_given):
+            return "--prior beta requires --a and --b"
     if command == "minimax" and args["method"] != "grid":
         if args["grid_step"] is not None:
             return "--grid-step applies only to --method grid"
@@ -274,9 +312,9 @@ def _ignored_flag(command: str, args: dict) -> str | None:
 
 def main(argv=None) -> int:
     command, args = _parse(sys.argv[1:] if argv is None else argv)
-    ignored = _ignored_flag(command, args)
-    if ignored:
-        _usage_error(ignored, command)
+    conflict = _flag_conflict(command, args)
+    if conflict:
+        _usage_error(conflict, command)
     try:
         return _COMMANDS[command][0](args)
     except (ValueError, OSError) as exc:

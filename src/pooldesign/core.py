@@ -7,8 +7,6 @@ characterization (Samuels' rule), and the regret of running a fixed pool
 size k at prevalence p is E(k,p) minus the cost of the oracle-optimal size.
 """
 
-from __future__ import annotations
-
 import math
 
 # Pooling beats individual testing only for p <= P0 = 1 - (1/3)^(1/3).
@@ -142,5 +140,13 @@ def loss(k: int, p: float) -> float:
     At p = 0 the value is defined by its limit, 1/k for k >= 2 and 1
     for k = 1, which closes the domain for worst-case searches.
     """
-    cost = expected_tests(k, p)
-    return cost if p == 0.0 else cost - optimal_expected_tests(p)
+    cost = expected_tests(k, p)  # checks k, then p
+    if p == 0.0:
+        return cost
+    j = samuels_optimal_k(p)
+    if k == 1 or j == 1:
+        return cost - optimal_expected_tests(p)
+    # q^j - q^k + 1/k - 1/j in log q, as minimax._regret_floor forms it: the
+    # two costs are near 2 sqrt(p) and differ by only about |k-j| p near k*(p)
+    log_q = math.log1p(-p)
+    return (j - k) / (k * j) - math.exp(j * log_q) * math.expm1((k - j) * log_q)

@@ -9,8 +9,6 @@ a half-even-rounding or truncation match at the printed precision, with a
 5e-4 absolute fallback.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import partial

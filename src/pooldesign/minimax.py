@@ -17,8 +17,6 @@ by the regret at the worst prevalence of a size it has already visited,
 and the sizes above the answer by the regret at the domain end.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import partial

@@ -6,8 +6,6 @@ p (1-p)^k = 1/(k(k+1)), whose q = 1-p is the larger root of q^k (1-q) =
 p_2 = P0; k = 2 is never optimal and k = 1 owns everything above P0.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import lru_cache

@@ -1,16 +1,19 @@
 """Tests for the command-line interface: outputs and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pooldesign
-from pooldesign import bayes, cli, minimax
-from pooldesign.bayes import QuadratureError
+from pooldesign import QuadratureError, bayes, cli, minimax
 
 
 def run(capsys, *argv):
@@ -136,8 +139,15 @@ class TestBayes:
         assert json.loads(out)["k_optimal"] == 9
 
     def test_beta_requires_shapes(self, capsys):
-        code, _, err = run(capsys, "bayes", "--prior", "beta")
-        assert code == 2 and "--a" in err
+        # a usage error: no JSON error record on stdout either
+        for argv in (["--a", "2"], ["--b", "5"], []):
+            for extra in ([], ["--format", "json"]):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(["bayes", "--prior", "beta", *argv, *extra])
+                out, err = capsys.readouterr()
+                assert (exc.value.code, out) == (2, "")
+                assert err.startswith("usage: pooldesign bayes")
+                assert err.endswith("error: --prior beta requires --a and --b\n")
 
     def test_infinite_shape_exits_two(self, capsys):
         code, out, err = run(
@@ -266,6 +276,36 @@ class TestTable:
         assert code == 4 and "mismatch in T1" in err
 
 
+# text over every code point, lone surrogates included, with the characters
+# that JSON escapes drawn often
+TEXT = st.text(
+    st.one_of(st.integers(0, 0x7F), st.integers(0, 0x10FFFF)).map(chr)
+    | st.sampled_from('"\\/\x7f\ud800\udfff\U0001f600')
+)
+NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+# the shape of a `table --format json` payload
+TABLE_PAYLOADS = st.fixed_dictionaries({
+    "table": TEXT,
+    "title": TEXT,
+    "columns": st.lists(TEXT, max_size=4),
+    "rows": st.lists(
+        st.fixed_dictionaries({"label": TEXT, "values": st.lists(NUMBERS, max_size=4)}),
+        max_size=3,
+    ),
+})
+
+
 class TestDeterminismAndConfig:
     def test_byte_identical_reruns(self, capsys):
         outs = []
@@ -280,6 +320,23 @@ class TestDeterminismAndConfig:
         _, out, _ = run(capsys, "optimal", "--p", "0.02", "--format", "json")
         rec = json.loads(out)
         assert json.loads(json.dumps(rec)) == rec
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(JSON_VALUES, TABLE_PAYLOADS))
+    def test_encoder_writes_what_json_dumps_writes(self, value):
+        assert cli._json(value) == json.dumps(value)
+
+    def test_error_record_of_a_non_ascii_message(self, capsys, monkeypatch):
+        # an ImportError names the path of the install, which may be any text
+        message = 'No module named "numpy" in C:\\Users\\Zoë\tπ\x7f\U0001f600'
+
+        def missing(*args, **kwargs):
+            raise ImportError(message)
+
+        monkeypatch.setattr(minimax, "minimax_group_size", missing)
+        code, out, err = run(capsys, "minimax", "--format", "json")
+        assert code == 3 and err.startswith("missing dependency")
+        assert out == json.dumps({"error": message}) + "\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -473,11 +530,11 @@ step([["minimax", "--upper-bound", "0.05"]])
 step([["table", "--table", str(n), "--check"] for n in range(1, 6)])
 step([["table", "--table", "1"], ["table", "--table", "2", "--format", "csv"]])
 json_before = "json" in sys.modules  # recorded before this probe imports json
-heavy = ("dataclasses", "inspect", "typing", "numbers", "numpy", "scipy",
-         "argparse", "gettext", "locale")
-heavy = sorted(m for m in sys.modules if m.split(".")[0] in heavy)
 step([["optimal", "--p", "0.02", "--format", "json"]])
 json_after = "json" in sys.modules
+heavy = ("dataclasses", "inspect", "typing", "numbers", "numpy", "scipy",
+         "argparse", "gettext", "locale", "json", "__future__")
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in heavy)
 import json
 for s in steps:
     print(json.dumps(s))
@@ -505,9 +562,9 @@ class TestImports:
             [[0, 0], []],
             [[0], []],
         ]
-        assert heavy == []  # no argparse, gettext or locale either
-        # markdown, csv and `table --check` print no JSON and load no json
-        assert json_loaded == [False, True]
+        assert heavy == []  # no argparse, gettext, locale, json or __future__ either
+        # no output loads json, not even JSON output
+        assert json_loaded == [False, False]
 
     def test_no_subcommand_loads_scipy(self):
         # only the quadrature oracle needs scipy, and it imports it itself

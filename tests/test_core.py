@@ -246,10 +246,24 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss(*args)
 
-    def test_is_the_difference_of_the_costs(self):
-        for p in SITES:
-            for k in (1, 3, 8, 100):
-                assert loss(k, p) == expected_tests(k, p) - optimal_expected_tests(p), (k, p)
+    def test_against_50_digits_without_cancelling(self):
+        # E(k) - E(j) with j = k*(p) is (j-k)/(kj) + q^j (1 - q^(k-j)); its
+        # error must stay within rounding of these terms, which near k* are
+        # about |k-j| p, far below the costs' 2 sqrt(p) that a difference of
+        # the two costs loses its precision to (3e-14 to 2e-8 of the terms)
+        rng = np.random.default_rng(22)
+        bands = [(1e-4, 0.3), (1e-8, 1e-4), (1e-12, 1e-8), (1e-16, 1e-12)]
+        with mp.workdps(50):
+            for lo, hi in bands:
+                for p in np.exp(rng.uniform(math.log(lo), math.log(hi), 40)).tolist():
+                    j = samuels_optimal_k(p)
+                    q = 1 - mp.mpf(p)
+                    for k in (1, 3, 8, 100, j - 1, j, j + 1, j + 5, 2 * j):
+                        e_k = 1 if k == 1 else 1 - q**k + mp.mpf(1) / k
+                        exact = e_k - (1 - q**j + mp.mpf(1) / j)
+                        terms = abs(mp.mpf(j - k) / (k * j)) + q**j * abs(1 - q ** (k - j))
+                        scale = 1 if k == 1 else terms  # 1 - E(j) is not a near tie
+                        assert abs(loss(k, p) - exact) <= 1e-15 * scale, (k, p)
 
 
 # each function checks its inputs in order, k before p, and a p rejected by

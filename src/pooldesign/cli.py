@@ -33,8 +33,6 @@ _SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _quote(text: str) -> str:
     """text as a JSON string, escaped to ASCII as json.dumps escapes it."""
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return f'"{text}"'
     out = []
     # UTF-16 code units: a pair of surrogates for each character above U+FFFF
     units = text.encode("utf-16-be", "surrogatepass")

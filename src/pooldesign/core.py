@@ -147,6 +147,9 @@ def loss(k: int, p: float) -> float:
     if k == 1 or j == 1:
         return cost - optimal_expected_tests(p)
     # q^j - q^k + 1/k - 1/j in log q, as minimax._regret_floor forms it: the
-    # two costs are near 2 sqrt(p) and differ by only about |k-j| p near k*(p)
+    # two costs are near 2 sqrt(p) and differ by only about |k-j| p near k*(p).
+    # In Python ints, as a numpy k would overflow j - k and k * j in its width
+    m = j - int(k)
     log_q = math.log1p(-p)
-    return (j - k) / (k * j) - math.exp(j * log_q) * math.expm1((k - j) * log_q)
+    regret = m / (int(k) * j) - math.exp(j * log_q) * math.expm1(-m * log_q)
+    return type(cost)(regret)  # a numpy k gives a numpy result, as the cost does

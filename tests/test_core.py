@@ -250,20 +250,28 @@ class TestLoss:
         # E(k) - E(j) with j = k*(p) is (j-k)/(kj) + q^j (1 - q^(k-j)); its
         # error must stay within rounding of these terms, which near k* are
         # about |k-j| p, far below the costs' 2 sqrt(p) that a difference of
-        # the two costs loses its precision to (3e-14 to 2e-8 of the terms)
+        # the two costs loses its precision to (3e-14 to 2e-8 of the terms).
+        # The reference is that difference, with 50 digits left after it
+        # cancels. Above P0 (j = 1) the plain difference E(k) - 1 is kept.
         rng = np.random.default_rng(22)
-        bands = [(1e-4, 0.3), (1e-8, 1e-4), (1e-12, 1e-8), (1e-16, 1e-12)]
-        with mp.workdps(50):
-            for lo, hi in bands:
-                for p in np.exp(rng.uniform(math.log(lo), math.log(hi), 40)).tolist():
-                    j = samuels_optimal_k(p)
-                    q = 1 - mp.mpf(p)
-                    for k in (1, 3, 8, 100, j - 1, j, j + 1, j + 5, 2 * j):
-                        e_k = 1 if k == 1 else 1 - q**k + mp.mpf(1) / k
-                        exact = e_k - (1 - q**j + mp.mpf(1) / j)
-                        terms = abs(mp.mpf(j - k) / (k * j)) + q**j * abs(1 - q ** (k - j))
-                        scale = 1 if k == 1 else terms  # 1 - E(j) is not a near tie
-                        assert abs(loss(k, p) - exact) <= 1e-15 * scale, (k, p)
+        bands = [(P0, 0.9), (1e-4, 0.3), (1e-8, 1e-4), (1e-12, 1e-8), (1e-16, 1e-12)]
+        ps = [np.exp(rng.uniform(math.log(lo), math.log(hi), 40)).tolist() for lo, hi in bands]
+        for p in [*sum(ps, []), *EDGES, 1e-10, 1e-40]:
+            j = samuels_optimal_k(p)
+            with mp.workdps(50 + math.ceil(-math.log10(p))):
+                q = 1 - mp.mpf(p)
+                for k in {1, 3, 8, 100, 50000, max(j - 1, 1), j, j + 1, j + 5, 2 * j}:
+                    e_k = 1 if k == 1 else 1 - q**k + mp.mpf(1) / k
+                    exact = e_k - (1 if j == 1 else 1 - q**j + mp.mpf(1) / j)
+                    terms = abs(mp.mpf(j - k) / (k * j)) + q**j * abs(1 - q ** (k - j))
+                    scale = 1 if k == 1 or j == 1 else terms  # E(k) - 1 is no near tie
+                    assert abs(loss(k, p) - exact) <= 1e-15 * scale, (k, p)
+                    # a numpy k, in whose width j - k and k * j would overflow
+                    for np_int in (np.int32, np.int64):
+                        if k <= np.iinfo(np_int).max:
+                            got = loss(np_int(k), p)
+                            assert got == loss(k, p), (np_int, k, p)
+                            assert type(got) is type(expected_tests(np_int(k), p))
 
 
 # each function checks its inputs in order, k before p, and a p rejected by

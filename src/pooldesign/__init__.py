@@ -4,6 +4,9 @@ The public names load lazily (PEP 562): `import pooldesign` imports no
 submodule, and the first read of a name imports its home module only. The
 name is then stored in this module's globals, so later reads are plain
 attribute hits that never reach `__getattr__`.
+
+`_HOMES` is the one list of public names, each mapped to the submodule that
+defines it; `__all__` is its keys, and the submodules declare none.
 """
 
 __version__ = "0.1.0"

@@ -23,8 +23,6 @@ from collections import namedtuple
 
 from .core import _K_RESOLVABLE, _branch_and_bound, _check_upper_bound, _unresolved
 
-__all__ = ["PriorSpec", "BayesResult", "uniform_optimal_k", "bayes_optimal_k"]
-
 
 class PriorSpec(namedtuple("PriorSpec", "a b upper")):
     """Beta(a, b) prior truncated and renormalized to (0, upper]."""
@@ -52,10 +50,9 @@ class PriorSpec(namedtuple("PriorSpec", "a b upper")):
         return cls(0.5, 0.5, upper)
 
 
-class BayesResult(namedtuple("BayesResult", "k_opt expected_tests_at_opt prior")):
-    """The pool size k_opt minimizing the prior-mean cost, and that cost."""
-
-    __slots__ = ()
+BayesResult = namedtuple("BayesResult", "k_opt expected_tests_at_opt prior")
+BayesResult.__doc__ = """\
+The pool size k_opt minimizing the prior-mean cost, and that cost."""
 
 
 # Terms of the continued fraction before it counts as divergent; the

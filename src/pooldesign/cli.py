@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 2 usage or invalid input, 3 numerical failure or
 a missing optional dependency (numpy for `minimax --method grid`), 4
-golden-table mismatch. Output is deterministic; human-readable formats
-print 6 significant digits, machine formats keep full precision.
+golden-table mismatch. Output that cannot be written (an OSError) exits 2
+with one stderr line and no JSON error record. Output is deterministic;
+human-readable formats print 6 significant digits, machine formats keep
+full precision.
 
-`_COMMANDS` holds each command's handler, help line and flags; `_parse`
+`_COMMANDS` holds each command's handler, help line and flags, and
+`--format` is added to every command after it, as its last flag; `_parse`
 reads argv by it, without argparse, and `--help` prints it. Each handler
 imports the solver modules it runs, so a call loads only those: `optimal`
 and `range` load core and ranges, `bayes` loads bayes, `minimax` loads
@@ -15,7 +18,6 @@ which writes what `json.dumps` writes by default, without importing `json`.
 
 import sys
 
-FORMATS = ("csv", "json", "markdown")
 _REQUIRED = object()  # the default of a flag that must be given
 
 
@@ -167,9 +169,7 @@ def _cmd_range(args: dict) -> int:
     from . import ranges
 
     rng = ranges.optimality_range(args["k"])
-    _emit_record(
-        "range", {"k": rng.k, "p_low": rng.p_low, "p_high": rng.p_high}, args["format"]
-    )
+    _emit_record("range", rng._asdict(), args["format"])  # the fields k, p_low, p_high
     return 0
 
 
@@ -195,24 +195,24 @@ def _cmd_table(args: dict) -> int:
 
 # command: (handler, help line, {flag: (kind, default)}). A kind is float or
 # int, a tuple or range of the choices, or bool for a flag that takes no value.
-_FORMAT = (FORMATS, "markdown")
 _COMMANDS = {
     "optimal": (_cmd_optimal, "optimal pool size for a known prevalence",
-                {"--p": (float, _REQUIRED), "--format": _FORMAT}),
+                {"--p": (float, _REQUIRED)}),
     "minimax": (_cmd_minimax, "pool size minimizing worst-case regret",
                 {"--upper-bound": (float, 1.0),
                  "--method": (("analytic", "grid"), "analytic"),
-                 "--grid-step": (float, None), "--format": _FORMAT}),
+                 "--grid-step": (float, None)}),
     "bayes": (_cmd_bayes, "pool size minimizing prior-mean cost",
               {"--prior": (("uniform", "jeffreys", "beta"), _REQUIRED),
                "--a": (float, None), "--b": (float, None),
-               "--upper-bound": (float, 1.0), "--format": _FORMAT}),
+               "--upper-bound": (float, 1.0)}),
     "range": (_cmd_range, "prevalence interval where a pool size is optimal",
-              {"--k": (int, _REQUIRED), "--format": _FORMAT}),
+              {"--k": (int, _REQUIRED)}),
     "table": (_cmd_table, "regenerate a reference table",
-              {"--table": (range(1, 6), _REQUIRED), "--check": (bool, False),
-               "--format": _FORMAT}),
+              {"--table": (range(1, 6), _REQUIRED), "--check": (bool, False)}),
 }
+for _, _, _flags in _COMMANDS.values():  # every command takes it, last
+    _flags["--format"] = (("csv", "json", "markdown"), "markdown")
 _USAGE = f"pooldesign {{{','.join(_COMMANDS)}}} [--flag value ...]"
 
 
@@ -288,7 +288,12 @@ def _parse(argv) -> tuple[str, dict]:
 
 def _fail(exc: Exception, label: str, output: str, code: int) -> int:
     print(f"{label}: {exc}", file=sys.stderr)
-    if output == "json":
+    if isinstance(exc, OSError):  # stdout failed: what it holds goes to devnull at exit
+        import os
+
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    elif output == "json":
         print(_json({"error": str(exc)}))
     return code
 
@@ -314,7 +319,9 @@ def main(argv=None) -> int:
     if conflict:
         _usage_error(conflict, command)
     try:
-        return _COMMANDS[command][0](args)
+        code = _COMMANDS[command][0](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except (ValueError, OSError) as exc:
         return _fail(exc, "error", args["format"], 2)
     except RuntimeError as exc:

@@ -14,16 +14,6 @@ Q0 = (1.0 / 3.0) ** (1.0 / 3.0)
 P0 = 1.0 - Q0
 _K_RESOLVABLE = 10**15  # no solver resolves a larger pool size in double precision
 
-__all__ = [
-    "P0",
-    "Q0",
-    "expected_tests",
-    "samuels_optimal_k",
-    "optimal_expected_tests",
-    "loss",
-]
-
-
 def _check_group_size(k) -> None:
     # int first: the Integral ABC check alone costs about 0.7 us a call,
     # and numbers is imported only for other integer types, such as numpy's

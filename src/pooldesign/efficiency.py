@@ -17,25 +17,13 @@ from .bayes import PriorSpec, bayes_optimal_k, uniform_optimal_k
 from .core import expected_tests, optimal_expected_tests, samuels_optimal_k
 from .minimax import minimax_group_size, sup_loss_analytic
 
-__all__ = [
-    "TableReport",
-    "Mismatch",
-    "TABLE_IDS",
-    "relative_efficiency",
-    "generate_table",
-    "check_table",
-]
 
-class Mismatch(namedtuple("Mismatch", "table_id row column computed expected")):
-    """A cell whose computed value does not match the golden one."""
+Mismatch = namedtuple("Mismatch", "table_id row column computed expected")
+Mismatch.__doc__ = """A cell whose computed value does not match the golden one."""
 
-    __slots__ = ()
-
-
-class TableReport(namedtuple("TableReport", "table_id title columns rows")):
-    """A regenerated table: its column labels and (row label, values) pairs."""
-
-    __slots__ = ()
+TableReport = namedtuple("TableReport", "table_id title columns rows")
+TableReport.__doc__ = """\
+A regenerated table: its column labels and (row label, values) pairs."""
 
 
 def relative_efficiency(k_design: int, p: float) -> float:

@@ -24,32 +24,17 @@ from functools import partial
 from .core import P0, _K_RESOLVABLE, _branch_and_bound, _check_group_size
 from .core import _check_upper_bound, _unresolved, samuels_optimal_k
 
-__all__ = [
-    "LossPoint",
-    "MinimaxResult",
-    "sup_loss_analytic",
-    "sup_loss_grid",
-    "minimax_group_size",
-]
+LossPoint = namedtuple("LossPoint", "k p_star sup_loss")
+LossPoint.__doc__ = """Worst-case prevalence p_star and regret sup_loss for pool size k.
 
+p_star = 0 encodes the p->0 limit, where the regret tends to 1/k
+(1 for k = 1).
+"""
 
-class LossPoint(namedtuple("LossPoint", "k p_star sup_loss")):
-    """Worst-case prevalence p_star and regret sup_loss for pool size k.
-
-    p_star = 0 encodes the p->0 limit, where the regret tends to 1/k
-    (1 for k = 1).
-    """
-
-    __slots__ = ()
-
-
-class MinimaxResult(
-    namedtuple("MinimaxResult", "k_minimax upper_bound worst_point method")
-):
-    """The minimax pool size for the bound U, its worst LossPoint and the
-    method ('analytic' or 'grid') that found it."""
-
-    __slots__ = ()
+MinimaxResult = namedtuple("MinimaxResult", "k_minimax upper_bound worst_point method")
+MinimaxResult.__doc__ = """\
+The minimax pool size for the bound U, its worst LossPoint and the
+method ('analytic' or 'grid') that found it."""
 
 
 def _peak(k: int, m: int, log_floor: float) -> tuple[float, float]:

@@ -13,13 +13,6 @@ import math
 
 from .core import _check_group_size, _check_upper_bound
 
-__all__ = [
-    "QuadratureError",
-    "jeffreys_constant",
-    "expected_tests_uniform",
-    "expected_tests_under_prior",
-]
-
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge within its budget."""

@@ -12,21 +12,17 @@ from functools import lru_cache
 
 from .core import P0, Q0, _check_group_size
 
-__all__ = ["OptimalityRange", "delta", "larger_root", "optimality_range"]
-
 _K_RANGED = 10**13  # endpoint error / range width: 1e-3 here, 1e-2 near 1e14
 
+OptimalityRange = namedtuple("OptimalityRange", "k p_low p_high")
+OptimalityRange.__doc__ = """\
+Closed interval [p_low, p_high] on which pool size k is optimal.
 
-class OptimalityRange(namedtuple("OptimalityRange", "k p_low p_high")):
-    """Closed interval [p_low, p_high] on which pool size k is optimal.
-
-    Endpoints are shared with the adjacent pool sizes: at a breakpoint
-    both neighbors achieve the same cost. Like every record of the package
-    it is an immutable named tuple, so it unpacks as (k, p_low, p_high) and
-    compares equal to any tuple that holds the same values.
-    """
-
-    __slots__ = ()
+Endpoints are shared with the adjacent pool sizes: at a breakpoint
+both neighbors achieve the same cost. Like every record of the package
+it is an immutable named tuple, so it unpacks as (k, p_low, p_high) and
+compares equal to any tuple that holds the same values.
+"""
 
 
 def delta(k: int, q: float) -> float:

@@ -338,6 +338,27 @@ class TestDeterminismAndConfig:
         assert code == 3 and err.startswith("missing dependency")
         assert out == json.dumps({"error": message}) + "\n"
 
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+    def test_closed_stdout_exits_two_with_one_error_line(self, fmt, buffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = _src_path()
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # a write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pooldesign.cli", "table", "--table", "4",
+                 "--format", fmt],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [

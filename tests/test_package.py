@@ -1,6 +1,9 @@
 """Tests for the lazy package exports and the named-tuple records."""
 
+import copy
 import importlib
+import inspect
+import pickle
 
 import pytest
 
@@ -23,7 +26,6 @@ class TestLazyExports:
     @pytest.mark.parametrize("name", pooldesign.__all__)
     def test_name_is_the_object_of_its_home_module(self, name):
         home = importlib.import_module(f"pooldesign.{pooldesign._HOMES[name]}")
-        assert name in home.__all__
         assert getattr(pooldesign, name) is getattr(home, name)
 
     def test_star_import_binds_every_name(self):
@@ -77,6 +79,19 @@ class TestRecords:
             setattr(record, record._fields[0], None)
         with pytest.raises(AttributeError):
             record.extra = None  # no __dict__ either
+
+    @pytest.mark.parametrize("text", RECORDS)
+    def test_pickle_and_deepcopy_give_an_equal_record(self, text):
+        record = RECORDS[text]
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(twin) is type(record) and twin == record
+
+    @pytest.mark.parametrize("text", RECORDS)
+    def test_docstring_is_the_records_own(self, text):
+        cls = type(RECORDS[text])
+        default = f"{cls.__name__}({', '.join(cls._fields)})"  # namedtuple's own
+        doc = inspect.getdoc(cls)
+        assert doc and doc != default
 
     def test_records_are_tuples(self):
         k, p_low, p_high = OptimalityRange(8, 0.25, 0.5)

@@ -61,9 +61,17 @@ of one, a missing or malformed value, a stray argument). The `SystemExit`
 code of `--help` or of a refused argv stands in for the exit code, and an
 exception that escapes `cli.main` is recorded by its class name. So the
 identity of the command line is a `cmp` of two dumps as well.
+
+Its `surface` key holds `pooldesign.__version__` and, for each name of
+`pooldesign.__all__` and for `efficiency.Mismatch` and `efficiency.TABLE_IDS`,
+the type name of the object and then, for a callable, its
+`inspect.signature`, its `inspect.getdoc` and its `_fields` (null for a
+function), or else its `repr`. So one `cmp` also shows that the public
+names, signatures, record fields, docstrings and version are unchanged.
 """
 
 import contextlib
+import inspect
 import io
 import itertools
 import json
@@ -77,7 +85,7 @@ root, out = sys.argv[1], sys.argv[2]
 sys.path[:0] = [root + "/src", root + "/bench", root]
 import pooldesign as pd  # noqa: E402
 import workloads  # noqa: E402
-from pooldesign import cli  # noqa: E402
+from pooldesign import cli, efficiency  # noqa: E402
 
 Us = [float(U) for U in np.logspace(-6, 0, 608)]
 bps = []
@@ -291,7 +299,24 @@ CLI_PLAIN = [
 ]
 
 
+def surface(name, obj):
+    if callable(obj):
+        return [name, type(obj).__name__, str(inspect.signature(obj)),
+                inspect.getdoc(obj), getattr(obj, "_fields", None)]
+    return [name, type(obj).__name__, repr(obj)]
+
+
+PUBLIC = [(name, getattr(pd, name)) for name in pd.__all__] + [
+    ("efficiency.Mismatch", efficiency.Mismatch),
+    ("efficiency.TABLE_IDS", efficiency.TABLE_IDS),
+]
+
+
 res = {
+    "surface": {
+        "version": pd.__version__,
+        "names": [surface(name, obj) for name, obj in PUBLIC],
+    },
     "roots": [pd.larger_root(k).hex() for k in range(2, 5001)],
     "ranges": [
         opt_range(k)

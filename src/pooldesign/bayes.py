@@ -59,6 +59,7 @@ The pool size k_opt minimizing the prior-mean cost, and that cost."""
 # number needed grows like the square root of the larger beta shape.
 _CF_MAX_TERMS = 10_000
 _TINY = 1e-300  # stands in for a zero denominator in Lentz's method
+_ULP = math.ulp(1.0)
 # log Gamma(x) - (x-1/2) log x + x - log(2 pi)/2 = sum_i _STIRLING[i] / x^(2i+1);
 # the first omitted term is below 7e-16 for x >= 10.
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
@@ -87,19 +88,28 @@ def _beta_cf(a: float, b: float, x: float, rest: bool = False) -> float:
         d = 1.0 + (b - 1.0) * x / ((a + 1.0) * (a + 2.0))  # 1 + d_2
     else:
         d = 1.0 - (a + b) * x / (a + 1.0)  # 1 + d_1
-    d = 1.0 / (d if abs(d) > _TINY else _TINY)
-    h = d
+    # d > _TINY or d < -_TINY is abs(d) > _TINY, false for nan as well
+    d = 1.0 / (d if d > _TINY or d < -_TINY else _TINY)
+    h, ab = d, a + b
     for m in range(1, _CF_MAX_TERMS + 1):
         n = m + rest
-        even = n * (b - n) * x / ((a + 2 * n - 1.0) * (a + 2 * n))  # d_{2n}
-        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
-        for num in (odd, even) if rest else (even, odd):
-            d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > _TINY else _TINY)
-            c = 1.0 + num / c
-            c = c if abs(c) > _TINY else _TINY
-            h *= c * d
-        if abs(c * d - 1.0) <= math.ulp(1.0):
+        a2n = a + 2 * n
+        even = n * (b - n) * x / ((a2n - 1.0) * a2n)  # d_{2n}
+        a2m = a + 2 * m
+        odd = -(a + m) * (ab + m) * x / (a2m * (a2m + 1.0))
+        first, second = (odd, even) if rest else (even, odd)
+        d = 1.0 + first * d
+        d = 1.0 / (d if d > _TINY or d < -_TINY else _TINY)
+        c = 1.0 + first / c
+        c = c if c > _TINY or c < -_TINY else _TINY
+        h *= c * d
+        d = 1.0 + second * d
+        d = 1.0 / (d if d > _TINY or d < -_TINY else _TINY)
+        c = 1.0 + second / c
+        c = c if c > _TINY or c < -_TINY else _TINY
+        cd = c * d
+        h *= cd
+        if -_ULP <= cd - 1.0 <= _ULP:
             return h
     raise RuntimeError(
         f"the incomplete-beta continued fraction for ({a}, {b}) at {x} "
@@ -214,12 +224,14 @@ def _floor(a: float, b: float, log_c: float, i: int, j: float) -> float:
 def _search(a: float, b: float, U: float):
     """(k, C(k)) for the smallest k minimizing the prior-mean cost, or None
     when the prior has no mass in double precision; docs/decisions.md has
-    the certificates. Small optima are walked one size at a time. Where the
-    walk leaves the search open, `core._branch_and_bound` jumps: `visit`
-    evaluates S_k and R_k at any k in O(1) from the continued fraction at
-    shape b + k, the far, chord and floor bounds prune (the floor also
-    ends a > 1 priors, where k = 1 wins from some size on), and `_settle`
-    decides between neighbours whose costs agree to rounding."""
+    the certificates. Small optima are walked one size at a time, and at
+    k = 16, 32, ..., 256 the walk tries the cost floor, which ends nearly
+    flat costs. Where the walk leaves the search open,
+    `core._branch_and_bound` jumps: `visit` evaluates S_k and R_k at any k
+    in O(1) from the continued fraction at shape b + k, the far, chord and
+    floor bounds prune (the floor also ends a > 1 priors, where k = 1 wins
+    from some size on), and `_settle` decides between neighbours whose
+    costs agree to rounding."""
     r0, w0, log_mass, log_h0 = _start_values(a, b, U)
     if math.exp(log_mass) == 0.0:
         return None
@@ -229,12 +241,19 @@ def _search(a: float, b: float, U: float):
     k, s, r = 1, r0, (b * r0 + w0) / (a + b + 1.0)  # s = S_k, r = R_k
     if guess < _WALK / 4:  # walk the positive-term recurrence
         bar = best - _TIE * best  # a tie in rounding keeps the smaller k
+        exp, ab, check = math.exp, a + b, 16
         while True:
-            nxt = ((b + k) * r + w0 * math.exp(k * log_q)) / (a + b + k + 1.0)
+            nxt = ((b + k) * r + w0 * exp(k * log_q)) / (ab + k + 1.0)
             if s >= best or (r * k * k >= 1.0 and _far_bound(s, r, nxt) >= best):
                 return best_k, best
-            if k >= _WALK:
-                break
+            if k >= check:  # at 16, 32, ..., 256 try the floor, as beyond does
+                if k >= _WALK:
+                    break
+                if best > 0.5:
+                    log_c = -log_mass - _log_beta(a, b)
+                    if _floor(a, b, log_c, k + 1, math.inf) >= bar - 1.0:
+                        return best_k, best
+                check = min(2 * check, _WALK)
             s += r
             r = nxt
             k += 1

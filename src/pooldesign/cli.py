@@ -36,11 +36,13 @@ _SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _quote(text: str) -> str:
     """text as a JSON string, escaped to ASCII as json.dumps escapes it."""
     out = []
-    # UTF-16 code units: a pair of surrogates for each character above U+FFFF
-    units = text.encode("utf-16-be", "surrogatepass")
-    for i in range(0, len(units), 2):
-        c = chr(units[i] << 8 | units[i + 1])
-        out.append(_ESCAPES.get(c) or (c if " " <= c <= "~" else f"\\u{ord(c):04x}"))
+    for c in text:
+        o = ord(c)
+        if o > 0xFFFF:  # a pair of UTF-16 surrogates, without the codec's import
+            o -= 0x10000
+            out.append(f"\\u{0xD800 | o >> 10:04x}\\u{0xDC00 | o & 0x3FF:04x}")
+        else:
+            out.append(_ESCAPES.get(c) or (c if " " <= c <= "~" else f"\\u{o:04x}"))
     return '"' + "".join(out) + '"'
 
 

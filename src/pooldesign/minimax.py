@@ -14,7 +14,8 @@ A plain grid search over p serves as the independent oracle in tests; it is
 the only code here that builds numpy arrays. The minimax k comes from an
 exact branch and bound over k with no stopping heuristic; it prunes sizes
 by the regret at the worst prevalence of a size it has already visited,
-and the sizes above the answer by the regret at the domain end.
+and the sizes above the answer by that of the largest visited size or by
+the regret at the domain end.
 """
 
 import math
@@ -183,8 +184,8 @@ def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
     so sup_loss(k) > J(K) for k > K. On (a, b) the _regret_floor of a and of
     b bound sup_loss(k); the floor of a is never below 1/(b-1) + J(a). An
     interval neither prunes is split where the larger floor is least. The
-    _regret_floor of an anchor, a point of zero regret, bounds every size
-    above K too.
+    _regret_floor over (K, inf) of K's own worst point, and of an anchor, a
+    point of zero regret, bound every size above K too.
     """
     points = {}
     best = (math.inf, 0)  # (sup_loss, k): ties go to the smaller k
@@ -197,8 +198,11 @@ def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
     def beyond(k):
         if points[k].sup_loss - 1.0 / k >= best[0]:
             return True
-        floor = _regret_floor(anchor, k + 1, math.inf)[0] if anchor else -math.inf
-        return (floor, k + 1) > best  # ties go to the smaller k, as in split
+        for pt in (points[k], anchor) if anchor else (points[k],):
+            # ties go to the smaller k, as in split
+            if (_regret_floor(pt, k + 1, math.inf)[0], k + 1) > best:
+                return True
+        return False
 
     def split(a, b):
         bound, k = max(_regret_floor(points[j], a + 1, b - 1) for j in (a, b))
@@ -232,8 +236,9 @@ def minimax_group_size(
         sup = partial(_grid_sup, p=p, opt=opt)
     else:
         raise ValueError(f"method must be 'analytic' or 'grid', got {method!r}")
-    # start also at the small-U asymptote 2/sqrt(U) + 1; the oracle size at the
-    # domain end has zero regret there, a point both methods evaluate
-    start = (1, 2, min(round(2.0 / math.sqrt(hi)) + 1, _K_RESOLVABLE))
+    # start also at the small-U asymptote 2/sqrt(U) + 1, or at 8 where that is
+    # smaller, as no answer is below 8 (docs/decisions.md); the oracle size at
+    # the domain end has zero regret there, a point both methods evaluate
+    start = (1, 2, min(max(round(2.0 / math.sqrt(hi)) + 1, 8), _K_RESOLVABLE))
     pt = _search(sup, start, LossPoint(m_lo, hi, 0.0))
     return MinimaxResult(pt.k, U, pt, method)

@@ -288,6 +288,38 @@ class TestBayesOptimalK:
                 assert cost > 1 - mp.mpf("1e-15")
 
     @pytest.mark.parametrize(
+        "prior",
+        [
+            PriorSpec.jeffreys(0.87),
+            PriorSpec.jeffreys(0.93),
+            PriorSpec.jeffreys(0.97),
+            PriorSpec.uniform(0.99),
+            PriorSpec(3.05, 0.91, 0.746),
+            PriorSpec(4.86, 0.61, 0.921),
+        ],
+    )
+    def test_flat_costs_match_the_exact_recurrence(self, prior):
+        # costs near 1 vary slowly in k, so S_K >= best and the far bound
+        # end the walk late or never; the cost floor, tried at k = 16, 32,
+        # ..., 256, may end it first. A k = 1 answer is scanned up to 10^5
+        res = bayes_optimal_k(prior)
+        k, cost, stopped = _scan(prior, 10**5)
+        assert stopped or k == 1
+        assert (res.k_opt, res.expected_tests_at_opt) == (k, cost)
+
+    @pytest.mark.parametrize(
+        "prior, k", [(PriorSpec(3.05, 0.91, 0.746), 1), (PriorSpec.uniform(0.99), 198)]
+    )
+    def test_flat_costs_end_in_the_walk(self, monkeypatch, prior, k):
+        # these walked all 320 sizes and then jumped; the floor at k = 16
+        # and at k = 256 certifies every larger size
+        def jump(*args):
+            raise AssertionError("the search left the walk")
+
+        monkeypatch.setattr(bayes, "_branch_and_bound", jump)
+        assert bayes_optimal_k(prior).k_opt == k
+
+    @pytest.mark.parametrize(
         "prior, k",
         [
             (PriorSpec.jeffreys(1e-8), 17321),

@@ -554,8 +554,9 @@ json_before = "json" in sys.modules  # recorded before this probe imports json
 step([["optimal", "--p", "0.02", "--format", "json"]])
 json_after = "json" in sys.modules
 heavy = ("dataclasses", "inspect", "typing", "numbers", "numpy", "scipy",
-         "argparse", "gettext", "locale", "json", "__future__")
-heavy = sorted(m for m in sys.modules if m.split(".")[0] in heavy)
+         "argparse", "gettext", "locale", "json", "__future__",
+         "encodings.utf_16_be")
+heavy = sorted(m for m in sys.modules if m in heavy or m.split(".")[0] in heavy)
 import json
 for s in steps:
     print(json.dumps(s))
@@ -583,7 +584,8 @@ class TestImports:
             [[0, 0], []],
             [[0], []],
         ]
-        assert heavy == []  # no argparse, gettext, locale, json or __future__ either
+        # no argparse, gettext, locale, json, __future__ or UTF-16 codec either
+        assert heavy == []
         # no output loads json, not even JSON output
         assert json_loaded == [False, False]
 

@@ -451,24 +451,52 @@ class TestMinimaxGroupSize:
         assert minimax_group_size(1e-8).k_minimax == 20001
         assert sizes == [1, 2, 20001]
 
+    def test_no_answer_is_below_eight(self):
+        # so the search starts at 8 or above: each k <= 7 has a supremum of
+        # at least 1/k, its p -> 0 limit, and 8 at most its unbounded one
+        assert SUP_8 < 1 / 7
+        for U in LOG_SPACED_U[::16] + [P0]:
+            assert sup_loss_analytic(8, U).sup_loss <= SUP_8 + 1e-15
+            assert all(sup_loss_analytic(k, U).sup_loss >= 1 / 7 for k in range(1, 8))
+
+    @pytest.mark.parametrize("U", [1.0, 0.5, 0.3, 0.25, 0.15])
+    def test_large_bounds_stop_at_the_answer(self, monkeypatch, U):
+        # the search visited 6 sizes here, as only the anchor's floor was
+        # tried beyond the top. No answer is below 8, so it starts
+        # there; the floor of 2, 1/7, rules out (2, 8), and the floor of 8's
+        # own worst point over (8, inf) is above its supremum
+        sizes = _count_suprema(monkeypatch)
+        assert minimax_group_size(U).k_minimax == 8
+        assert sizes == [1, 2, 8]
+
+    @pytest.mark.parametrize("U", [6e-30, 5e-30, 4.1e-30])
+    def test_near_the_limit_the_limit_is_not_visited(self, monkeypatch, U):
+        # the anchor's floor stayed just below the best supremum, within its
+        # rounding allowance, so the search visited 1e15 to end; the floor
+        # of g + 1 over (g + 1, inf) ends it
+        sizes = _count_suprema(monkeypatch)
+        minimax_group_size(U)
+        assert len(sizes) == 4 and core._K_RESOLVABLE not in sizes, sizes
+
     def test_suprema_per_search(self, monkeypatch):
         # bisecting down to width 1 took up to 15 suprema per bound here and
         # 22 to 53 on the decades; the regret floor prunes nearly every
         # interval, and the steps of 1 and 2 past the start land on the
         # answer where doubling overshot it: 2898 suprema in all and 7 at
-        # most on the log-spaced bounds
+        # most on the log-spaced bounds, and 2285 and 6 before the top's own
+        # floor was tried beyond it
         sizes = _count_suprema(monkeypatch)
         total = 0
         for U in LOG_SPACED_U:
             sizes.clear()
             minimax_group_size(U)
-            assert len(sizes) <= 6, (U, sizes)
+            assert len(sizes) <= 4, (U, sizes)
             total += len(sizes)
-        assert total <= 2300
+        assert total <= 2008
         for U in [10.0**-e for e in range(10, 30)]:
             sizes.clear()
             minimax_group_size(U)
-            assert len(sizes) <= 5, (U, sizes)
+            assert len(sizes) <= 4, (U, sizes)
 
     def test_answers_just_below_the_cap(self):
         # 2/sqrt(U) + 1 lies just below 100 000, a cap the search once had

@@ -22,7 +22,13 @@ prior on 100 bounds U in [0.9, 1) and at U = 1 - 1e-3 .. 1 - 1e-6),
 U in [1e-6, 1], all log-uniform) and `bayes_tail` (300 seeded priors with
 a > 1 at high prevalence: a - 1 in [1e-6, 50], b in [0.01, 50] and U in
 [1e-3, 1], all log-uniform, where no size beats k = 1 from some size
-on). `minimax_small` holds the minimax answer
+on). A fifth, `bayes_flat`, holds the slowest searches: priors whose
+costs are nearly flat, which the cost floor ends, namely the Jeffreys and
+uniform priors on 60 bounds U in [0.85, 0.999] and 200 seeded priors with
+a in [1, 5], b in [0.5, 200] and U in [0.5, 0.95]; and 200 seeded priors
+with a in [0.05, 0.5], b in [10, 200] and U in [0.005, 0.15], whose start
+values take long continued fractions (a and b log-uniform, U uniform).
+`minimax_small` holds the minimax answer
 on 77 log-spaced bounds U in [1e-29, 1e-10], at U = 6.3e-30, 6e-30,
 5e-30, 4.5e-30 and 4.1e-30, near the smallest bound the search answers,
 and at U = 3.9e-30, 1e-300 and 5e-324, below it; `grid_small` holds the
@@ -137,6 +143,15 @@ for _ in range(300):
 NEAR_ONE = [float(U) for U in np.linspace(0.9, 1.0, 101)[:-1]] + [
     1.0 - 10.0**-e for e in (3, 4, 5, 6)
 ]
+rng = random.Random(13)  # draws of its own, so the keys above keep theirs
+FLAT_SHAPES = [((1.0, 5.0), (0.5, 200.0), (0.5, 0.95))] * 200 + [
+    ((0.05, 0.5), (10.0, 200.0), (0.005, 0.15))
+] * 200  # ranges of a, b and U
+FLAT = [(a, a, float(U)) for a in (0.5, 1.0) for U in np.linspace(0.85, 0.999, 60)]
+for a_range, b_range, U_range in FLAT_SHAPES:
+    FLAT.append(
+        (log_uniform(rng, *a_range), log_uniform(rng, *b_range), rng.uniform(*U_range))
+    )
 
 
 # the smallest bounds answered, and the largest refused, 3.9e-30
@@ -333,6 +348,7 @@ res = {
     ],
     "bayes_beta": [bayes(*prior) for prior in BETA],
     "bayes_tail": [bayes(*prior) for prior in TAIL],
+    "bayes_flat": [bayes(*prior) for prior in FLAT],
     "minimax_small": [
         mm_small(U)
         for U in [*map(float, np.logspace(-29, -10, 77)), 6.3e-30, *NEAR_LIMIT]

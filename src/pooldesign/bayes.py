@@ -175,14 +175,16 @@ def _start_values(a: float, b: float, U: float):
     return r0, U * a / h, log_z + math.log(h / a), math.log(h)
 
 
-def _far_bound(s: float, r: float, nxt: float) -> float:
-    """A lower bound on C(j) for every j > k, given S_k, R_k and R_{k+1},
-    valid when R_k k^2 >= 1 (docs/decisions.md).
+def _far_bound(s: float, r: float, gap: float) -> float:
+    """A lower bound on C(j) for every j > k, given S_k, R_k and the gap
+    R_k - R_{k+1}, valid when R_k k^2 >= 1 (docs/decisions.md).
 
     R_j is log-convex in j, so R_j >= R_k (R_{k+1}/R_k)^(j-k) and the cost
-    beyond k is at least min(C(k), S_k + R_k^2 / (R_k - R_{k+1})).
+    beyond k is at least min(C(k), S_k + R_k^2 / (R_k - R_{k+1})). At small
+    U the gap is about U R_k, and formed as a difference it cancels; there
+    `beyond` takes it as E[p^2 (1-p)^k] from one continued fraction.
     """
-    return s + r * r / (r - nxt) if r > nxt else -math.inf
+    return s + r * r / gap if gap > 0.0 else -math.inf
 
 
 def _floor(a: float, b: float, log_c: float, i: int, j: float) -> float:
@@ -244,7 +246,7 @@ def _search(a: float, b: float, U: float):
         exp, ab, check = math.exp, a + b, 16
         while True:
             nxt = ((b + k) * r + w0 * exp(k * log_q)) / (ab + k + 1.0)
-            if s >= best or (r * k * k >= 1.0 and _far_bound(s, r, nxt) >= best):
+            if s >= best or (r * k * k >= 1.0 and _far_bound(s, r, r - nxt) >= best):
                 return best_k, best
             if k >= check:  # at 16, 32, ..., 256 try the floor, as beyond does
                 if k >= _WALK:
@@ -296,8 +298,13 @@ def _search(a: float, b: float, U: float):
             return True
         if r * k * k >= 1.0:
             nxt = ((b + k) * r + w0 * math.exp(k * log_q)) / (a + b + k + 1.0)
-            if _far_bound(s, r, nxt) >= slack:
+            if _far_bound(s, r, r - nxt) >= slack:
                 return True
+            if r - nxt < 1e-6 * r and U < (a + 2.0) / (a + b + k + 3.0):
+                # R_k - R_{k+1} = R_k U (a+1)/(a+2) h(a+2, b+k) / h(a+1, b+k)
+                t = _beta_cf(a + 1.0, b + k, U, rest=True)
+                if _far_bound(s, r, r * U * (a + 1.0) / (a + 2.0) * t) >= slack:
+                    return True
         return best > 0.5 and _floor(a, b, log_c, k + 1, math.inf) >= slack - 1.0
 
     def split(lo, hi):

@@ -10,10 +10,14 @@ full precision.
 `_COMMANDS` holds each command's handler, help line and flags, and
 `--format` is added to every command after it, as its last flag; `_parse`
 reads argv by it, without argparse, and `--help` prints it. Each handler
-imports the solver modules it runs, so a call loads only those: `optimal`
-and `range` load core and ranges, `bayes` loads bayes, `minimax` loads
-minimax, and `table` loads efficiency. JSON output comes from `_json`,
-which writes what `json.dumps` writes by default, without importing `json`.
+first refuses the flags its command would ignore or lacks (`--grid-step`
+without `--method grid`, `--a`/`--b` with a named prior, `--prior beta`
+without both), then imports the solver modules it runs, so a call loads
+only those: `optimal` and `range` load core and ranges, `bayes` loads
+bayes, `minimax` loads minimax, and `table` loads efficiency. It returns
+its record, which `main` prints; `table` prints its own output and returns
+its exit code. JSON output comes from `_json`, which writes what
+`json.dumps` writes by default, without importing `json`.
 """
 
 import sys
@@ -103,76 +107,49 @@ def _emit_table(report, output: str) -> None:
             print("| " + " | ".join([label] + cells) + " |")
 
 
-def _cmd_optimal(args: dict) -> int:
+def _cmd_optimal(args: dict) -> dict:
     from . import core, ranges
 
     p = args["p"]
     k = core.samuels_optimal_k(p)
     rng = ranges.optimality_range(k)
-    _emit_record(
-        "optimal",
-        {
-            "p": p,
-            "k_optimal": k,
-            "expected_tests": core.optimal_expected_tests(p),
-            "range_low": rng.p_low,
-            "range_high": rng.p_high,
-        },
-        args["format"],
-    )
-    return 0
+    return {"p": p, "k_optimal": k, "expected_tests": core.optimal_expected_tests(p),
+            "range_low": rng.p_low, "range_high": rng.p_high}
 
 
-def _cmd_minimax(args: dict) -> int:
+def _cmd_minimax(args: dict) -> dict:
+    if args["grid_step"] is not None and args["method"] != "grid":
+        _usage_error("--grid-step applies only to --method grid", "minimax")
     from . import minimax
 
     step = {} if args["grid_step"] is None else {"grid_step": args["grid_step"]}
     res = minimax.minimax_group_size(args["upper_bound"], args["method"], **step)
-    _emit_record(
-        "minimax",
-        {
-            "upper_bound": res.upper_bound,
-            "method": res.method,
-            "k_minimax": res.k_minimax,
-            "worst_p": res.worst_point.p_star,
-            "worst_loss": res.worst_point.sup_loss,
-        },
-        args["format"],
-    )
-    return 0
+    return {"upper_bound": res.upper_bound, "method": res.method,
+            "k_minimax": res.k_minimax, "worst_p": res.worst_point.p_star,
+            "worst_loss": res.worst_point.sup_loss}
 
 
-def _cmd_bayes(args: dict) -> int:
+_SHAPES = {"uniform": (1.0, 1.0), "jeffreys": (0.5, 0.5)}  # (a, b) of the named priors
+
+
+def _cmd_bayes(args: dict) -> dict:
+    name, shapes = args["prior"], (args["a"], args["b"])
+    if name in _SHAPES and shapes != (None, None):
+        _usage_error(f"--a and --b apply only to --prior beta, not {name}", "bayes")
+    if None in shapes and name not in _SHAPES:
+        _usage_error("--prior beta requires --a and --b", "bayes")
     from .bayes import PriorSpec, bayes_optimal_k
 
-    if args["prior"] == "uniform":
-        prior = PriorSpec.uniform(args["upper_bound"])
-    elif args["prior"] == "jeffreys":
-        prior = PriorSpec.jeffreys(args["upper_bound"])
-    else:
-        prior = PriorSpec(args["a"], args["b"], args["upper_bound"])
+    prior = PriorSpec(*_SHAPES.get(name, shapes), args["upper_bound"])
     res = bayes_optimal_k(prior)
-    _emit_record(
-        "bayes",
-        {
-            "prior": args["prior"],
-            "a": prior.a,
-            "b": prior.b,
-            "upper_bound": prior.upper,
-            "k_optimal": res.k_opt,
-            "expected_tests": res.expected_tests_at_opt,
-        },
-        args["format"],
-    )
-    return 0
+    return {"prior": name, "a": prior.a, "b": prior.b, "upper_bound": prior.upper,
+            "k_optimal": res.k_opt, "expected_tests": res.expected_tests_at_opt}
 
 
-def _cmd_range(args: dict) -> int:
+def _cmd_range(args: dict) -> dict:
     from . import ranges
 
-    rng = ranges.optimality_range(args["k"])
-    _emit_record("range", rng._asdict(), args["format"])  # the fields k, p_low, p_high
-    return 0
+    return ranges.optimality_range(args["k"])._asdict()  # the fields k, p_low, p_high
 
 
 def _cmd_table(args: dict) -> int:
@@ -300,30 +277,15 @@ def _fail(exc: Exception, label: str, output: str, code: int) -> int:
     return code
 
 
-def _flag_conflict(command: str, args: dict) -> str | None:
-    """The message for a flag the chosen command would ignore, or for a
-    shape that --prior beta needs and lacks, if there is one."""
-    if command == "bayes":
-        shapes_given = [args["a"] is not None, args["b"] is not None]
-        if args["prior"] != "beta" and any(shapes_given):
-            return f"--a and --b apply only to --prior beta, not {args['prior']}"
-        if args["prior"] == "beta" and not all(shapes_given):
-            return "--prior beta requires --a and --b"
-    if command == "minimax" and args["method"] != "grid":
-        if args["grid_step"] is not None:
-            return "--grid-step applies only to --method grid"
-    return None
-
-
 def main(argv=None) -> int:
     command, args = _parse(sys.argv[1:] if argv is None else argv)
-    conflict = _flag_conflict(command, args)
-    if conflict:
-        _usage_error(conflict, command)
     try:
-        code = _COMMANDS[command][0](args)
+        result = _COMMANDS[command][0](args)
+        if isinstance(result, dict):  # the record of every command but table
+            _emit_record(command, result, args["format"])
+            result = 0
         sys.stdout.flush()  # a closed stdout fails here, not at exit
-        return code
+        return result
     except (ValueError, OSError) as exc:
         return _fail(exc, "error", args["format"], 2)
     except RuntimeError as exc:

@@ -202,61 +202,53 @@ def _table1() -> TableReport:
     )
 
 
+def _designs(U: float) -> dict:
+    """The minimax, uniform and Jeffreys pool sizes for prevalences up to U."""
+    return {
+        "minimax": minimax_group_size(U).k_minimax,
+        "uniform": uniform_optimal_k(U),
+        "jeffreys": bayes_optimal_k(PriorSpec.jeffreys(U)).k_opt,
+    }
+
+
 def _table2() -> TableReport:
-    k_mm = minimax_group_size(1.0).k_minimax
-    k_j = bayes_optimal_k(PriorSpec.jeffreys()).k_opt
+    designs = _designs(1.0)
+    del designs["uniform"]  # the reference table has no uniform row
     return TableReport(
         "T2",
         "Relative efficiency of the minimax and Jeffreys designs",
         [f"{p:g}" for p in _T2_PS],
         [
-            ("re_minimax", [relative_efficiency(k_mm, p) for p in _T2_PS]),
-            ("re_jeffreys", [relative_efficiency(k_j, p) for p in _T2_PS]),
+            (f"re_{name}", [relative_efficiency(k, p) for p in _T2_PS])
+            for name, k in designs.items()
         ],
     )
 
 
 def _table3() -> TableReport:
-    k_mm = [minimax_group_size(U).k_minimax for U in _T3_US]
-    k_u = [uniform_optimal_k(U) for U in _T3_US]
-    k_j = [bayes_optimal_k(PriorSpec.jeffreys(U)).k_opt for U in _T3_US]
+    designs = [_designs(U) for U in _T3_US]
     return TableReport(
         "T3",
         "Recommended pool sizes per prevalence upper bound",
         [f"{U:g}" for U in _T3_US],
-        [("k_minimax", k_mm), ("k_uniform", k_u), ("k_jeffreys", k_j)],
+        [(f"k_{name}", [d[name] for d in designs]) for name in designs[0]],
     )
 
 
 def _table45(table_id, blocks) -> TableReport:
-    columns, re_mm, re_u, re_j = [], [], [], []
-    k_star, k_mm_row, k_u_row, k_j_row = [], [], [], []
+    cells = []  # (U, p, the designs for U), one per column
     for U, ps in blocks:
-        k_mm = minimax_group_size(U).k_minimax
-        k_u = uniform_optimal_k(U)
-        k_j = bayes_optimal_k(PriorSpec.jeffreys(U)).k_opt
-        for p in ps:
-            columns.append(f"U={U:g},p={p:g}")
-            re_mm.append(relative_efficiency(k_mm, p))
-            re_u.append(relative_efficiency(k_u, p))
-            re_j.append(relative_efficiency(k_j, p))
-            k_star.append(samuels_optimal_k(p))
-            k_mm_row.append(k_mm)
-            k_u_row.append(k_u)
-            k_j_row.append(k_j)
+        designs = _designs(U)
+        cells += [(U, p, designs) for p in ps]
+    names = cells[0][2]
     return TableReport(
         table_id,
         "Relative efficiencies of the bounded designs",
-        columns,
-        [
-            ("re_minimax", re_mm),
-            ("re_uniform", re_u),
-            ("re_jeffreys", re_j),
-            ("k_optimal", k_star),
-            ("k_minimax_design", k_mm_row),
-            ("k_uniform_design", k_u_row),
-            ("k_jeffreys_design", k_j_row),
-        ],
+        [f"U={U:g},p={p:g}" for U, p, _ in cells],
+        [(f"re_{name}", [relative_efficiency(d[name], p) for _, p, d in cells])
+         for name in names]
+        + [("k_optimal", [samuels_optimal_k(p) for _, p, _ in cells])]
+        + [(f"k_{name}_design", [d[name] for _, _, d in cells]) for name in names],
     )
 
 

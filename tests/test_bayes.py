@@ -343,6 +343,28 @@ class TestBayesOptimalK:
 
             assert gap(k - 1) < 0 < gap(k)
 
+    @pytest.mark.parametrize(
+        "prior, k",
+        [
+            (PriorSpec.jeffreys(1.1e-29), 522232967867092),
+            (PriorSpec.jeffreys(8e-30), 612372435695792),
+            (PriorSpec.jeffreys(5e-30), 774596669241480),
+            (PriorSpec.jeffreys(4.1e-30), 855398922768298),
+            (PriorSpec.uniform(5e-30), 632455532033673),
+            (PriorSpec.uniform(3e-30), 816496580927723),
+        ],
+    )
+    def test_optimum_near_the_size_limit(self, prior, k):
+        # R_{k+1}/R_k rounds to 1 here, so the far bound takes R_k - R_{k+1}
+        # from one continued fraction. Near 1e15 the answer is a tie in
+        # rounding, not the exact argmin: R_k k(k+1) - 1 is -7e-15 to -1e-14
+        # at 80 digits, so the search's tie rule is checked, not a sign
+        assert bayes_optimal_k(prior).k_opt == k
+        with mp.workdps(80):
+            a, b, U = (mp.mpf(x) for x in prior)
+            r = mp.betainc(a + 1, b + k, 0, U) / mp.betainc(a, b, 0, U)
+            assert abs(r * k * (k + 1) - 1) <= bayes._GAP_RTOL
+
     def test_matches_the_exact_recurrence(self):
         # seeded priors, walked and jumped, against the recurrence one size
         # at a time, stopped once S_K >= best certifies every larger size;
@@ -384,6 +406,11 @@ class TestBayesOptimalK:
             shapes.clear()
             assert bayes_optimal_k(prior).k_opt == k
             assert len(shapes) == 3 and prior.b + k in shapes, shapes
+        # at 1e-16 R_{k+1}/R_k rounds to 1; the far bound takes its gap from
+        # one fraction, so the search does not double past the answer
+        shapes.clear()
+        assert bayes_optimal_k(PriorSpec.jeffreys(1e-16)).k_opt == 173205082
+        assert len(shapes) == 6, shapes
         # seeded jumped priors took 4.81 fractions a search on average
         rng = random.Random(11)
         counts = []
@@ -575,9 +602,13 @@ class TestCostRecurrence:
             bayes_optimal_k(PriorSpec(100.0, 1.0, 1e-6))
 
     def test_unresolvable_optimum_is_refused(self):
-        # the optimum near sqrt(3/U) = 1.7e15 lies beyond what doubles resolve
-        with pytest.raises(RuntimeError, match=r"a=0\.5.*no pool size up to 1e\+15"):
-            bayes_optimal_k(PriorSpec.jeffreys(1e-30))
+        # the optima near sqrt((a+1)/(aU)), 1.7e15 for the Jeffreys prior at
+        # 1e-30 and 1.0e15 for the uniform one at 2e-30, lie beyond what
+        # doubles resolve
+        for prior in (PriorSpec.jeffreys(1e-30), PriorSpec.uniform(2e-30)):
+            refusal = rf"a={prior.a}.*no pool size up to 1e\+15"
+            with pytest.raises(RuntimeError, match=refusal):
+                bayes_optimal_k(prior)
 
     @pytest.mark.parametrize(
         "a, b",

@@ -28,12 +28,19 @@ def _src_path():
     return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
+def _child_env(**env):
+    """The environment of a child process that imports this pooldesign. It
+    drops PYTHONUNBUFFERED unless env sets it, so the child writes
+    block-buffered, as a process in a shell pipeline does."""
+    inherited = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**inherited, **env, "PYTHONPATH": _src_path()}
+
+
 def run_process(*argv, **env):
     """One `python -m pooldesign.cli` process, as a user would start it."""
     return subprocess.run(
         [sys.executable, "-m", "pooldesign.cli", *argv],
-        env={**os.environ, **env, "PYTHONPATH": _src_path()},
-        capture_output=True, text=True, timeout=60,
+        env=_child_env(**env), capture_output=True, text=True, timeout=60,
     )
 
 
@@ -341,10 +348,7 @@ class TestDeterminismAndConfig:
     @pytest.mark.parametrize("buffered", [True, False])
     @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
     def test_closed_stdout_exits_two_with_one_error_line(self, fmt, buffered):
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = _src_path()
-        if not buffered:
-            env["PYTHONUNBUFFERED"] = "1"
+        env = _child_env() if buffered else _child_env(PYTHONUNBUFFERED="1")
         read, write = os.pipe()
         os.close(read)  # a write to the pipe now fails with EPIPE
         try:
@@ -387,6 +391,65 @@ class TestDeterminismAndConfig:
         for argv in (["--config", "x", "range"], ["range", "--config", "x"]):
             proc = run_process(*argv, "--k", "8")
             assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+
+# argv that a command refuses itself, after parsing, and its message
+FLAG_RULES = [
+    (["bayes", "--prior", "jeffreys", "--b", "3"],
+     "--a and --b apply only to --prior beta, not jeffreys"),
+    (["bayes", "--prior", "uniform", "--a", "2"],
+     "--a and --b apply only to --prior beta, not uniform"),
+    (["minimax", "--grid-step", "1e-5"], "--grid-step applies only to --method grid"),
+    # refused before the prior or the bound is validated
+    (["bayes", "--prior", "jeffreys", "--a", "-1", "--upper-bound", "0"],
+     "--a and --b apply only to --prior beta, not jeffreys"),
+    (["bayes", "--prior", "beta", "--b", "-1", "--upper-bound", "0"],
+     "--prior beta requires --a and --b"),
+    (["minimax", "--method", "analytic", "--grid-step", "0", "--upper-bound", "2"],
+     "--grid-step applies only to --method grid"),
+]
+SYNOPSIS = {
+    "bayes": "pooldesign bayes --prior {uniform,jeffreys,beta} [--a FLOAT] "
+             "[--b FLOAT] [--upper-bound FLOAT] [--format {csv,json,markdown}]",
+    "minimax": "pooldesign minimax [--upper-bound FLOAT] [--method {analytic,grid}] "
+               "[--grid-step FLOAT] [--format {csv,json,markdown}]",
+}
+
+RULES_PROBE = """
+import contextlib, io, json, sys
+from pooldesign import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(codes)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "pooldesign"))
+"""
+
+
+class TestFlagRules:
+    @pytest.mark.parametrize("argv, message", FLAG_RULES)
+    def test_usage_error_of_the_command(self, capsys, argv, message):
+        for extra in ([], ["--format", "json"]):  # no JSON error record either
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + extra)
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, "")
+            assert err == f"usage: {SYNOPSIS[argv[0]]}\npooldesign: error: {message}\n"
+
+    def test_refused_before_a_solver_loads(self):
+        argvs = [argv + ["--format", "json"] for argv, _ in FLAG_RULES]
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", RULES_PROBE, json.dumps(argvs)],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, modules = proc.stdout.splitlines()
+        assert codes == repr([2] * len(FLAG_RULES))
+        assert modules == "['pooldesign', 'pooldesign.cli']"
 
 
 class TestParser:
@@ -570,7 +633,7 @@ class TestImports:
         # -S: no site hooks, which may import typing and hide a regression
         proc = subprocess.run(
             [sys.executable, "-S", "-c", LOAD_PROBE],
-            env={**os.environ, "PYTHONPATH": _src_path()},
+            env=_child_env(),
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -593,7 +656,7 @@ class TestImports:
         # only the quadrature oracle needs scipy, and it imports it itself
         proc = subprocess.run(
             [sys.executable, "-c", IMPORT_PROBE],
-            env={**os.environ, "PYTHONPATH": _src_path()},
+            env=_child_env(),
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -609,7 +672,7 @@ class TestImports:
         # numpy, and without it the CLI exits 3 with a message, not a traceback
         proc = subprocess.run(
             [sys.executable, "-c", BLOCKED_PROBE],
-            env={**os.environ, "PYTHONPATH": _src_path()},
+            env=_child_env(),
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -624,7 +687,7 @@ class TestImports:
         # only the grid oracle builds arrays
         proc = subprocess.run(
             [sys.executable, "-c", NUMPY_PROBE],
-            env={**os.environ, "PYTHONPATH": _src_path()},
+            env=_child_env(),
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

@@ -28,7 +28,10 @@ uniform priors on 60 bounds U in [0.85, 0.999] and 200 seeded priors with
 a in [1, 5], b in [0.5, 200] and U in [0.5, 0.95]; and 200 seeded priors
 with a in [0.05, 0.5], b in [10, 200] and U in [0.005, 0.15], whose start
 values take long continued fractions (a and b log-uniform, U uniform).
-`minimax_small` holds the minimax answer
+`bayes_tiny` holds the uniform and Jeffreys answers at U = 1.3e-29,
+1.1e-29, 8e-30, 5e-30, 4.1e-30, 3e-30, 2e-30 and 1e-30, near the smallest
+bounds the Bayes search answers, with a `RuntimeError` recorded by its
+class name. `minimax_small` holds the minimax answer
 on 77 log-spaced bounds U in [1e-29, 1e-10], at U = 6.3e-30, 6e-30,
 5e-30, 4.5e-30 and 4.1e-30, near the smallest bound the search answers,
 and at U = 3.9e-30, 1e-300 and 5e-324, below it; `grid_small` holds the
@@ -349,6 +352,11 @@ res = {
     "bayes_beta": [bayes(*prior) for prior in BETA],
     "bayes_tail": [bayes(*prior) for prior in TAIL],
     "bayes_flat": [bayes(*prior) for prior in FLAT],
+    "bayes_tiny": [
+        bayes(a, a, U)
+        for a in (1.0, 0.5)
+        for U in (1.3e-29, 1.1e-29, 8e-30, 5e-30, 4.1e-30, 3e-30, 2e-30, 1e-30)
+    ],
     "minimax_small": [
         mm_small(U)
         for U in [*map(float, np.logspace(-29, -10, 77)), 6.3e-30, *NEAR_LIMIT]

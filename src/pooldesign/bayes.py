@@ -10,12 +10,12 @@ size k >= 2 is C(k) = 1/k + S_k with S_k = sum_{j<k} R_j, free of the
 cancellation in 1 - E[(1-p)^k]. The recurrence in b of DLMF §8.17(iv) gives
 R_{j+1} = ((b+j) R_j + w_j) / (a+b+j+1) with w_j = U^(a+1)(1-U)^(b+j) / B(U; a, b),
 again positive terms, so each step costs a few float operations. R_0 and w_0
-come from the continued fraction of DLMF 8.17.22, taken at U or at 1-U,
-whichever does not cancel. The same fraction at shape b + k gives S_k and
-R_k at any k in O(1), and `bayes_optimal_k` combines both in a certified
-search. The independent oracles, adaptive quadrature in theta
-(p = U*sin^2(theta)) and the uniform prior's closed form, live in
-`oracles`, which no solver imports.
+come from one continued fraction of DLMF 8.17.22, at U, or at 1-U with the
+contiguous relation 8.17.20 where that does not cancel. The same fraction
+at shape b + k gives S_k and R_k at any k in O(1), and `bayes_optimal_k`
+combines both in a certified search. The independent oracles, adaptive
+quadrature in theta (p = U*sin^2(theta)) and the uniform prior's closed
+form, live in `oracles`, which no solver imports.
 """
 
 import math
@@ -146,13 +146,15 @@ def _start_values(a: float, b: float, U: float):
     last is nan unless the fraction at U is taken.
 
     Below (a+1)/(a+b+2), R_0 and w_0 come from one continued fraction at
-    U and its rest t, with R_0 = U a t / (a+1). Above it, each incomplete
-    beta is a complement taken at 1-U, unless that complement would cancel
-    (more than a tenth of the mass above U); then both are fractions at U.
+    U and its rest t, with R_0 = U a t / (a+1). Above it, one fraction at
+    1-U gives the mass m, and R_0 = (a - z/m) / (a+b) with z = U^a (1-U)^b
+    / B(a, b), while at most half the mass (a tenth, where U^a (1-U)^b <
+    e^-5) and nine tenths of the mean lie above U; else fractions at U.
     """
     if U == 1.0:
         return a / (a + b), 0.0, 0.0, math.nan
-    log_z = a * math.log(U) + b * math.log1p(-U) - _log_beta(a, b)
+    log_p = a * math.log(U) + b * math.log1p(-U)  # log U^a (1-U)^b
+    log_z = log_p - _log_beta(a, b)
     if U < (a + 1.0) / (a + b + 2.0):
         t = _beta_cf(a, b, U, rest=True)
         u = -(a + b) * U / (a + 1.0) * t  # h = 1 / (1 + u)
@@ -161,15 +163,12 @@ def _start_values(a: float, b: float, U: float):
         return U * a * t / (a + 1.0), U * a * (1.0 + u), log_mass, log_h
     z = math.exp(log_z)  # U^a (1-U)^b / B(a, b)
     tail = z * _beta_cf(b, a, 1.0 - U) / b  # 1 - I_U(a, b)
-    if tail <= 0.1:
+    # I_U(a+1, b) = 1 - tail - z/a (DLMF 8.17.20) gives R_0; z carries the
+    # rounding of log_p, which the ratios of fractions at U do not, so past a
+    # tenth of the mass above U the complements need log_p >= -5
+    if tail + z / a <= 0.9 and tail <= (0.5 if log_p >= -5.0 else 0.1):
         mass = 1.0 - tail
-        mean = a / (a + b)  # B(a+1, b) / B(a, b)
-        mean_tail = z * U * _beta_cf(b, a + 1.0, 1.0 - U) / b
-        if mean_tail <= 0.1 * mean:
-            lower = mean - mean_tail
-        else:
-            lower = z * U * _beta_cf(a + 1.0, b, U) / (a + 1.0)
-        return lower / mass, U * z / mass, math.log(mass), math.nan
+        return (a - z / mass) / (a + b), U * z / mass, math.log(mass), math.nan
     h = _beta_cf(a, b, U)
     r0 = U * a * _beta_cf(a + 1.0, b, U) / ((a + 1.0) * h)
     return r0, U * a / h, log_z + math.log(h / a), math.log(h)

@@ -287,6 +287,25 @@ class TestBayesOptimalK:
                 cost = 1 + mp.mpf(1) / k - mp.beta(ma, 1 + k) / mp.beta(ma, 1)
                 assert cost > 1 - mp.mpf("1e-15")
 
+    def test_nearly_flat_costs_at_high_prevalence(self):
+        # C(k) lies 1.9e-14 below C(1), and the sign of R_j j(j+1) - 1
+        # decides between neighbours; with the mass good to 3e-16 the search
+        # lands on the exact minimum, where a mass off by 1e-13 put it 5 higher
+        prior = PriorSpec(0.9408, 0.1226, 0.9998)
+        res = bayes_optimal_k(prior)
+        k = res.k_opt
+        assert k == 3303166168700
+        with mp.workdps(60):
+            a, b, U = (mp.mpf(x) for x in prior)
+            mass = _incomplete_beta(a, b, U)
+
+            def gap(j):  # C(j+1) - C(j) = R_j - 1/(j(j+1)), scaled by j(j+1)
+                return _incomplete_beta(a + 1, b + j, U) / mass * j * (j + 1) - 1
+
+            assert gap(k - 1) < 0 < gap(k)
+            want = _cost(*prior, k)
+        assert res.expected_tests_at_opt == pytest.approx(float(want), rel=0, abs=1e-15)
+
     @pytest.mark.parametrize(
         "prior",
         [
@@ -441,6 +460,23 @@ def _threshold(a, b):
     return (a + 1.0) / (a + b + 2.0)
 
 
+def _incomplete_beta(a, b, U):
+    """B(U; a, b) in mpmath. Near U = 1 `mp.betainc` does not converge, so
+    above 1/2 it is B(a, b) - B(1-U; b, a), whose cancellation the callers'
+    60 to 80 digits cover."""
+    if U <= 0.5:
+        return mp.betainc(a, b, 0, U)
+    return mp.beta(a, b) - mp.betainc(b, a, 0, 1 - U)
+
+
+def _cost(a, b, U, k):
+    """C(k) at the working precision, as the plain ratio of incomplete betas."""
+    if k == 1:
+        return mp.mpf(1)
+    a, b, U = mp.mpf(a), mp.mpf(b), mp.mpf(U)
+    return 1 + mp.mpf(1) / k - _incomplete_beta(a, b + k, U) / _incomplete_beta(a, b, U)
+
+
 def _recurrence(prior):
     """(k, C(k), S_k) for k = 1, 2, ... by the positive-term recurrence
     R_{j+1} = ((b+j) R_j + w_j) / (a+b+j+1), one size at a time: the exact
@@ -553,17 +589,48 @@ class TestCostRecurrence:
             (10.0, 1e5, 1.1 * _threshold(10.0, 1e5)),
             # tiny b: most mass sits above U, so 1 - tail would cancel
             (20.0, 1.3e-6, 0.955),
+            # one fraction at 1 - U, where two more were taken (for the
+            # Jeffreys prior 54 and 53 terms at U, far above th)
+            (0.5, 0.5, 0.974437),
+            (0.073, 83.1, 0.0257),
+            (0.12, 125.0, 0.0123),
+            # b well below 1 near U = 1: the fractions at U did not converge
+            (2.0, 0.1, 1 - 1e-7),
+            (2.0, 0.1, 1 - 1e-9),
+            (1.0, 0.1, 1 - 1e-10),
+            (0.5, 0.1, 1 - 1e-8),
+            # 72% of the mean above U: R_0 = (a - z/m)/(a+b) loses a factor
+            # 1.4, where fractions at U lost 2.8e-12 and 1.6e-11
+            (0.01955870986754625, 0.022652488851751126, 0.9999994753621262),
+            # 47% of the mass above U, just above th: z = exp(log z) carries
+            # the rounding of log U^a (1-U)^b, near -3300, and complements
+            # that use it put w_0 off by 2.2e-12; ratios of fractions at U do not
+            (743.329687332686, 22936.07730717988, 0.031460073264173924),
         ],
     )
     def test_start_values_against_high_precision(self, a, b, U):
         r0, w0, *_ = bayes._start_values(a, b, U)
-        with mp.workdps(50):
+        with mp.workdps(80):
             ma, mb, mU = mp.mpf(a), mp.mpf(b), mp.mpf(U)
-            mass = mp.betainc(ma, mb, 0, mU)
-            want_r0 = mp.betainc(ma + 1, mb, 0, mU) / mass
+            mass = _incomplete_beta(ma, mb, mU)
+            want_r0 = _incomplete_beta(ma + 1, mb, mU) / mass
             want_w0 = mU ** (ma + 1) * (1 - mU) ** mb / mass
         assert r0 == pytest.approx(float(want_r0), rel=1e-12, abs=0)
         assert w0 == pytest.approx(float(want_w0), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "a, b, U", [(0.5, 0.5, 0.974437), (0.073, 83.1, 0.0257), (0.12, 125.0, 0.0123)]
+    )
+    def test_start_values_above_the_threshold_take_one_fraction(self, monkeypatch, a, b, U):
+        # the mass above U, by one fraction at 1 - U, gives R_0 by DLMF
+        # 8.17.20; two more fractions were taken, slow ones at U far above th
+        shapes = []
+        real = bayes._beta_cf
+        monkeypatch.setattr(
+            bayes, "_beta_cf", lambda *args, **kw: shapes.append(args) or real(*args, **kw)
+        )
+        bayes._start_values(a, b, U)
+        assert shapes == [(b, a, 1.0 - U)]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -620,6 +687,35 @@ class TestCostRecurrence:
         refusal = r"no pool size up to 1e\+15.*double precision"
         with pytest.raises(RuntimeError, match=refusal):
             bayes_optimal_k(PriorSpec(a, b, 1.0))
+
+    @pytest.mark.parametrize(
+        "a, b, U, k",
+        [
+            (2.0, 0.1, 1 - 1e-7, 1),
+            (2.0, 0.1, 1 - 1e-9, 1),
+            (1.0, 0.1, 1 - 1e-10, 1),
+            (0.5, 0.1, 1 - 1e-8, 120),
+        ],
+    )
+    def test_small_b_near_the_whole_interval_is_answered(self, a, b, U, k):
+        # at most half the mass lies above U, so the start values come from
+        # one fraction at 1 - U; the fractions at U they took did not converge
+        res = bayes_optimal_k(PriorSpec(a, b, U))
+        assert res.k_opt == k
+        with mp.workdps(80):
+            if k == 1:  # the mass sits near p = 1, where no pool pays
+                assert all(_cost(a, b, U, j) > 1 for j in (2, 3, 10, 1000, 10**6))
+            else:
+                want = _cost(a, b, U, k)
+                assert want < _cost(a, b, U, k - 1) and want < _cost(a, b, U, k + 1)
+                assert res.expected_tests_at_opt == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.01), (0.05, 0.01)])
+    def test_small_b_with_most_mass_above_the_bound_is_refused(self, a, b):
+        # more than half the mass lies above U, so both start values are
+        # fractions at U, which need more than 10 000 terms this close to 1
+        with pytest.raises(RuntimeError, match="did not converge"):
+            bayes_optimal_k(PriorSpec(a, b, 1 - 1e-7))
 
     @pytest.mark.parametrize("a, b, U", [(1e18, 5e17, 0.9), (1e300, 1e300, 0.5)])
     def test_shapes_too_large_for_doubles_are_refused(self, a, b, U):

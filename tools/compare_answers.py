@@ -28,6 +28,11 @@ uniform priors on 60 bounds U in [0.85, 0.999] and 200 seeded priors with
 a in [1, 5], b in [0.5, 200] and U in [0.5, 0.95]; and 200 seeded priors
 with a in [0.05, 0.5], b in [10, 200] and U in [0.005, 0.15], whose start
 values take long continued fractions (a and b log-uniform, U uniform).
+`bayes_limits` holds Beta(a, b) answers near U = 1 for a in {0.5, 2}, b in
+{0.1, 0.01, 0.001} and U = 1 - 10^-e for e = 4..10, where the start
+values can need fractions that do not converge, and Beta(0.9408, 0.1226)
+on (0, 0.9998], whose costs are nearly flat; a `RuntimeError` is recorded
+by its class name.
 `bayes_tiny` holds the uniform and Jeffreys answers at U = 1.3e-29,
 1.1e-29, 8e-30, 5e-30, 4.1e-30, 3e-30, 2e-30 and 1e-30, near the smallest
 bounds the Bayes search answers, with a `RuntimeError` recorded by its
@@ -352,6 +357,13 @@ res = {
     "bayes_beta": [bayes(*prior) for prior in BETA],
     "bayes_tail": [bayes(*prior) for prior in TAIL],
     "bayes_flat": [bayes(*prior) for prior in FLAT],
+    "bayes_limits": [
+        bayes(a, b, 1.0 - 10.0**-e)
+        for a in (0.5, 2.0)
+        for b in (0.1, 0.01, 0.001)
+        for e in range(4, 11)
+    ]
+    + [bayes(0.9408, 0.1226, 0.9998)],
     "bayes_tiny": [
         bayes(a, a, U)
         for a in (1.0, 0.5)

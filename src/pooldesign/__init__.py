@@ -36,7 +36,7 @@ _HOMES = {
     "uniform_optimal_k": "bayes",
     "expected_tests_under_prior": "oracles",
     "bayes_optimal_k": "bayes",
-    "relative_efficiency": "efficiency",
+    "relative_efficiency": "core",
     "generate_table": "efficiency",
     "check_table": "efficiency",
     "TableReport": "efficiency",

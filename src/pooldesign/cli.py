@@ -16,8 +16,10 @@ without both), then imports the solver modules it runs, so a call loads
 only those: `optimal` and `range` load core and ranges, `bayes` loads
 bayes, `minimax` loads minimax, and `table` loads efficiency. It returns
 its record, which `main` prints; `table` prints its own output and returns
-its exit code. JSON output comes from `_json`, which writes what
-`json.dumps` writes by default, without importing `json`.
+its exit code. `table --check` writes each mismatched cell to stderr in
+every format, and under `--format json` one record of them to stdout. JSON
+output comes from `_json`, which writes what `json.dumps` writes by
+default, without importing `json`.
 """
 
 import sys
@@ -156,20 +158,23 @@ def _cmd_table(args: dict) -> int:
     from . import efficiency
 
     report = efficiency.generate_table(f"T{args['table']}")
-    if args["check"]:
-        mismatches = efficiency.check_table(report)
-        if mismatches:
-            for m in mismatches:
-                print(
-                    f"mismatch in {m.table_id} row={m.row} col={m.column}: "
-                    f"computed {m.computed!r}, expected {m.expected!r}",
-                    file=sys.stderr,
-                )
-            return 4
-        print(f"table {args['table']}: all cells match")
+    if not args["check"]:
+        _emit_table(report, args["format"])
         return 0
-    _emit_table(report, args["format"])
-    return 0
+    mismatches = efficiency.check_table(report)
+    for m in mismatches:  # in every format: bench and tools parse these lines
+        print(
+            f"mismatch in {m.table_id} row={m.row} col={m.column}: "
+            f"computed {m.computed!r}, expected {m.expected!r}",
+            file=sys.stderr,
+        )
+    if args["format"] == "json":
+        cells = [{"row": m.row, "column": m.column, "computed": m.computed,
+                  "expected": m.expected} for m in mismatches]
+        print(_json({"command": "table", "table": report.table_id, "mismatches": cells}))
+    elif not mismatches:
+        print(f"table {args['table']}: all cells match")
+    return 4 if mismatches else 0
 
 
 # command: (handler, help line, {flag: (kind, default)}). A kind is float or

@@ -3,8 +3,10 @@
 A pool of k specimens costs one test if negative, k+1 tests if positive,
 so the expected number of tests per person is E(k,p) = 1 - (1-p)^k + 1/k
 for k >= 2 and E(1,p) = 1. The cost-minimizing pool size has a closed-form
-characterization (Samuels' rule), and the regret of running a fixed pool
-size k at prevalence p is E(k,p) minus the cost of the oracle-optimal size.
+characterization (Samuels' rule). The regret of running a fixed pool size
+k at prevalence p is E(k,p) minus the cost of the oracle-optimal size, and
+its relative efficiency is their ratio. A known-prevalence call needs only
+this module, and `ranges` for an optimality range.
 """
 
 import math
@@ -143,3 +145,8 @@ def loss(k: int, p: float) -> float:
     log_q = math.log1p(-p)
     regret = m / (int(k) * j) - math.exp(j * log_q) * math.expm1(-m * log_q)
     return type(cost)(regret)  # a numpy k gives a numpy result, as the cost does
+
+
+def relative_efficiency(k_design: int, p: float) -> float:
+    """Cost of a fixed design relative to the oracle design at prevalence p."""
+    return expected_tests(k_design, p) / optimal_expected_tests(p)

@@ -1,12 +1,14 @@
-"""Relative-efficiency reports and regeneration of the reference tables.
+"""Regeneration and checking of the reference tables.
 
 Five tables summarize the designs: T1 the worst-case regret per pool size,
 T2 the efficiency of the minimax and Jeffreys designs across prevalences,
 T3 the recommended sizes per prevalence upper bound, and T4/T5 the
-efficiencies of the bounded designs. Each table carries embedded golden
-values; `check_table` compares a regenerated table cell by cell, accepting
-a half-even-rounding or truncation match at the printed precision, with a
-5e-4 absolute fallback.
+efficiencies of the bounded designs. The efficiencies come from
+`core.relative_efficiency`, which lives with the cost model, so that a
+known-prevalence call does not load the solvers this module imports. Each
+table carries embedded golden values; `check_table` compares a regenerated
+table cell by cell, accepting a half-even-rounding or truncation match at
+the printed precision, with a 5e-4 absolute fallback.
 """
 
 import math
@@ -14,7 +16,7 @@ from collections import namedtuple
 from functools import partial
 
 from .bayes import PriorSpec, bayes_optimal_k, uniform_optimal_k
-from .core import expected_tests, optimal_expected_tests, samuels_optimal_k
+from .core import relative_efficiency, samuels_optimal_k
 from .minimax import minimax_group_size, sup_loss_analytic
 
 
@@ -24,11 +26,6 @@ Mismatch.__doc__ = """A cell whose computed value does not match the golden one.
 TableReport = namedtuple("TableReport", "table_id title columns rows")
 TableReport.__doc__ = """\
 A regenerated table: its column labels and (row label, values) pairs."""
-
-
-def relative_efficiency(k_design: int, p: float) -> float:
-    """Cost of a fixed design relative to the oracle design at prevalence p."""
-    return expected_tests(k_design, p) / optimal_expected_tests(p)
 
 
 # -- golden cells ------------------------------------------------------------

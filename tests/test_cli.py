@@ -273,6 +273,26 @@ class TestTable:
         assert len(lines) == 4  # header + one row per design family
         assert all(len(line.split(",")) == 10 for line in lines)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_check_json_is_one_record_of_the_mismatches(self, capsys, n):
+        plain = run(capsys, "table", "--table", str(n), "--check")
+        code, out, err = run(capsys, "table", "--table", str(n), "--check",
+                             "--format", "json")
+        rec = json.loads(out)
+        assert code == plain[0] == (4 if rec["mismatches"] else 0)
+        assert err == plain[2]  # the stderr lines of every format
+        mismatches = pooldesign.check_table(pooldesign.generate_table(f"T{n}"))
+        assert rec == {"command": "table", "table": f"T{n}", "mismatches": [
+            {"row": m.row, "column": m.column, "computed": m.computed,
+             "expected": m.expected} for m in mismatches
+        ]}
+
+    @pytest.mark.parametrize("output", ["markdown", "csv"])
+    def test_check_writes_the_plain_line_in_other_formats(self, capsys, output):
+        code, out, err = run(capsys, "table", "--table", "1", "--check",
+                             "--format", output)
+        assert (code, out, err) == (0, "table 1: all cells match\n", "")
+
     def test_monkeypatched_golden_exits_four(self, capsys, monkeypatch):
         from pooldesign import efficiency
 

@@ -3,7 +3,12 @@
 import copy
 import importlib
 import inspect
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +52,75 @@ class TestLazyExports:
         monkeypatch.delitem(vars(pooldesign), "samuels_optimal_k", raising=False)
         value = pooldesign.samuels_optimal_k
         assert vars(pooldesign)["samuels_optimal_k"] is value
+
+
+# Each first read of a public name, and each known-prevalence call, starts
+# from an empty package, as in a fresh interpreter: the probe first drops
+# every pooldesign module from sys.modules. It prints the pooldesign modules
+# that each read and each call leave loaded.
+LOAD_PROBE = """
+import json, sys
+def fresh():
+    for m in [m for m in sys.modules if m.split(".")[0] == "pooldesign"]:
+        del sys.modules[m]
+    import pooldesign
+    return pooldesign
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "pooldesign")
+calls = {"relative_efficiency": (8, 0.01), "samuels_optimal_k": (0.01,),
+         "optimal_expected_tests": (0.01,), "optimality_range": (8,)}
+called = {}
+for name, args in calls.items():
+    getattr(fresh(), name)(*args)
+    called[name] = loaded()
+reads = {}
+for name in fresh().__all__:
+    getattr(fresh(), name)
+    reads[name] = loaded()
+print(json.dumps([called, reads]))
+"""
+
+# The pooldesign modules that each home module loads: itself and its imports
+HOME_LOADS = {
+    "core": ["core"],
+    "ranges": ["core", "ranges"],
+    "minimax": ["core", "minimax"],
+    "bayes": ["bayes", "core"],
+    "oracles": ["core", "oracles"],
+    "efficiency": ["bayes", "core", "efficiency", "minimax"],
+}
+
+
+@pytest.fixture(scope="module")
+def first_loads():
+    src = str(Path(pooldesign.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LOAD_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestFirstLoads:
+    def test_known_prevalence_calls_load_only_core_and_ranges(self, first_loads):
+        called, _ = first_loads
+        core = ["pooldesign", "pooldesign.core"]
+        assert called == {
+            "relative_efficiency": core,
+            "samuels_optimal_k": core,
+            "optimal_expected_tests": core,
+            "optimality_range": core + ["pooldesign.ranges"],
+        }
+
+    def test_first_read_loads_its_home_and_the_homes_imports(self, first_loads):
+        _, reads = first_loads
+        assert list(reads) == pooldesign.__all__
+        for name, modules in reads.items():
+            home = HOME_LOADS[pooldesign._HOMES[name]]
+            assert modules == ["pooldesign", *(f"pooldesign.{m}" for m in home)], name
 
 
 PRIOR = PriorSpec(2.0, 5.0, 0.25)

@@ -64,10 +64,11 @@ Its `cli` key holds, for each argv of a fixed list, the argv, the exit code,
 stdout and stderr of `pooldesign.cli.main`: every subcommand in the three
 formats, `range` and `optimal` down to k = 10**6 and p = 1e-12, `minimax`
 (both methods) down to U = 4.1e-30, `table --table 1..5` with and without
-`--check`, and argv that exit 2 (usage or invalid input) and 3 (numerical
-failure), among them `minimax` below the smallest bound it answers, with
-the grid method at bounds whose grid step U/1e5 underflows, and beta priors
-whose shapes are too small or too large for double precision, next to
+`--check` and with `--check --format json`, and argv that exit 2 (usage or
+invalid input) and 3 (numerical failure), among them `minimax` below the
+smallest bound it answers, with the grid method at bounds whose grid step
+U/1e5 underflows, and beta priors whose shapes are too small or too large
+for double precision, next to
 Beta(1e308, 1e5) on (0, 1], which is answered. Argv for the parser itself
 come last: `--help` and `bayes --help`, `--flag=value`, `--table 01`, and
 argv it refuses (no command or an unknown one, an unknown flag or a prefix
@@ -78,10 +79,11 @@ identity of the command line is a `cmp` of two dumps as well.
 
 Its `surface` key holds `pooldesign.__version__` and, for each name of
 `pooldesign.__all__` and for `efficiency.Mismatch` and `efficiency.TABLE_IDS`,
-the type name of the object and then, for a callable, its
-`inspect.signature`, its `inspect.getdoc` and its `_fields` (null for a
-function), or else its `repr`. So one `cmp` also shows that the public
-names, signatures, record fields, docstrings and version are unchanged.
+the type name of the object, its `__module__` (null for a float or a
+tuple) and then, for a callable, its `inspect.signature`, its
+`inspect.getdoc` and its `_fields` (null for a function), or else its
+`repr`. So one `cmp` also shows that the public names, their home modules,
+signatures, record fields, docstrings and version are unchanged.
 """
 
 import contextlib
@@ -305,6 +307,7 @@ CLI_FORMATTED = [  # each runs in the three formats
 ]
 CLI_PLAIN = [
     *(["table", "--table", str(n), "--check"] for n in range(1, 6)),
+    *(["table", "--table", str(n), "--check", "--format", "json"] for n in range(1, 6)),
     ["--help"],
     ["bayes", "--help"],
     ["minimax", "--upper-bound=0.05", "--format=json"],
@@ -323,10 +326,11 @@ CLI_PLAIN = [
 
 
 def surface(name, obj):
+    head = [name, type(obj).__name__, getattr(obj, "__module__", None)]
     if callable(obj):
-        return [name, type(obj).__name__, str(inspect.signature(obj)),
-                inspect.getdoc(obj), getattr(obj, "_fields", None)]
-    return [name, type(obj).__name__, repr(obj)]
+        return head + [str(inspect.signature(obj)), inspect.getdoc(obj),
+                       getattr(obj, "_fields", None)]
+    return head + [repr(obj)]
 
 
 PUBLIC = [(name, getattr(pd, name)) for name in pd.__all__] + [

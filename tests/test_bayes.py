@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -20,6 +21,8 @@ from pooldesign import (
     jeffreys_constant,
     uniform_optimal_k,
 )
+
+import _exact
 
 U_ROW = [0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.10, 0.15, 0.30]
 # square-root prior optima; the two smallest bounds are verified against a
@@ -57,10 +60,7 @@ class TestJeffreysConstant:
 
     def test_matches_direct_quadrature(self):
         for U in (0.01, 0.1, 0.5, 1.0):
-            with mp.workdps(30):
-                want = float(
-                    mp.quad(lambda p: 1 / mp.sqrt(p * (1 - p)), [0, mp.mpf(U)])
-                )
+            want = float(_exact.jeffreys_mass(U, 30))
             assert jeffreys_constant(U) == pytest.approx(want, abs=1e-8)
 
     def test_rejects_bad_bound(self):
@@ -85,18 +85,14 @@ class TestUniformClosedForm:
     def test_small_bounds_against_high_precision(self, U):
         # 1 - (1-U)^(k+1) cancels in double precision unless taken via expm1
         k = 10
-        with mp.workdps(50):
-            u = mp.mpf(U)
-            want = 1 + mp.mpf(1) / k + ((1 - u) ** (k + 1) - 1) / (u * (k + 1))
+        want = _exact.uniform_cost(k, U, 50)
         assert expected_tests_uniform(k, U) == pytest.approx(float(want), rel=1e-13)
 
     @pytest.mark.parametrize("U, k", [(1e-6, 1415), (1e-8, 14143), (1e-10, 141422)])
     def test_uniform_optimum_against_high_precision(self, U, k):
         # the cost there is about 2 sqrt(U), so 1 + 1/k + expm1(...)/(U(k+1))
         # cancelled and was off by 6.4e-14, 7.0e-13 and 5.4e-12 relative
-        with mp.workdps(50):
-            u = mp.mpf(U)
-            want = 1 + mp.mpf(1) / k + ((1 - u) ** (k + 1) - 1) / (u * (k + 1))
+        want = _exact.uniform_cost(k, U, 50)
         assert uniform_optimal_k(U) == k
         assert expected_tests_uniform(k, U) == pytest.approx(float(want), rel=1e-15, abs=0)
 
@@ -157,15 +153,9 @@ class TestBayesOptimalK:
         # the cost curve is flat near its minimum; confirm the argmin with
         # 40-digit quadrature rather than trusting one library
         U = 0.0005
-        with mp.workdps(40):
-            c = 2 * mp.asin(mp.sqrt(mp.mpf("0.0005")))
-
-            def cost(k):
-                f = lambda p: (1 - (1 - p) ** k + mp.mpf(1) / k) / mp.sqrt(p * (1 - p))
-                return mp.quad(f, [0, mp.mpf("0.0005")]) / c
-
-            assert cost(78) < cost(77)
-            assert cost(78) < cost(79)
+        cost = partial(_exact.jeffreys_cost, U=U, dps=40)
+        assert cost(78) < cost(77)
+        assert cost(78) < cost(79)
         assert bayes_optimal_k(PriorSpec.jeffreys(U)).k_opt == 78
 
     def test_refinement_does_not_change_the_answer(self):
@@ -196,17 +186,11 @@ class TestBayesOptimalK:
         # independent of the solver's telescoped sum: the plain ratio
         # 1 + 1/k - B(U; a, b+k) / B(U; a, b) at 50 digits
         res = bayes_optimal_k(prior)
-        with mp.workdps(50):
-            a, b, U = (mp.mpf(x) for x in (prior.a, prior.b, prior.upper))
-            mass = mp.betainc(a, b, 0, U)
-
-            def cost(k):
-                return 1 + mp.mpf(1) / k - mp.betainc(a, b + k, 0, U) / mass
-
-            k = res.k_opt
-            assert k > 1
-            assert cost(k) < cost(k - 1) and cost(k) <= cost(k + 1)
-            want = float(cost(k))
+        cost = partial(_exact.prior_cost, *prior, dps=50)
+        k = res.k_opt
+        assert k > 1
+        assert cost(k) < cost(k - 1) and cost(k) <= cost(k + 1)
+        want = float(cost(k))
         assert res.expected_tests_at_opt == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
@@ -221,12 +205,8 @@ class TestBayesOptimalK:
         assert res.expected_tests_at_opt == pytest.approx(
             expected_tests_uniform(k, U), rel=1e-12, abs=0
         )
-        with mp.workdps(50):  # the closed form at the float U
-            u = mp.mpf(U)
-
-            def exact(j):
-                return 1 + mp.mpf(1) / j - (1 - (1 - u) ** (j + 1)) / (u * (j + 1))
-
+        exact = partial(_exact.uniform_cost, U=U, dps=50)  # at the float U
+        with mp.workdps(50):
             # at 0.92 and 0.99, U (k+1) is nearly k, and C(k) and C(k+1)
             # agree to 1e-19: a tie in rounding, which goes to the smaller k
             assert exact(k) < exact(k - 1) < 1
@@ -249,10 +229,7 @@ class TestBayesOptimalK:
         res = bayes_optimal_k(prior)
         assert (res.k_opt, res.expected_tests_at_opt) == (1, 1.0)
         assert all(cost >= 1.0 for cost in _costs(prior, 1000))
-        with mp.workdps(30):  # C(k) = 1 + 1/k - B(U; a, b+k) / B(U; a, b)
-            mass = mp.betainc(a, b, 0, U)
-            for k in (10, 100, 1000):
-                assert 1 + mp.mpf(1) / k - mp.betainc(a, b + k, 0, U) / mass >= 1
+        assert all(_exact.prior_cost(a, b, U, k, 30) >= 1 for k in (10, 100, 1000))
 
     @pytest.mark.parametrize("U, k", [(1 - 1e-5, 199998), (1 - 1.4e-9, 1)])
     def test_uniform_with_nearly_flat_costs(self, U, k):
@@ -261,12 +238,8 @@ class TestBayesOptimalK:
         # the best pool gains 5e-19, a tie with k = 1 in rounding
         res = bayes_optimal_k(PriorSpec.uniform(U))
         assert res.k_opt == k
+        exact = partial(_exact.uniform_cost, U=U, dps=50)
         with mp.workdps(50):
-            u = mp.mpf(U)
-
-            def exact(j):
-                return 1 + mp.mpf(1) / j - (1 - (1 - u) ** (j + 1)) / (u * (j + 1))
-
             if k > 1:
                 assert exact(k) < exact(k - 1) and exact(k) < exact(k + 1) + 1e-18
                 want = float(exact(k))
@@ -282,10 +255,8 @@ class TestBayesOptimalK:
         res = bayes_optimal_k(PriorSpec(a, 1.0, 1.0))
         assert (res.k_opt, res.expected_tests_at_opt) == (1, 1.0)
         with mp.workdps(40):
-            ma = mp.mpf(a)
             for k in (10**6, 10**7, 10**8, 10**9, 10**10):
-                cost = 1 + mp.mpf(1) / k - mp.beta(ma, 1 + k) / mp.beta(ma, 1)
-                assert cost > 1 - mp.mpf("1e-15")
+                assert _exact.prior_cost(a, 1.0, 1.0, k, 40) > 1 - mp.mpf("1e-15")
 
     def test_nearly_flat_costs_at_high_prevalence(self):
         # C(k) lies 1.9e-14 below C(1), and the sign of R_j j(j+1) - 1
@@ -295,15 +266,9 @@ class TestBayesOptimalK:
         res = bayes_optimal_k(prior)
         k = res.k_opt
         assert k == 3303166168700
-        with mp.workdps(60):
-            a, b, U = (mp.mpf(x) for x in prior)
-            mass = _incomplete_beta(a, b, U)
-
-            def gap(j):  # C(j+1) - C(j) = R_j - 1/(j(j+1)), scaled by j(j+1)
-                return _incomplete_beta(a + 1, b + j, U) / mass * j * (j + 1) - 1
-
-            assert gap(k - 1) < 0 < gap(k)
-            want = _cost(*prior, k)
+        gap = partial(_exact.prior_gap, *prior, dps=60)  # C(j+1) - C(j)
+        assert gap(k - 1) < 0 < gap(k)
+        want = _exact.prior_cost(*prior, k, 60)
         assert res.expected_tests_at_opt == pytest.approx(float(want), rel=0, abs=1e-15)
 
     @pytest.mark.parametrize(
@@ -352,15 +317,9 @@ class TestBayesOptimalK:
         a, b, U = prior
         assert bayes_optimal_k(prior).k_opt == k
         assert abs(k - math.sqrt((a + 1) / (a * U))) < 2
-        with mp.workdps(40):  # C(j+1) - C(j) = R_j - 1/(j(j+1)) changes sign at k
-            ma, mb, mU = mp.mpf(a), mp.mpf(b), mp.mpf(U)
-            mass = mp.betainc(ma, mb, 0, mU)
-
-            def gap(j):
-                r = mp.betainc(ma + 1, mb + j, 0, mU) / mass
-                return r - mp.mpf(1) / (j * (j + 1))
-
-            assert gap(k - 1) < 0 < gap(k)
+        # C(j+1) - C(j) = R_j - 1/(j(j+1)) changes sign at k
+        gap = partial(_exact.prior_gap, *prior, dps=40)
+        assert gap(k - 1) < 0 < gap(k)
 
     @pytest.mark.parametrize(
         "prior, k",
@@ -379,10 +338,7 @@ class TestBayesOptimalK:
         # rounding, not the exact argmin: R_k k(k+1) - 1 is -7e-15 to -1e-14
         # at 80 digits, so the search's tie rule is checked, not a sign
         assert bayes_optimal_k(prior).k_opt == k
-        with mp.workdps(80):
-            a, b, U = (mp.mpf(x) for x in prior)
-            r = mp.betainc(a + 1, b + k, 0, U) / mp.betainc(a, b, 0, U)
-            assert abs(r * k * (k + 1) - 1) <= bayes._GAP_RTOL
+        assert abs(_exact.prior_gap(*prior, k, 80) * k * (k + 1)) <= bayes._GAP_RTOL
 
     def test_matches_the_exact_recurrence(self):
         # seeded priors, walked and jumped, against the recurrence one size
@@ -460,23 +416,6 @@ def _threshold(a, b):
     return (a + 1.0) / (a + b + 2.0)
 
 
-def _incomplete_beta(a, b, U):
-    """B(U; a, b) in mpmath. Near U = 1 `mp.betainc` does not converge, so
-    above 1/2 it is B(a, b) - B(1-U; b, a), whose cancellation the callers'
-    60 to 80 digits cover."""
-    if U <= 0.5:
-        return mp.betainc(a, b, 0, U)
-    return mp.beta(a, b) - mp.betainc(b, a, 0, 1 - U)
-
-
-def _cost(a, b, U, k):
-    """C(k) at the working precision, as the plain ratio of incomplete betas."""
-    if k == 1:
-        return mp.mpf(1)
-    a, b, U = mp.mpf(a), mp.mpf(b), mp.mpf(U)
-    return 1 + mp.mpf(1) / k - _incomplete_beta(a, b + k, U) / _incomplete_beta(a, b, U)
-
-
 def _recurrence(prior):
     """(k, C(k), S_k) for k = 1, 2, ... by the positive-term recurrence
     R_{j+1} = ((b+j) R_j + w_j) / (a+b+j+1), one size at a time: the exact
@@ -528,14 +467,11 @@ class TestCostRecurrence:
         ],
     )
     def test_continued_fraction_against_high_precision(self, a, b, x):
-        # h, and below the threshold the rest t of the fraction, h(a+1, b) / h(a, b)
-        with mp.workdps(50):
-            ma, mb, mx = mp.mpf(a), mp.mpf(b), mp.mpf(x)
-
-            def h(a):
-                return a * mp.betainc(a, mb, 0, mx) / (mx**a * (1 - mx) ** mb)
-
-            want_h, want_t = h(ma), h(ma + 1) / h(ma)
+        # h, and below the threshold the rest t of the fraction, h(a+1, b) / h(a, b);
+        # at 80 digits, as B(0.999; 1e5, 1e-3) is a complement that cancels 49
+        with mp.workdps(80):
+            h = partial(_exact.beta_cf, b=b, x=x, dps=80)
+            want_h, want_t = h(a), h(mp.mpf(a) + 1) / h(a)
         assert bayes._beta_cf(a, b, x) == pytest.approx(float(want_h), rel=1e-12, abs=0)
         if x < _threshold(a, b):
             t = bayes._beta_cf(a, b, x, rest=True)
@@ -569,13 +505,20 @@ class TestCostRecurrence:
         # independent of the recurrence, out to k = 1e4
         ks = (1, 2, 3, 10, 100, 1000, 10_000)
         got = _costs(PriorSpec(a, b, U), ks[-1])
-        with mp.workdps(50):
-            ma, mb, mU = mp.mpf(a), mp.mpf(b), mp.mpf(U)
-            mass = mp.betainc(ma, mb, 0, mU)
-            for k in ks:
-                ratio = mp.betainc(ma, mb + k, 0, mU) / mass
-                want = 1 if k == 1 else 1 + mp.mpf(1) / k - ratio
-                assert got[k - 1] == pytest.approx(float(want), rel=1e-12, abs=0), k
+        for k in ks:
+            want = _exact.prior_cost(a, b, U, k, 50)
+            assert got[k - 1] == pytest.approx(float(want), rel=1e-12, abs=0), k
+
+    @pytest.mark.parametrize(
+        "a, b, U", [(0.5, 0.5, 0.75), (2, 5, 0.6), (1e-3, 1e-3, 0.75), (5, 0.2, 0.9), (200, 5, 0.9)]
+    )
+    def test_oracle_complement_matches_the_direct_incomplete_beta(self, a, b, U):
+        # above U = 1/2 the oracle takes B(a, b) - B(1-U; b, a); where the
+        # direct series converges, the two agree to 80 digits but the few the
+        # complement cancels (4 at Beta(200, 5))
+        got = _exact.incomplete_beta(a, b, U, 80)
+        want = _exact.direct_beta(a, b, U, 80)
+        assert abs(got - want) < abs(want) * mp.mpf(10) ** -75
 
     @pytest.mark.parametrize(
         "a, b, U",
@@ -610,11 +553,10 @@ class TestCostRecurrence:
     )
     def test_start_values_against_high_precision(self, a, b, U):
         r0, w0, *_ = bayes._start_values(a, b, U)
+        want_r0 = _exact.prior_ratio(a, b, U, 0, 80)
         with mp.workdps(80):
             ma, mb, mU = mp.mpf(a), mp.mpf(b), mp.mpf(U)
-            mass = _incomplete_beta(ma, mb, mU)
-            want_r0 = _incomplete_beta(ma + 1, mb, mU) / mass
-            want_w0 = mU ** (ma + 1) * (1 - mU) ** mb / mass
+            want_w0 = mU ** (ma + 1) * (1 - mU) ** mb / _exact.incomplete_beta(a, b, U, 80)
         assert r0 == pytest.approx(float(want_r0), rel=1e-12, abs=0)
         assert w0 == pytest.approx(float(want_w0), rel=1e-12, abs=0)
 
@@ -702,13 +644,13 @@ class TestCostRecurrence:
         # one fraction at 1 - U; the fractions at U they took did not converge
         res = bayes_optimal_k(PriorSpec(a, b, U))
         assert res.k_opt == k
-        with mp.workdps(80):
-            if k == 1:  # the mass sits near p = 1, where no pool pays
-                assert all(_cost(a, b, U, j) > 1 for j in (2, 3, 10, 1000, 10**6))
-            else:
-                want = _cost(a, b, U, k)
-                assert want < _cost(a, b, U, k - 1) and want < _cost(a, b, U, k + 1)
-                assert res.expected_tests_at_opt == pytest.approx(float(want), rel=1e-12, abs=0)
+        cost = partial(_exact.prior_cost, a, b, U, dps=80)
+        if k == 1:  # the mass sits near p = 1, where no pool pays
+            assert all(cost(j) > 1 for j in (2, 3, 10, 1000, 10**6))
+        else:
+            want = cost(k)
+            assert want < cost(k - 1) and want < cost(k + 1)
+            assert res.expected_tests_at_opt == pytest.approx(float(want), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("a, b", [(0.5, 0.01), (0.05, 0.01)])
     def test_small_b_with_most_mass_above_the_bound_is_refused(self, a, b):

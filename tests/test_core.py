@@ -21,6 +21,8 @@ from pooldesign import (
     samuels_optimal_k,
 )
 
+import _exact
+
 # p grid shared by the monotonicity checks
 GRID = (np.arange(1, 99001) * 1e-5).tolist()
 
@@ -66,8 +68,7 @@ class TestExpectedTests:
         assert expected_tests(2, 0.5) == pytest.approx(1.25, abs=1e-15)
 
     def test_against_high_precision_oracle(self):
-        with mp.workdps(50):
-            want = float(1 - mp.mpf("0.98") ** 8 + mp.mpf(1) / 8)
+        want = float(_exact.expected_tests(8, 0.02, 50))
         assert expected_tests(8, 0.02) == pytest.approx(want, abs=1e-15)
         assert expected_tests(8, 0.02) == pytest.approx(0.274237, abs=5e-7)
 
@@ -75,8 +76,7 @@ class TestExpectedTests:
         assert expected_tests(5, 0.0) == pytest.approx(0.2, abs=1e-15)
 
     def test_large_k_stays_accurate(self):
-        with mp.workdps(50):
-            want = float(1 - (1 - mp.mpf("0.0005")) ** 10000 + mp.mpf(1) / 10000)
+        want = float(_exact.expected_tests(10000, 0.0005, 50))
         assert expected_tests(10000, 0.0005) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("e", [4, 8, 12, 16, 20, 24])
@@ -84,8 +84,7 @@ class TestExpectedTests:
         # 1 - exp(k log1p(-p)) cancelled here: off by up to 1.1e-5 relative
         p = 10.0**-e
         k = samuels_optimal_k(p)
-        with mp.workdps(50):
-            want = float(1 - (1 - mp.mpf(p)) ** k + mp.mpf(1) / k)
+        want = float(_exact.expected_tests(k, p, 50))
         assert expected_tests(k, p) == pytest.approx(want, rel=5e-16, abs=0)
 
     @pytest.mark.parametrize("k", [0, -1, 2.5, True])
@@ -171,11 +170,10 @@ class TestSamuelsRule:
         # below p ~ 1e-9 the two costs cancel to more than their gap, so only
         # the sign of the gap itself decides the size
         rng = np.random.default_rng(9)
-        with mp.workdps(60):
-            for p in np.exp(rng.uniform(math.log(1e-26), math.log(1e-6), 400)):
-                q, i = 1 - mp.mpf(float(p)), math.floor(float(p) ** -0.5)
-                gap = q ** (i + 1) * (1 - q) - mp.mpf(1) / ((i + 1) * (i + 2))
-                assert samuels_optimal_k(float(p)) == (i + 1 if gap >= 0 else i + 2), p
+        for p in np.exp(rng.uniform(math.log(1e-26), math.log(1e-6), 400)).tolist():
+            i = math.floor(p**-0.5)
+            gap = _exact.samuels_gap(i + 1, p, 60)  # E(i+2) - E(i+1)
+            assert samuels_optimal_k(p) == (i + 1 if gap >= 0 else i + 2), p
 
     def test_boundary_fraction_case(self):
         # at p = 0.05 the fractional-part test holds with equality and the
@@ -258,11 +256,11 @@ class TestLoss:
         ps = [np.exp(rng.uniform(math.log(lo), math.log(hi), 40)).tolist() for lo, hi in bands]
         for p in [*sum(ps, []), *EDGES, 1e-10, 1e-40]:
             j = samuels_optimal_k(p)
-            with mp.workdps(50 + math.ceil(-math.log10(p))):
+            dps = 50 + math.ceil(-math.log10(p))
+            with mp.workdps(dps):
                 q = 1 - mp.mpf(p)
                 for k in {1, 3, 8, 100, 50000, max(j - 1, 1), j, j + 1, j + 5, 2 * j}:
-                    e_k = 1 if k == 1 else 1 - q**k + mp.mpf(1) / k
-                    exact = e_k - (1 if j == 1 else 1 - q**j + mp.mpf(1) / j)
+                    exact = _exact.regret(k, j, p, dps)
                     terms = abs(mp.mpf(j - k) / (k * j)) + q**j * abs(1 - q ** (k - j))
                     scale = 1 if k == 1 or j == 1 else terms  # E(k) - 1 is no near tie
                     assert abs(loss(k, p) - exact) <= 1e-15 * scale, (k, p)

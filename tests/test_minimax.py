@@ -26,6 +26,8 @@ from pooldesign import (
 )
 from pooldesign.minimax import _grid_base
 
+import _exact
+
 # exact worst case for a pool of eight
 P_STAR_8 = 1.0 - (3.0 / 8.0) ** 0.2
 SUP_8 = (5.0 / 8.0) * (3.0 / 8.0) ** 0.6 - 5.0 / 24.0
@@ -134,11 +136,12 @@ def roots():
     return np.array([larger_root(j) for j in range(2, K_ORACLE)])
 
 
-def _check_against_segments(U, ks, roots):
+def _check(oracle, rel, U, ks):
+    """sup_loss_analytic(k, U) against the (p_star, sup_loss) of oracle(k, U)."""
     for k in ks:
-        want_p, want = _segment_supremum(k, U, roots)
+        want_p, want = oracle(k, U)
         got = sup_loss_analytic(k, U)
-        assert got.sup_loss == pytest.approx(want, rel=1e-13, abs=0), (k, U)
+        assert got.sup_loss == pytest.approx(want, rel=rel, abs=0), (k, U)
         assert got.p_star == pytest.approx(want_p, rel=0, abs=4.5e-16), (k, U)
 
 
@@ -146,13 +149,14 @@ class TestAgainstSegmentEnumeration:
     # the max over oracle sizes m must reproduce the per-segment supremum
     @pytest.mark.parametrize("U", [1.0, P0, 0.05, 1e-3, 1e-4, 1e-6])
     def test_fixed_bounds(self, U, roots):
-        _check_against_segments(U, range(1, K_ORACLE + 1, 2), roots)
+        _check(partial(_segment_supremum, roots=roots), 1e-13, U, range(1, K_ORACLE + 1, 2))
 
     @pytest.mark.parametrize("m", [3, 4, 8, 20, 64, 150])
     def test_bounds_on_a_breakpoint(self, m, roots):
         U = 1.0 - larger_root(m)
+        oracle = partial(_segment_supremum, roots=roots)
         for bound in (math.nextafter(U, 0.0), U, math.nextafter(U, 1.0)):
-            _check_against_segments(bound, range(1, K_ORACLE + 1, 9), roots)
+            _check(oracle, 1e-13, bound, range(1, K_ORACLE + 1, 9))
 
 
 def _array_supremum(k, U):
@@ -184,28 +188,19 @@ BREAKPOINT_U = [
 LARGE_K = sorted({int(k) for k in np.logspace(math.log10(2001), 5, 24)})
 
 
-def _check_against_array_form(U, ks):
-    for k in ks:
-        want_p, want = _array_supremum(k, U)
-        got = sup_loss_analytic(k, U)
-        assert got.sup_loss == pytest.approx(want, rel=1e-15, abs=0), (k, U)
-        assert got.p_star == pytest.approx(want_p, rel=0, abs=4.5e-16), (k, U)
-
-
 def _check_bounds_against_array_form(bounds):
     # each bound gets every 29th k up to 2000, starting at a rotating offset,
     # and a sixth of the log-spaced sizes above it
     for i, U in enumerate(bounds):
-        _check_against_array_form(
-            U, [*range(1 + i % 29, 2001, 29), *LARGE_K[i % 6 :: 6]]
-        )
+        ks = [*range(1 + i % 29, 2001, 29), *LARGE_K[i % 6 :: 6]]
+        _check(_array_supremum, 1e-15, U, ks)
 
 
 class TestAgainstArrayForm:
     # the gallop over m must find the peak the full array finds
     @pytest.mark.parametrize("U", [1.0, P0, 0.05, 1e-3, 1e-6, 1e-9])
     def test_every_size_up_to_2000(self, U):
-        _check_against_array_form(U, range(1, 2001))
+        _check(_array_supremum, 1e-15, U, range(1, 2001))
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_log_spaced_bounds(self, chunk):
@@ -216,39 +211,17 @@ class TestAgainstArrayForm:
         _check_bounds_against_array_form(BREAKPOINT_U[chunk::2])
 
 
-def _mp_peak(k, m, U):
-    """(v(m), c) at 50 digits: the peak of g_m on the domain and c = -ln q*."""
-    hi = min(mp.mpf(U), 1 - mp.cbrt(mp.mpf(1) / 3))
-    c = min(mp.log(k / m) / (k - m), -mp.log1p(-hi))
-    return mp.exp(-c * m) - mp.exp(-c * k) + mp.mpf(1) / k - 1 / m, c
-
-
-def _mp_huge_supremum(k, U=1.0, dps=50):
-    """sup_loss(k, U) at dps digits (an mpf), from the real maximizer over m.
-
-    Bisects the sign of dv/dm = 1/m^2 - c e^(-cm), c = -ln q*, over real m
-    in [3, k-1] (docs/decisions.md), then takes the largest peak of the
-    integers around it and compares it with the p->0 limit 1/k.
-    """
-    with mp.workdps(dps):
-        a, b = mp.mpf(3), mp.mpf(k - 1)
-        for _ in range(200):
-            mid = (a + b) / 2
-            c = _mp_peak(k, mid, U)[1]
-            a, b = (mid, b) if 1 / mid**2 > c * mp.exp(-c * mid) else (a, mid)
-        ms = range(max(3, int(a) - 1), min(k - 1, int(a) + 2) + 1)
-        return max([mp.mpf(1) / k] + [_mp_peak(k, mp.mpf(m), U)[0] for m in ms])
-
-
 class TestHugePoolSizes:
     @pytest.mark.parametrize("k", [10**6, 10**8, 10**10, 10**12])
     def test_against_mpmath(self, k):
         got = sup_loss_analytic(k, 1.0).sup_loss
-        assert got == pytest.approx(float(_mp_huge_supremum(k)), rel=1e-13, abs=0)
+        want = _exact.minimax_supremum(k, 1.0, 50)
+        assert got == pytest.approx(float(want), rel=1e-13, abs=0)
 
     def test_largest_resolvable_size(self):
+        want = _exact.minimax_supremum(10**15, 1.0, 50)
         assert sup_loss_analytic(10**15, 1.0).sup_loss == pytest.approx(
-            float(_mp_huge_supremum(10**15)), rel=1e-12, abs=0
+            float(want), rel=1e-12, abs=0
         )
 
     def test_numpy_integer_size_does_not_wrap(self):
@@ -279,9 +252,10 @@ class TestUnimodalityLemma:
         # dv/dm = 1/m^2 - c e^(-cm) has the sign of c - x^2 e^(-x), x = cm
         with mp.workdps(50):
             h = mp.mpf(10) ** -20
+            peak = partial(_exact.minimax_peak, k, U=U, dps=50)
             for m in (mp.mpf(k) / 100 + 3, mp.mpf(k) / 7, mp.mpf(k) / 2):
-                v_plus, v_minus = _mp_peak(k, m + h, U)[0], _mp_peak(k, m - h, U)[0]
-                c = _mp_peak(k, m, U)[1]
+                v_plus, v_minus = peak(m + h)[0], peak(m - h)[0]
+                c = peak(m)[1]
                 slope = 1 / m**2 - c * mp.exp(-c * m)
                 assert (v_plus - v_minus) / (2 * h) == pytest.approx(slope, rel=1e-15)
                 x = c * m
@@ -300,7 +274,7 @@ class TestUnimodalityLemma:
                 if mp.log(mp.mpf(m + 1) / k) / (k - m - 1) > mp.log1p(-hi):
                     break  # unclamped, and so is every larger size
                 assert hi < mp.mpf(1) / (m + 1), (k, hi_f, m)
-                assert hi * (1 - hi) ** m * m * (m + 1) >= 1, (k, hi_f, m)
+                assert _exact.samuels_gap(m, hi_f, 50) >= 0, (k, hi_f, m)
 
     @pytest.mark.parametrize("U", [1.0, 0.05, 1e-3, 1e-4])
     def test_integer_peaks_rise_then_fall(self, U):
@@ -308,7 +282,7 @@ class TestUnimodalityLemma:
         with mp.workdps(50):
             for k in (8, 60, 400):
                 ms = range(max(3, samuels_optimal_k(min(U, P0))), k)
-                peaks = [_mp_peak(k, mp.mpf(m), U) for m in ms]
+                peaks = [_exact.minimax_peak(k, m, U, 50) for m in ms]
                 clamped += sum(c == -mp.log1p(-min(U, P0)) for _, c in peaks)
                 v = [val for val, _ in peaks]
                 top = v.index(max(v)) if v else 0
@@ -684,36 +658,13 @@ def _grid_sups(U):
     return cache(partial(minimax._grid_sup, p=p, opt=opt))
 
 
-def _mp_supremum(k, U):
-    """(p_star, sup_loss) of pool size k at 50 digits.
-
-    Every oracle size m = 3..k-1 is screened in double precision, whose
-    error here stays below 1e-11; each g_m within 1e-9 of the largest is
-    then peaked at max(q_m, 1 - min(U, P0)) in mpmath and compared with
-    the p->0 limit 1/k.
-    """
-    m = np.arange(3, k)
-    q = np.maximum((m / k) ** (1.0 / (k - m)), 1.0 - min(U, P0))
-    vals = q**m - q**k + 1.0 / k - 1.0 / m
-    with mp.workdps(50):
-        q_floor = 1 - min(mp.mpf(U), 1 - mp.cbrt(mp.mpf(1) / 3))
-        best_p, best = mp.mpf(0), mp.mpf(1) / k
-        for j in m[vals >= vals.max() - 1e-9]:
-            j = int(j)
-            qj = max(mp.power(mp.mpf(j) / k, mp.mpf(1) / (k - j)), q_floor)
-            g = qj**j - qj**k + mp.mpf(1) / k - mp.mpf(1) / j
-            if g > best:
-                best_p, best = 1 - qj, g
-        return float(best_p), float(best)
-
-
 class TestSmallBoundAccuracy:
     @pytest.mark.parametrize("U, k", [(1e-8, 20001), (1e-9, 63247), (1e-10, 200001)])
     def test_sizes_around_the_answer_against_mpmath(self, U, k):
         assert minimax_group_size(U).k_minimax == k
         wants = {}
         for j in (k - 1, k, k + 1):
-            want_p, wants[j] = _mp_supremum(j, U)
+            want_p, wants[j] = map(float, _exact.screened_supremum(j, U, 50))
             got = sup_loss_analytic(j, U)
             assert got.sup_loss == pytest.approx(wants[j], rel=1e-12, abs=0), j
             assert got.p_star == pytest.approx(want_p, rel=1e-12, abs=0), j
@@ -742,7 +693,7 @@ class TestSmallBoundAccuracy:
         # past the start refused the last four, where J(1e15) stays below
         # the best supremum
         pt = minimax_group_size(U).worst_point
-        wants = {j: _mp_huge_supremum(j, U, dps=80) for j in (k - 1, k, k + 1)}
+        wants = {j: _exact.minimax_supremum(j, U, 80) for j in (k - 1, k, k + 1)}
         assert pt.k == k
         assert pt.sup_loss == pytest.approx(float(wants[k]), rel=1e-15, abs=0)
         assert min(wants, key=wants.get) == k

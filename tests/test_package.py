@@ -1,11 +1,14 @@
-"""Tests for the lazy package exports and the named-tuple records."""
+"""Tests for the lazy package exports, the named-tuple records and the
+test sources themselves."""
 
+import ast
 import copy
 import importlib
 import inspect
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,3 +191,39 @@ class TestRecords:
         assert PriorSpec._make([0.5, 0.5, 0.3]) == PriorSpec.jeffreys(0.3)
         with pytest.raises(ValueError):
             PriorSpec._make([0.5, 0.5, 2.0])
+
+
+TESTS = Path(__file__).parent
+SPECIAL = {"betainc", "beta", "quad", "findroot"}
+
+
+class TestSources:
+    def test_only_the_exact_oracles_call_mpmath_special_functions(self):
+        # tests/_exact.py writes each multi-precision oracle once
+        calls = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(TESTS.glob("test_*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Attribute) and node.attr in SPECIAL
+                and getattr(node.value, "id", None) in ("mp", "mpmath"))
+            or (isinstance(node, ast.ImportFrom) and node.module == "mpmath"
+                and SPECIAL & {alias.name for alias in node.names})
+        ]
+        assert calls == []
+
+    def test_cited_test_names_exist(self):
+        # each tests/<file>.py::<name>[::<name>] in the docs names a definition
+        cited = {
+            ref
+            for doc in ("docs/decisions.md", "README.md", "bench/README.md")
+            for ref in re.findall(
+                r"tests/(\w+\.py)::(\w+)(?:::(\w+))?", (TESTS.parent / doc).read_text()
+            )
+        }
+        assert cited
+        for file, *names in sorted(cited):
+            scope = ast.parse((TESTS / file).read_text())
+            for name in filter(None, names):
+                found = [node for node in scope.body if getattr(node, "name", None) == name]
+                assert found, f"{file}::{'::'.join(filter(None, names))}"
+                scope = found[0]

@@ -1,12 +1,13 @@
 """Tests for the optimality breakpoints and per-size prevalence intervals."""
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy import optimize
 
 from pooldesign import P0, Q0, delta, larger_root, optimality_range, samuels_optimal_k
 from pooldesign.ranges import _K_RANGED, _range
+
+import _exact
 
 # k(k+1) still a finite double, k(k+1) past it, and k itself past it
 HUGE_K = [10**154, 10**200, 2**1100]
@@ -16,23 +17,11 @@ HUGE_K_IDS = ["1e154", "1e200", "2^1100"]
 LARGE_K = sorted({*range(3, 61), *(round(10**e) for e in np.linspace(1.8, 13, 337))})
 
 
-def _mp_breakpoint(k):
-    """The smaller root p of p (1-p)^k = 1/(k(k+1)), at 50 digits; the
-    bracket [1/(k(k+1)), 1/(k+1)] holds it for k >= 3."""
-    with mp.workdps(50):
-        k = mp.mpf(k)
-        return mp.findroot(
-            lambda p: mp.log(p) + k * mp.log1p(-p) + mp.log(k * (k + 1)),
-            (1 / (k * (k + 1)), 1 / (k + 1)),
-            solver="illinois",
-        )
-
-
 def _check_against_mpmath(k):
     """Both endpoints of range(k) within 1e-15 relative of 50 digits and
     within 1% of the range's width, and the larger root is 1 - p_low."""
-    want_low = _mp_breakpoint(k)
-    want_high = P0 if k == 3 else _mp_breakpoint(k - 1)
+    want_low = _exact.breakpoint_root(k, 50)
+    want_high = P0 if k == 3 else _exact.breakpoint_root(k - 1, 50)
     rng = optimality_range(k)
     assert rng.p_low == pytest.approx(float(want_low), rel=1e-15, abs=0), k
     err = max(abs(rng.p_low - want_low), abs(rng.p_high - want_high))

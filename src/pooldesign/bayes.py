@@ -142,8 +142,10 @@ def _log_beta(a: float, b: float) -> float:
 
 
 def _start_values(a: float, b: float, U: float):
-    """(R_0, w_0, log I_U(a, b), log h(a, b, U)) of the cost recurrence; the
-    last is nan unless the fraction at U is taken.
+    """(R_0, w_0, log I_U(a, b), log h(a, b, U), log B(a, b)) of the cost
+    recurrence; log h is nan unless the fraction at U is taken, and log B is
+    None at U = 1, which needs none: it overflows past shapes of 2.5e305,
+    where the search may end without it.
 
     Below (a+1)/(a+b+2), R_0 and w_0 come from one continued fraction at
     U and its rest t, with R_0 = U a t / (a+1). Above it, one fraction at
@@ -152,15 +154,16 @@ def _start_values(a: float, b: float, U: float):
     e^-5) and nine tenths of the mean lie above U; else fractions at U.
     """
     if U == 1.0:
-        return a / (a + b), 0.0, 0.0, math.nan
+        return a / (a + b), 0.0, 0.0, math.nan, None
+    log_b = _log_beta(a, b)
     log_p = a * math.log(U) + b * math.log1p(-U)  # log U^a (1-U)^b
-    log_z = log_p - _log_beta(a, b)
+    log_z = log_p - log_b
     if U < (a + 1.0) / (a + b + 2.0):
         t = _beta_cf(a, b, U, rest=True)
         u = -(a + b) * U / (a + 1.0) * t  # h = 1 / (1 + u)
         log_h = -math.log1p(u)
         log_mass = log_z + log_h - math.log(a)
-        return U * a * t / (a + 1.0), U * a * (1.0 + u), log_mass, log_h
+        return U * a * t / (a + 1.0), U * a * (1.0 + u), log_mass, log_h, log_b
     z = math.exp(log_z)  # U^a (1-U)^b / B(a, b)
     tail = z * _beta_cf(b, a, 1.0 - U) / b  # 1 - I_U(a, b)
     # I_U(a+1, b) = 1 - tail - z/a (DLMF 8.17.20) gives R_0; z carries the
@@ -168,10 +171,10 @@ def _start_values(a: float, b: float, U: float):
     # tenth of the mass above U the complements need log_p >= -5
     if tail + z / a <= 0.9 and tail <= (0.5 if log_p >= -5.0 else 0.1):
         mass = 1.0 - tail
-        return (a - z / mass) / (a + b), U * z / mass, math.log(mass), math.nan
+        return (a - z / mass) / (a + b), U * z / mass, math.log(mass), math.nan, log_b
     h = _beta_cf(a, b, U)
     r0 = U * a * _beta_cf(a + 1.0, b, U) / ((a + 1.0) * h)
-    return r0, U * a / h, log_z + math.log(h / a), math.log(h)
+    return r0, U * a / h, log_z + math.log(h / a), math.log(h), log_b
 
 
 def _far_bound(s: float, r: float, gap: float) -> float:
@@ -233,7 +236,7 @@ def _search(a: float, b: float, U: float):
     floor bounds prune (the floor also ends a > 1 priors, where k = 1 wins
     from some size on), and `_settle` decides between neighbours whose
     costs agree to rounding."""
-    r0, w0, log_mass, log_h0 = _start_values(a, b, U)
+    r0, w0, log_mass, log_h0, log_b = _start_values(a, b, U)
     if math.exp(log_mass) == 0.0:
         return None
     log_q = math.log1p(-U) if U < 1.0 else 0.0  # w_j = w_0 (1-U)^j; w_0 = 0 at U = 1
@@ -251,7 +254,9 @@ def _search(a: float, b: float, U: float):
                 if k >= _WALK:
                     break
                 if best > 0.5:
-                    log_c = -log_mass - _log_beta(a, b)
+                    if log_b is None:
+                        log_b = _log_beta(a, b)
+                    log_c = -log_mass - log_b
                     if _floor(a, b, log_c, k + 1, math.inf) >= bar - 1.0:
                         return best_k, best
                 check = min(2 * check, _WALK)
@@ -267,7 +272,8 @@ def _search(a: float, b: float, U: float):
         if guess < _K_RESOLVABLE:  # no guess^2 overflows, and g2 is not nan
             guess += guess * guess * (r0 - r) / (2.0 * r0)
         top = max(2, round(min(guess, _K_RESOLVABLE)))
-    log_b = _log_beta(a, b)
+    if log_b is None:
+        log_b = _log_beta(a, b)
     log_c = -log_mass - log_b  # -log B(U; a, b)
     S, R = {k: s}, {k: r}  # S_k and R_k at the walk's end and at the sizes jumped to
 
@@ -282,8 +288,10 @@ def _search(a: float, b: float, U: float):
             x = k * log_q - math.log1p(-(a + b + k) * U / (a + 1.0) * t) - log_h0
             R[k] = math.exp(x) * U * a * t / (a + 1.0)
         else:
-            r0k, _, log_mass_k, _ = _start_values(a, b + k, U)
-            x = log_mass_k - log_mass + _log_beta(a, b + k) - log_b
+            r0k, _, log_mass_k, _, log_b_k = _start_values(a, b + k, U)
+            if log_b_k is None:
+                log_b_k = _log_beta(a, b + k)
+            x = log_mass_k - log_mass + log_b_k - log_b
             R[k] = r0k * math.exp(x)
         S[k] = -math.expm1(x)
         e = 1.0 / k + S[k]

@@ -43,6 +43,20 @@ def _check_prevalence(p: float, *, allow_zero: bool) -> None:
         raise ValueError(f"prevalence must lie in {lo}, got {p!r}")
 
 
+def _times(k: int, x: float) -> float:
+    """k * x, also for an int k past the largest double, where Python raises
+    OverflowError: from the top 64 bits of k, within an ulp or two, and
+    infinite where the product is past the largest double too."""
+    try:
+        return k * x
+    except OverflowError:
+        t = k.bit_length() - 64
+        y = float(k >> t) * x  # k >> t is within 2**-63 of k / 2**t
+        if y == 0.0 or math.frexp(y)[1] + t <= 1024:
+            return math.ldexp(y, t)
+        return math.copysign(math.inf, y)
+
+
 # The public functions check each input once, inline by the helpers' own
 # comparisons in their order (a helper call costs about 0.2 us), and call a
 # helper only to raise its message, or its TypeError for an unorderable p.
@@ -57,7 +71,10 @@ def expected_tests(k: int, p: float) -> float:
     if k == 1:
         return 1.0
     # 1 - (1-p)^k as -expm1(k*log1p(-p)) keeps full relative precision at small p
-    return 1.0 / k - math.expm1(k * math.log1p(-p))
+    try:  # free in Python 3.11 until it catches
+        return 1.0 / k - math.expm1(k * math.log1p(-p))
+    except OverflowError:  # k is past the largest double; 1 / k rounds in ints
+        return 1 / k - math.expm1(_times(k, math.log1p(-p)))
 
 
 def samuels_optimal_k(p: float) -> int:
@@ -143,7 +160,7 @@ def loss(k: int, p: float) -> float:
     # In Python ints, as a numpy k would overflow j - k and k * j in its width
     m = j - int(k)
     log_q = math.log1p(-p)
-    regret = m / (int(k) * j) - math.exp(j * log_q) * math.expm1(-m * log_q)
+    regret = m / (int(k) * j) - math.exp(j * log_q) * math.expm1(_times(-m, log_q))
     return type(cost)(regret)  # a numpy k gives a numpy result, as the cost does
 
 

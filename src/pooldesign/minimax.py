@@ -104,7 +104,12 @@ def _grid_tests(k, p):
     """E(k, p) on an array of p; k >= 2 is a size or an array of sizes."""
     import numpy as np
 
-    return 1.0 / k - np.expm1(k * np.log1p(-p))
+    try:
+        return 1.0 / k - np.expm1(k * np.log1p(-p))
+    except OverflowError:  # an int k past the largest double, as core._times takes it
+        t = k.bit_length() - 64
+        with np.errstate(over="ignore"):  # to -inf, where expm1 is -1
+            return 1 / k - np.expm1(np.ldexp(float(k >> t) * np.log1p(-p), t))
 
 
 def _check_grid_step(U: float, step: float) -> None:
@@ -136,7 +141,7 @@ def _grid_sup(k: int, p, opt) -> LossPoint:
     import numpy as np
 
     losses = np.empty(p.shape)
-    losses[0] = 1.0 if k == 1 else 1.0 / k
+    losses[0] = 1.0 if k == 1 else 1 / k  # in ints, which do not overflow
     losses[1:] = (1.0 if k == 1 else _grid_tests(k, p[1:])) - opt
     i = int(np.argmax(losses))  # first occurrence: lowest p on ties
     return LossPoint(k, float(p[i]), float(losses[i]))
@@ -181,11 +186,11 @@ def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
     """Worst point of the smallest k minimizing sup(k).sup_loss, from the start sizes.
 
     J(k) = sup_loss(k) - 1/k >= 0 never decreases in k (docs/decisions.md),
-    so sup_loss(k) > J(K) for k > K. On (a, b) the _regret_floor of a and of
-    b bound sup_loss(k); the floor of a is never below 1/(b-1) + J(a). An
-    interval neither prunes is split where the larger floor is least. The
-    _regret_floor over (K, inf) of K's own worst point, and of an anchor, a
-    point of zero regret, bound every size above K too.
+    so sup_loss(k) > J(K) for k > K. On (a, b) the _regret_floor of a bounds
+    sup_loss(k) and is never below 1/(b-1) + J(a); an interval it does not
+    prune is split where it is least. The _regret_floor over (K, inf) of K's
+    own worst point, and of an anchor, a point of zero regret, bound every
+    size above K too.
     """
     points = {}
     best = (math.inf, 0)  # (sup_loss, k): ties go to the smaller k
@@ -205,7 +210,9 @@ def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
         return False
 
     def split(a, b):
-        bound, k = max(_regret_floor(points[j], a + 1, b - 1) for j in (a, b))
+        # the floor of b would save a supremum on 25 of 25 000 bounds, at a
+        # floor in every split (docs/decisions.md)
+        bound, k = _regret_floor(points[a], a + 1, b - 1)
         return k if (bound, a + 1) <= best else None
 
     _branch_and_bound(visit, beyond, split, sizes, _K_RESOLVABLE)
@@ -236,9 +243,11 @@ def minimax_group_size(
         sup = partial(_grid_sup, p=p, opt=opt)
     else:
         raise ValueError(f"method must be 'analytic' or 'grid', got {method!r}")
-    # start also at the small-U asymptote 2/sqrt(U) + 1, or at 8 where that is
-    # smaller, as no answer is below 8 (docs/decisions.md); the oracle size at
-    # the domain end has zero regret there, a point both methods evaluate
-    start = (1, 2, min(max(round(2.0 / math.sqrt(hi)) + 1, 8), _K_RESOLVABLE))
+    # start at 1, whose worst point p -> 0 bounds the sizes below g by
+    # 1/(g-1), and at the small-U asymptote g = 2/sqrt(U) + 1, or at 8 where
+    # that is smaller, as no answer is below 8 (docs/decisions.md); the
+    # oracle size at the domain end has zero regret there, a point both
+    # methods evaluate
+    start = (1, min(max(round(2.0 / math.sqrt(hi)) + 1, 8), _K_RESOLVABLE))
     pt = _search(sup, start, LossPoint(m_lo, hi, 0.0))
     return MinimaxResult(pt.k, U, pt, method)

@@ -6,12 +6,14 @@ truncated beta prior numerically, in theta with p = U*sin^2(theta), with
 scipy and independently of the continued fractions of `bayes`;
 `expected_tests_uniform` is the closed form under the uniform prior, and
 `jeffreys_constant` the normalizer of the Jeffreys prior. They need only
-the input checks of `core`, so importing this module loads no solver.
+the input checks and `_times` of `core`, so importing this module loads no
+solver.
 """
 
 import math
+import sys
 
-from .core import _check_group_size, _check_upper_bound
+from .core import _check_group_size, _check_upper_bound, _times
 
 
 class QuadratureError(RuntimeError):
@@ -34,19 +36,20 @@ def expected_tests_uniform(k: int, U: float) -> float:
     _check_upper_bound(U)
     if k == 1:
         return 1.0
-    if k * U < 1.0:
+    # _times multiplies by k also past the largest double, and 1 / k rounds in ints
+    if (ku := _times(k, U)) < 1.0:
         # 1/k plus the mean of 1 - (1-p)^k by its binomial series: the closed
         # form below cancels 1 against its last term when kU is small; these
         # terms alternate and fall by (k-n)U/(n+2) < 1/3 each, so nothing does
-        mean, term, n = 0.0, 0.5 * k * U, 1
+        mean, term, n = 0.0, 0.5 * ku, 1
         while mean + term != mean:
             mean += term
-            term *= -(k - n) * U / (n + 2)
+            term *= -_times(k - n, U) / (n + 2)
             n += 1
-        return 1.0 / k + mean
+        return 1 / k + mean
     # (1-U)^(k+1) - 1 without cancellation at small U; exactly -1 at U = 1
-    tail_m1 = -1.0 if U == 1.0 else math.expm1((k + 1) * math.log1p(-U))
-    return 1.0 + 1.0 / k + tail_m1 / (U * (k + 1))
+    tail_m1 = -1.0 if U == 1.0 else math.expm1(_times(k + 1, math.log1p(-U)))
+    return 1.0 + 1 / k + tail_m1 / _times(k + 1, U)
 
 
 def _weighted_cost_mass(k, a, b, U, tol, budget):
@@ -59,13 +62,17 @@ def _weighted_cost_mass(k, a, b, U, tol, budget):
     """
     two_a = 2.0 * a - 1.0
     b_m1 = b - 1.0
-    inv_k = 0.0 if k == 1 else 1.0 / k
+    inv_k = 0.0 if k == 1 else 1 / k  # in ints, which do not overflow
+    huge = k > sys.float_info.max  # where q ** k raises OverflowError
 
     def g(theta: float) -> float:
         s = math.sin(theta)
         c = math.cos(theta)
         q = (1.0 - U) + U * c * c  # 1 - p
-        cost = 1.0 if k == 1 else 1.0 - q ** k + inv_k
+        if huge:  # (1-p)^k is 0 unless p < 1e-290, where log1p(-p) keeps p
+            cost = 1.0 - math.exp(_times(k, math.log1p(-U * s * s))) + inv_k
+        else:
+            cost = 1.0 if k == 1 else 1.0 - q ** k + inv_k
         return 2.0 * U ** a * s ** two_a * c * q ** b_m1 * cost
 
     from scipy import integrate  # only the oracle integrates numerically

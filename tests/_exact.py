@@ -4,13 +4,17 @@ breakpoints, and the worst-case regret of a pool size.
 
 Every function works at the `dps` digits its caller passes and returns
 mpmath numbers. Arithmetic on them afterwards runs at the caller's own
-working precision.
+working precision. The `iv_` forms return mpmath `iv` intervals that
+enclose the exact value (Moore, Kearfott and Cloud 2009).
 """
 
+import math
+from contextlib import contextmanager
 from functools import cache
 
 import mpmath as mp
 import numpy as np
+from mpmath import iv
 
 from pooldesign import P0
 
@@ -169,3 +173,56 @@ def screened_supremum(k, U, dps):
             if g > best:
                 best_c, best = c, g
         return -mp.expm1(-best_c), best
+
+
+@contextmanager
+def _iv_digits(dps):
+    """iv's working precision, which has no workdps of its own."""
+    saved = iv.prec
+    iv.dps = dps
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+def _iv_max(x, y):
+    return iv.mpf([max(x.a, y.a), max(x.b, y.b)])
+
+
+def _iv_pick(x, y, what):
+    """The larger of two intervals that do not overlap."""
+    if x.a > y.b:
+        return x
+    if y.a > x.b:
+        return y
+    raise ArithmeticError(f"the enclosures do not decide {what}")
+
+
+def iv_sup_loss(k, U, dps):
+    """An interval enclosing sup_loss(k, U), the largest regret of pool size
+    k over p in (0, min(U, P0)].
+
+    With hi = min(U, P0) and q = 1 - p, it is the largest of the p -> 0
+    limit 1/k and, for each oracle size m < k, the peak of g_m = q^m - q^k
+    + 1/k - 1/m, which rises to q_m = (m/k)^(1/(k-m)) and falls after it,
+    so it peaks on the domain at max(q_m, 1 - hi); g_1 = 1/k - q^k peaks at
+    1 - hi. Samuels' rule puts every oracle size on the domain above
+    floor(hi^(-1/2)), so smaller m are left out. Raises ArithmeticError
+    where the enclosures do not decide min(U, P0) or a clamp.
+    """
+    with _iv_digits(dps):
+        hi = -_iv_pick(-iv.mpf(U), (iv.mpf(1) / 3) ** (iv.mpf(1) / 3) - 1, "min(U, P0)")
+        q_end = 1 - hi
+        inv_k = iv.mpf(1) / k
+        best = inv_k
+        # one below the float floor, against its rounding
+        for m in range(max(1, math.floor(float(hi.a) ** -0.5) - 1), k):
+            if m == 1:
+                g = inv_k - q_end**k
+            else:
+                q_m = iv.exp(iv.log(iv.mpf(m) / k) / (k - m))
+                q = _iv_pick(q_m, q_end, f"the clamp of m = {m} for k = {k}")
+                g = q**m - q**k + inv_k - iv.mpf(1) / m
+            best = _iv_max(best, g)
+        return best

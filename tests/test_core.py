@@ -12,13 +12,17 @@ from hypothesis import strategies as st
 from pooldesign import (
     P0,
     Q0,
+    PriorSpec,
     core,
     expected_tests,
+    expected_tests_under_prior,
+    expected_tests_uniform,
     larger_root,
     loss,
     optimal_expected_tests,
     optimality_range,
     samuels_optimal_k,
+    sup_loss_grid,
 )
 
 import _exact
@@ -270,6 +274,46 @@ class TestLoss:
                             got = loss(np_int(k), p)
                             assert got == loss(k, p), (np_int, k, p)
                             assert type(got) is type(expected_tests(np_int(k), p))
+
+
+class TestHugeGroupSizes:
+    """Sizes past the largest double, which float(k) refuses with OverflowError."""
+
+    HUGE = [2**1024, 10**400]
+    DPS = 400  # holds 1 - p at p = 5e-324, where (1-p)^k still matters at k = 2**1024
+
+    @pytest.mark.parametrize("k", HUGE, ids=["2**1024", "10**400"])
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 0.5])
+    def test_cost_loss_and_efficiency_against_mpmath(self, k, p):
+        cost = _exact.expected_tests(k, p, self.DPS)
+        assert math.isclose(expected_tests(k, p), float(cost), rel_tol=1e-14)
+        if p == 0.0:  # the p -> 0 limit, 1/k; the efficiency has no oracle cost there
+            assert math.isclose(loss(k, p), float(cost), rel_tol=1e-14)
+            with pytest.raises(ValueError, match=re.escape(OPEN + "0.0")):
+                core.relative_efficiency(k, p)
+            return
+        j = samuels_optimal_k(p)
+        regret = _exact.regret(k, j, p, self.DPS)
+        # against k = 1 (p > P0) the regret is a difference of costs near 1
+        abs_tol = 2.0**-52 if j == 1 else 0.0
+        assert math.isclose(loss(k, p), float(regret), rel_tol=1e-14, abs_tol=abs_tol)
+        ratio = cost / _exact.expected_tests(j, p, self.DPS)
+        assert math.isclose(core.relative_efficiency(k, p), float(ratio), rel_tol=1e-14)
+
+    @pytest.mark.parametrize("k", HUGE, ids=["2**1024", "10**400"])
+    @pytest.mark.parametrize("U", [5e-324, 1e-300, 0.5, 1.0])
+    def test_oracles_against_mpmath(self, k, U):
+        uniform = _exact.uniform_cost(k, U, self.DPS)
+        assert math.isclose(expected_tests_uniform(k, U), float(uniform), rel_tol=1e-14)
+        # the grid's worst point is its first p > 0, the step or U itself
+        pt = sup_loss_grid(k, U)
+        p = min(U, 1e-6)
+        regret = _exact.regret(k, samuels_optimal_k(p), p, self.DPS)
+        assert pt.k == k and pt.p_star == p
+        assert math.isclose(pt.sup_loss, float(regret), rel_tol=1e-14)
+        if U >= 1e-300:  # at 5e-324 the quadrature's prior mass underflows, for every k
+            quad = expected_tests_under_prior(k, PriorSpec.uniform(U))
+            assert abs(quad - float(uniform)) <= 1e-8
 
 
 # each function checks its inputs in order, k before p, and a p rejected by

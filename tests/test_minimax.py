@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from pooldesign import (
     P0,
@@ -418,12 +419,13 @@ class TestMinimaxGroupSize:
     def test_search_starts_at_the_asymptote(self, monkeypatch):
         # doubling from 2 alone visits 2, 4, ..., 32768 to pass the answer
         # 20001 and then bisects: 33 suprema; from 2/sqrt(U) + 1 and bisecting
-        # it took 18; the regret floor at the worst prevalence of 20001 prunes
-        # below it, and the floor of the oracle size at U rules out every size
-        # above it, where doubling visited 40002 too
+        # it took 18; the floor of 1, 1/20000, rules out every size below
+        # 20001 (the search visited 2 too, whose floor is the same), and the
+        # floor of the oracle size at U rules out every size above it, where
+        # doubling visited 40002 too
         sizes = _count_suprema(monkeypatch)
         assert minimax_group_size(1e-8).k_minimax == 20001
-        assert sizes == [1, 2, 20001]
+        assert sizes == [1, 20001]
 
     def test_no_answer_is_below_eight(self):
         # so the search starts at 8 or above: each k <= 7 has a supremum of
@@ -436,21 +438,21 @@ class TestMinimaxGroupSize:
     @pytest.mark.parametrize("U", [1.0, 0.5, 0.3, 0.25, 0.15])
     def test_large_bounds_stop_at_the_answer(self, monkeypatch, U):
         # the search visited 6 sizes here, as only the anchor's floor was
-        # tried beyond the top. No answer is below 8, so it starts
-        # there; the floor of 2, 1/7, rules out (2, 8), and the floor of 8's
-        # own worst point over (8, inf) is above its supremum
+        # tried beyond the top, and then 1, 2 and 8. No answer is below 8, so
+        # it starts there; the floor of 1, 1/7, rules out (1, 8), and the
+        # floor of 8's own worst point over (8, inf) is above its supremum
         sizes = _count_suprema(monkeypatch)
         assert minimax_group_size(U).k_minimax == 8
-        assert sizes == [1, 2, 8]
+        assert sizes == [1, 8]
 
     @pytest.mark.parametrize("U", [6e-30, 5e-30, 4.1e-30])
     def test_near_the_limit_the_limit_is_not_visited(self, monkeypatch, U):
         # the anchor's floor stayed just below the best supremum, within its
         # rounding allowance, so the search visited 1e15 to end; the floor
-        # of g + 1 over (g + 1, inf) ends it
+        # of g + 1 over (g + 1, inf) ends it, after 1, g and g + 1
         sizes = _count_suprema(monkeypatch)
         minimax_group_size(U)
-        assert len(sizes) == 4 and core._K_RESOLVABLE not in sizes, sizes
+        assert len(sizes) == 3 and core._K_RESOLVABLE not in sizes, sizes
 
     def test_suprema_per_search(self, monkeypatch):
         # bisecting down to width 1 took up to 15 suprema per bound here and
@@ -458,23 +460,48 @@ class TestMinimaxGroupSize:
         # interval, and the steps of 1 and 2 past the start land on the
         # answer where doubling overshot it: 2898 suprema in all and 7 at
         # most on the log-spaced bounds, and 2285 and 6 before the top's own
-        # floor was tried beyond it
+        # floor was tried beyond it; 2008 and 4 with the start size 2,
+        # whose floor is that of 1
         sizes = _count_suprema(monkeypatch)
         total = 0
         for U in LOG_SPACED_U:
             sizes.clear()
             minimax_group_size(U)
-            assert len(sizes) <= 4, (U, sizes)
+            assert len(sizes) <= 3, (U, sizes)
             total += len(sizes)
-        assert total <= 2008
+        assert total <= 1400
         for U in [10.0**-e for e in range(10, 30)]:
             sizes.clear()
             minimax_group_size(U)
-            assert len(sizes) <= 4, (U, sizes)
+            assert len(sizes) <= 3, (U, sizes)
 
     def test_answers_just_below_the_cap(self):
         # 2/sqrt(U) + 1 lies just below 100 000, a cap the search once had
         assert minimax_group_size(4.01e-10).k_minimax == 99876
+
+
+# T3's minimax column, and the unbounded answer
+T3_MINIMAX = {
+    1.0: 8, 0.3: 8, 0.15: 8, 0.1: 8, 0.05: 11, 0.01: 21, 0.005: 30,
+    0.001: 65, 0.0005: 91, 0.0001: 201,
+}
+
+
+class TestIntervalProofs:
+    @pytest.mark.parametrize("U, k", T3_MINIMAX.items())
+    def test_t3_minimax_column(self, U, k):
+        # every other size's enclosure of its supremum lies above that of k,
+        # up to the first size j whose J(j) = sup_loss(j) - 1/j does; J never
+        # decreases (docs/decisions.md), so every larger size loses as well.
+        # None of it uses the solver's bounds or its floats. At 1e-3 the
+        # printed table has 64
+        answer = _exact.iv_sup_loss(k, U, 25)
+        for j in itertools.count(1):
+            sup = _exact.iv_sup_loss(j, U, 25)
+            assert j == k or sup.a > answer.b, (j, sup, answer)
+            if (sup - iv.mpf(1) / j).a > answer.b:
+                break
+        assert minimax_group_size(U).k_minimax == k
 
 
 def _count_suprema(monkeypatch):

@@ -58,7 +58,16 @@ the numpy result types. Its `errors` key holds, for each public scalar
 function with one argument x (and the other valid) or with both x, the
 exception class and message, or the `repr` of the result, at x = 0.0,
 -1.0, 1.0, nan, inf, True, 8.0, 0, -3, None and '0.5': the checks, their
-order and their messages.
+order and their messages. It then holds the same for pool sizes k = 2**1024
+and 10**400, past the largest double, in `expected_tests`, `loss`,
+`relative_efficiency`, `delta`, `expected_tests_uniform`, `sup_loss_grid`
+and `expected_tests_under_prior` (uniform prior) at x = 0, 5e-324, 1e-300
+and 0.5 for p or U, and in `larger_root`.
+
+`minimax_wide` holds the minimax answer and worst point of both methods on
+25 000 bounds U log-uniform in [4.1e-30, 1] (seed 17), where the analytic
+search answers; its grid searches make the dump take about three minutes
+on a 2-CPU x86-64 host.
 
 Its `cli` key holds, for each argv of a fixed list, the argv, the exit code,
 stdout and stderr of `pooldesign.cli.main`: every subcommand in the three
@@ -237,6 +246,22 @@ SCALAR_CALLS = {
 }
 
 
+HUGE_K = {"2**1024": 2**1024, "10**400": 10**400}
+HUGE_CALLS = {
+    "expected_tests(k, x)": pd.expected_tests,
+    "loss(k, x)": pd.loss,
+    "relative_efficiency(k, x)": pd.relative_efficiency,
+    "delta(k, x)": pd.delta,
+    "expected_tests_uniform(k, x)": pd.expected_tests_uniform,
+    "sup_loss_grid(k, x)": pd.sup_loss_grid,
+    "expected_tests_under_prior(k, uniform(x))": lambda k, x: (
+        pd.expected_tests_under_prior(k, pd.PriorSpec.uniform(x))
+    ),
+}
+rng = random.Random(17)  # draws of its own, so the keys above keep theirs
+WIDE = [log_uniform(rng, 4.1e-30, 1.0) for _ in range(25_000)]
+
+
 def error(call, x):
     try:
         return ["returned", repr(call(x))]
@@ -390,7 +415,15 @@ res = {
     ],
     "sweep": [],
     "sites": [site(p) for p in SITE_PS] + [repr(x) for x in NUMPY_SITES],
-    "errors": [[name, repr(x), error(call, x)] for name, call in SCALAR_CALLS.items() for x in BAD],
+    "errors": [[name, repr(x), error(call, x)] for name, call in SCALAR_CALLS.items() for x in BAD]
+    + [
+        [f"{name} at k = {k_name}", repr(x), error(lambda x: call(k, x), x)]
+        for name, call in HUGE_CALLS.items()
+        for k_name, k in HUGE_K.items()
+        for x in (0.0, 5e-324, 1e-300, 0.5)
+    ]
+    + [[f"larger_root(k) at k = {k_name}", "k", error(pd.larger_root, k)] for k_name, k in HUGE_K.items()],
+    "minimax_wide": [[U, *mm(U), *mm(U, "grid")] for U in WIDE],
     "records": [
         repr(r)
         for r in (

@@ -80,8 +80,9 @@ def _beta_cf(a: float, b: float, x: float, rest: bool = False) -> float:
     h = 1/(1 + d_1/(1 + d_2/(1 + ...))) is the continued fraction of DLMF
     8.17.22 and t = 1/(1 + d_2/(1 + ...)), so h = 1/(1 + d_1 t) with
     d_1 = -(a+b) x / (a+1), and t = h(a+1, b, x) / h(a, b, x). Modified
-    Lentz; fast for x < (a+1)/(a+b+2). There 1 + d_1 t does not cancel, and
-    log h = -log1p(d_1 t) keeps full relative precision as x -> 0.
+    Lentz; fast for x < (a+1)/(a+b+2). There log h = -log1p(d_1 t) keeps
+    full relative precision as x -> 0, but 1 + d_1 t cancels just below
+    that threshold for a large a, where h = 1/(1 + d_1 t) reaches 1e4.
     """
     c = 1.0
     if rest:

@@ -153,13 +153,15 @@ def loss(k: int, p: float) -> float:
     if p == 0.0:
         return cost
     j = samuels_optimal_k(p)
-    if k == 1 or j == 1:
+    if k == 1:
         return cost - optimal_expected_tests(p)
+    log_q = math.log1p(-p)
+    if j == 1:  # E(k) - 1 as 1/k - q^k, which does not cancel the 1
+        return type(cost)(1 / k - math.exp(_times(k, log_q)))
     # q^j - q^k + 1/k - 1/j in log q, as minimax._regret_floor forms it: the
     # two costs are near 2 sqrt(p) and differ by only about |k-j| p near k*(p).
     # In Python ints, as a numpy k would overflow j - k and k * j in its width
     m = j - int(k)
-    log_q = math.log1p(-p)
     regret = m / (int(k) * j) - math.exp(j * log_q) * math.expm1(_times(-m, log_q))
     return type(cost)(regret)  # a numpy k gives a numpy result, as the cost does
 

@@ -3,7 +3,10 @@
 No solver calls these; the tests and the benchmark check `bayes_optimal_k`
 against them. `expected_tests_under_prior` integrates E(k, p) against a
 truncated beta prior numerically, in theta with p = U*sin^2(theta), with
-scipy and independently of the continued fractions of `bayes`;
+scipy and independently of the continued fractions of `bayes`. Its one
+integrand takes 1 - (1-p)^k from log1p(-p), which keeps p at any size, and
+its tolerance is relative only, so it holds down to the smallest bounds the
+solvers answer and for pool sizes past the largest double.
 `expected_tests_uniform` is the closed form under the uniform prior, and
 `jeffreys_constant` the normalizer of the Jeffreys prior. They need only
 the input checks and `_times` of `core`, so importing this module loads no
@@ -11,7 +14,6 @@ solver.
 """
 
 import math
-import sys
 
 from .core import _check_group_size, _check_upper_bound, _times
 
@@ -52,33 +54,29 @@ def expected_tests_uniform(k: int, U: float) -> float:
     return 1.0 + 1 / k + tail_m1 / _times(k + 1, U)
 
 
-def _weighted_cost_mass(k, a, b, U, tol, budget):
-    """Integral of E(k,p) * p^(a-1)(1-p)^(b-1) over (0, U].
+def expected_tests_under_prior(
+    k: int, prior: "PriorSpec", *, quad_tol: float = 1e-10, budget: int = 10_000
+) -> float:
+    """Prior-mean tests per person for pool size k under a truncated beta
+    prior, by adaptive quadrature in theta with p = U sin^2(theta), to a
+    relative tolerance (the oracle for `bayes_optimal_k`)."""
+    from scipy import integrate, special  # on first use: only this oracle needs scipy
 
-    Uses p = U*sin^2(theta); in theta the integrand is
-    2 U^a sin(theta)^(2a-1) cos(theta) (1 - U sin^2)^(b-1) E(k, p),
-    smooth for the uniform and Jeffreys shapes. 1 - U sin^2 is computed
-    as (1-U) + U cos^2 to stay exact near theta = pi/2.
-    """
-    two_a = 2.0 * a - 1.0
-    b_m1 = b - 1.0
-    inv_k = 0.0 if k == 1 else 1 / k  # in ints, which do not overflow
-    huge = k > sys.float_info.max  # where q ** k raises OverflowError
+    _check_group_size(k)
+    a, b, U = prior.a, prior.b, prior.upper
+    two_a, b_m1 = 2.0 * a - 1.0, b - 1.0
+    inv_k = 1 / k  # in ints, which do not overflow
 
     def g(theta: float) -> float:
-        s = math.sin(theta)
-        c = math.cos(theta)
-        q = (1.0 - U) + U * c * c  # 1 - p
-        if huge:  # (1-p)^k is 0 unless p < 1e-290, where log1p(-p) keeps p
-            cost = 1.0 - math.exp(_times(k, math.log1p(-U * s * s))) + inv_k
-        else:
-            cost = 1.0 if k == 1 else 1.0 - q ** k + inv_k
-        return 2.0 * U ** a * s ** two_a * c * q ** b_m1 * cost
-
-    from scipy import integrate  # only the oracle integrates numerically
+        # p^(a-1) (1-p)^(b-1) dp is U^a 2 sin^(2a-1) cos (1-p)^(b-1) dtheta;
+        # U^a is left to the mass. 1 - p as (1-U) + U cos^2 is exact near
+        # pi/2 at U = 1, and log1p(-p) keeps any p, also for k past a double
+        s, c = math.sin(theta), math.cos(theta)
+        cost = 1.0 if k == 1 else inv_k - math.expm1(_times(k, math.log1p(-U * s * s)))
+        return 2.0 * s ** two_a * c * ((1.0 - U) + U * c * c) ** b_m1 * cost
 
     out = integrate.quad(
-        g, 0.0, 0.5 * math.pi, epsabs=tol, epsrel=tol, limit=budget, full_output=1
+        g, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=quad_tol, limit=budget, full_output=1
     )
     if len(out) > 3:
         raise QuadratureError(
@@ -86,20 +84,10 @@ def _weighted_cost_mass(k, a, b, U, tol, budget):
             f"{out[3]} (error estimate {out[1]:.3e})",
             out[1],
         )
-    return out[0]
-
-
-def expected_tests_under_prior(
-    k: int, prior: "PriorSpec", *, quad_tol: float = 1e-10, budget: int = 10_000
-) -> float:
-    """Prior-mean tests per person for pool size k under a truncated beta
-    prior, by adaptive quadrature (the oracle for `bayes_optimal_k`)."""
-    from scipy import special  # the oracle normalizes independently of the solver
-
-    _check_group_size(k)
-    a, b, U = prior.a, prior.b, prior.upper
-    mass = _weighted_cost_mass(k, a, b, U, quad_tol, budget)
     ratio = float(special.betainc(a, b, U))
     if ratio == 0.0:
         raise RuntimeError(f"{prior} has no mass on (0, upper] in double precision")
-    return mass / math.exp(math.log(ratio) + float(special.betaln(a, b)))
+    # over the mass without U^a, I_U(a, b) B(a, b) / U^a
+    return out[0] / math.exp(
+        math.log(ratio) + float(special.betaln(a, b)) - a * math.log(U)
+    )

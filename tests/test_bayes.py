@@ -135,6 +135,43 @@ class TestQuadrature:
             expected_tests_under_prior(40, PriorSpec.jeffreys(), budget=1)
         assert err.value.error_estimate > 0.0
 
+    # uniform, Jeffreys, Beta(2, 5), Beta(0.2, 30) and Beta(3, 0.4): the
+    # quadrature at the solver's own answer, down to the smallest bounds
+    # the solvers answer; Beta(0.2, 30) on (0, 4.1e-30) has its optimum
+    # past 1e15, which the solver refuses
+    REACH = [
+        (a, b, U)
+        for U in (1e-8, 1e-12, 1e-16, 1e-20, 1e-25, 4.1e-30)
+        for a, b in ((1.0, 1.0), (0.5, 0.5), (2.0, 5.0), (0.2, 30.0), (3.0, 0.4))
+        if (a, b, U) != (0.2, 30.0, 4.1e-30)
+    ]
+
+    @pytest.mark.parametrize("a, b, U", REACH)
+    def test_reaches_the_solvers_range(self, a, b, U):
+        # 1 - (1-p)^k must keep p where 1 - p rounds to 1, and the
+        # tolerance must be relative, as the costs fall to 2.9e-15
+        k = bayes_optimal_k(PriorSpec(a, b, U)).k_opt
+        want = float(_exact.prior_cost(a, b, U, k, 50))
+        got = expected_tests_under_prior(k, PriorSpec(a, b, U))
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_agrees_with_the_solver_over_seeded_priors(self):
+        rng = random.Random(32)
+        ranges = ((0.05, 20.0), (0.05, 50.0), (1e-12, 1.0))  # of a, b and U
+        for _ in range(200):
+            prior = PriorSpec(
+                *(math.exp(rng.uniform(math.log(lo), math.log(hi))) for lo, hi in ranges)
+            )
+            res = bayes_optimal_k(prior)
+            got = expected_tests_under_prior(res.k_opt, prior)
+            assert got == pytest.approx(res.expected_tests_at_opt, rel=1e-10, abs=0), prior
+
+    def test_subnormal_bound(self):
+        # E(8, p) rounds to 1/8 at p <= 5e-324, and U^a must not underflow
+        assert expected_tests_under_prior(8, PriorSpec.uniform(5e-324)) == pytest.approx(
+            0.125, rel=1e-15, abs=0
+        )
+
 
 class TestBayesOptimalK:
     def test_jeffreys_unbounded(self):

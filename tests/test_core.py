@@ -254,7 +254,8 @@ class TestLoss:
         # about |k-j| p, far below the costs' 2 sqrt(p) that a difference of
         # the two costs loses its precision to (3e-14 to 2e-8 of the terms).
         # The reference is that difference, with 50 digits left after it
-        # cancels. Above P0 (j = 1) the plain difference E(k) - 1 is kept.
+        # cancels. Above P0 (j = 1) the regret is 1/k - q^k, whose error must
+        # stay within rounding of these two terms.
         rng = np.random.default_rng(22)
         bands = [(P0, 0.9), (1e-4, 0.3), (1e-8, 1e-4), (1e-12, 1e-8), (1e-16, 1e-12)]
         ps = [np.exp(rng.uniform(math.log(lo), math.log(hi), 40)).tolist() for lo, hi in bands]
@@ -265,8 +266,12 @@ class TestLoss:
                 q = 1 - mp.mpf(p)
                 for k in {1, 3, 8, 100, 50000, max(j - 1, 1), j, j + 1, j + 5, 2 * j}:
                     exact = _exact.regret(k, j, p, dps)
-                    terms = abs(mp.mpf(j - k) / (k * j)) + q**j * abs(1 - q ** (k - j))
-                    scale = 1 if k == 1 or j == 1 else terms  # E(k) - 1 is no near tie
+                    if k == 1:  # E(1) - E(j) is no near tie
+                        scale = 1
+                    elif j == 1:
+                        scale = mp.mpf(1) / k + q**k
+                    else:
+                        scale = abs(mp.mpf(j - k) / (k * j)) + q**j * abs(1 - q ** (k - j))
                     assert abs(loss(k, p) - exact) <= 1e-15 * scale, (k, p)
                     # a numpy k, in whose width j - k and k * j would overflow
                     for np_int in (np.int32, np.int64):
@@ -294,9 +299,7 @@ class TestHugeGroupSizes:
             return
         j = samuels_optimal_k(p)
         regret = _exact.regret(k, j, p, self.DPS)
-        # against k = 1 (p > P0) the regret is a difference of costs near 1
-        abs_tol = 2.0**-52 if j == 1 else 0.0
-        assert math.isclose(loss(k, p), float(regret), rel_tol=1e-14, abs_tol=abs_tol)
+        assert math.isclose(loss(k, p), float(regret), rel_tol=1e-14)
         ratio = cost / _exact.expected_tests(j, p, self.DPS)
         assert math.isclose(core.relative_efficiency(k, p), float(ratio), rel_tol=1e-14)
 
@@ -311,7 +314,9 @@ class TestHugeGroupSizes:
         regret = _exact.regret(k, samuels_optimal_k(p), p, self.DPS)
         assert pt.k == k and pt.p_star == p
         assert math.isclose(pt.sup_loss, float(regret), rel_tol=1e-14)
-        if U >= 1e-300:  # at 5e-324 the quadrature's prior mass underflows, for every k
+        # at a subnormal U, p = U sin^2(theta) takes only the values 0 and
+        # 5e-324, so the quadrature misses (1-p)^k: 0.75 against 1.0 at 10**400
+        if U >= 1e-300:
             quad = expected_tests_under_prior(k, PriorSpec.uniform(U))
             assert abs(quad - float(uniform)) <= 1e-8
 

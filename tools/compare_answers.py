@@ -64,6 +64,13 @@ and 10**400, past the largest double, in `expected_tests`, `loss`,
 and `expected_tests_under_prior` (uniform prior) at x = 0, 5e-324, 1e-300
 and 0.5 for p or U, and in `larger_root`.
 
+`oracle_reach` holds, for the uniform, Jeffreys, Beta(2, 5), Beta(0.2, 30)
+and Beta(3, 0.4) priors on 25 log-spaced bounds U in [4.1e-30, 1e-6], the
+solver's answer k and cost and `expected_tests_under_prior` at k - 1, k
+and k + 1, with a `RuntimeError` (a refusal or a `QuadratureError`)
+recorded by its class name: how far the quadrature oracle follows the
+solver towards the smallest bounds it answers.
+
 `minimax_wide` holds the minimax answer and worst point of both methods on
 25 000 bounds U log-uniform in [4.1e-30, 1] (seed 17), where the analytic
 search answers; its grid searches make the dump take about three minutes
@@ -258,6 +265,28 @@ HUGE_CALLS = {
         pd.expected_tests_under_prior(k, pd.PriorSpec.uniform(x))
     ),
 }
+REACH_SHAPES = ((1.0, 1.0), (0.5, 0.5), (2.0, 5.0), (0.2, 30.0), (3.0, 0.4))
+REACH_US = [float(U) for U in np.geomspace(4.1e-30, 1e-6, 25)]
+
+
+def quadrature(k, prior):
+    try:
+        return pd.expected_tests_under_prior(k, prior)
+    except RuntimeError as exc:  # QuadratureError among them
+        return type(exc).__name__
+
+
+def reach(a, b, U):
+    prior = pd.PriorSpec(a, b, U)
+    try:
+        r = pd.bayes_optimal_k(prior)
+    except RuntimeError as exc:
+        return [a, b, U, type(exc).__name__]
+    k = r.k_opt
+    quad = [quadrature(j, prior) for j in (k - 1, k, k + 1)]
+    return [a, b, U, k, r.expected_tests_at_opt, *quad]
+
+
 rng = random.Random(17)  # draws of its own, so the keys above keep theirs
 WIDE = [log_uniform(rng, 4.1e-30, 1.0) for _ in range(25_000)]
 
@@ -423,6 +452,7 @@ res = {
         for x in (0.0, 5e-324, 1e-300, 0.5)
     ]
     + [[f"larger_root(k) at k = {k_name}", "k", error(pd.larger_root, k)] for k_name, k in HUGE_K.items()],
+    "oracle_reach": [reach(a, b, U) for a, b in REACH_SHAPES for U in REACH_US],
     "minimax_wide": [[U, *mm(U), *mm(U, "grid")] for U in WIDE],
     "records": [
         repr(r)

@@ -3,14 +3,14 @@
 No solver calls these; the tests and the benchmark check `bayes_optimal_k`
 against them. `expected_tests_under_prior` integrates E(k, p) against a
 truncated beta prior numerically, in theta with p = U*sin^2(theta), with
-scipy and independently of the continued fractions of `bayes`. Its one
-integrand takes 1 - (1-p)^k from log1p(-p), which keeps p at any size, and
-its tolerance is relative only, so it holds down to the smallest bounds the
-solvers answer and for pool sizes past the largest double.
-`expected_tests_uniform` is the closed form under the uniform prior, and
-`jeffreys_constant` the normalizer of the Jeffreys prior. They need only
-the input checks and `_times` of `core`, so importing this module loads no
-solver.
+scipy and independently of the continued fractions of `bayes`. One
+integrand serves every k, with log(1-p) from log1p(-p) where p is small,
+and a relative tolerance only. Its tests find it within 1e-13 of 50 digits
+for five priors down to U = 4.1e-30, and, uniform, within 1e-8 for k past
+a double at U >= 1e-300; at a subnormal U it misses (1-p)^k for such k.
+`expected_tests_uniform` is the closed form under the uniform prior and
+`jeffreys_constant` the Jeffreys normalizer; they need only the checks and
+`_times` of `core`, so importing this module loads no solver.
 """
 
 import math
@@ -63,17 +63,19 @@ def expected_tests_under_prior(
     from scipy import integrate, special  # on first use: only this oracle needs scipy
 
     _check_group_size(k)
-    a, b, U = prior.a, prior.b, prior.upper
-    two_a, b_m1 = 2.0 * a - 1.0, b - 1.0
+    a, b, U = prior
     inv_k = 1 / k  # in ints, which do not overflow
 
     def g(theta: float) -> float:
         # p^(a-1) (1-p)^(b-1) dp is U^a 2 sin^(2a-1) cos (1-p)^(b-1) dtheta;
-        # U^a is left to the mass. 1 - p as (1-U) + U cos^2 is exact near
-        # pi/2 at U = 1, and log1p(-p) keeps any p, also for k past a double
+        # U^a is left to the mass. q = 1 - p as (1-U) + U cos^2 is exact near
+        # pi/2 at U = 1, where p rounds to 1: log q is log(q) below q = 1/2 and
+        # log1p(-p) above, where q would round p away; _times takes any k
         s, c = math.sin(theta), math.cos(theta)
-        cost = 1.0 if k == 1 else inv_k - math.expm1(_times(k, math.log1p(-U * s * s)))
-        return 2.0 * s ** two_a * c * ((1.0 - U) + U * c * c) ** b_m1 * cost
+        q = (1.0 - U) + U * c * c
+        log_q = math.log(q) if q < 0.5 else math.log1p(-U * s * s)
+        cost = 1.0 if k == 1 else inv_k - math.expm1(_times(k, log_q))
+        return 2.0 * s ** (2.0 * a - 1.0) * c * q ** (b - 1.0) * cost
 
     out = integrate.quad(
         g, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=quad_tol, limit=budget, full_output=1

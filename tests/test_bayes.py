@@ -166,6 +166,23 @@ class TestQuadrature:
             got = expected_tests_under_prior(res.k_opt, prior)
             assert got == pytest.approx(res.expected_tests_at_opt, rel=1e-10, abs=0), prior
 
+    @pytest.mark.parametrize("a, b", [(0.3, 0.2), (0.1, 0.3), (0.5, 0.1), (0.05, 0.05)])
+    def test_singular_weight_at_full_range(self, a, b):
+        # at U = 1 and b < 1/2 the weight cos^(2b-1) is singular at pi/2,
+        # where sin rounds to 1 within 1.05e-8 of it and 1 - p must come
+        # from cos^2. The quadrature meets its tolerance, or raises only
+        # QuadratureError where the weight is too steep for it: at b = 0.1
+        # for k = 10**6, and at b = 0.05 for both sizes
+        prior = PriorSpec(a, b, 1.0)
+        for k in (bayes_optimal_k(prior).k_opt, 10**6):
+            try:
+                got = expected_tests_under_prior(k, prior)
+            except QuadratureError:
+                assert b <= 0.1
+                continue
+            want = float(_exact.prior_cost(a, b, 1.0, k, 40))
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
+
     def test_subnormal_bound(self):
         # E(8, p) rounds to 1/8 at p <= 5e-324, and U^a must not underflow
         assert expected_tests_under_prior(8, PriorSpec.uniform(5e-324)) == pytest.approx(

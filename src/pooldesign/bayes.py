@@ -215,31 +215,30 @@ def _floor(a: float, b: float, log_c: float, i: int, j: float) -> float:
     if j == math.inf and a < 1.0:
         # phi(k) <= A (k/i)^(1-a) with A = phi(i) (1 + b/i)^a; the least of
         # (1 - A t^(1-a)) / t over t = k/i >= 1 is at t = 1 when A a >= 1
-        log_big_a = log_phi + a * math.log1p(b / i)
-        if log_big_a + math.log(a) >= 0.0:
-            return (1.0 - math.exp(log_big_a)) / i
-        return -(1.0 - a) / a * math.exp((log_big_a + math.log(a)) / (1.0 - a)) / i
-    if a > 1.0:  # the largest phi on [i, j] is at most phi(i) e^(b/i - b/j)
-        top = math.exp(log_phi + b / i - b / j)
+        log_top = log_phi + a * math.log1p(b / i)  # log A
+        if log_top + math.log(a) < 0.0:
+            return -(1.0 - a) / a * math.exp((log_top + math.log(a)) / (1.0 - a)) / i
+    elif a > 1.0:  # the largest phi on [i, j] is at most phi(i) e^(b/i - b/j)
+        log_top = log_phi + b / i - b / j
     else:
-        top = math.exp(log_c + math.log(j) + _log_beta(a, b + j))
+        log_top = log_c + math.log(j) + _log_beta(a, b + j)
+    # past e^709 the floor lies below -1e292, under any slack - 1: no bound
+    top = math.exp(log_top) if log_top < 709.0 else math.inf
     return (1.0 - top) / (i if top > 1.0 else j)
 
 
 def _search(a: float, b: float, U: float):
-    """(k, C(k)) for the smallest k minimizing the prior-mean cost, or None
-    when the prior has no mass in double precision; docs/decisions.md has
-    the certificates. Small optima are walked one size at a time, and at
-    k = 16, 32, ..., 256 the walk tries the cost floor, which ends nearly
-    flat costs. Where the walk leaves the search open,
-    `core._branch_and_bound` jumps: `visit` evaluates S_k and R_k at any k
-    in O(1) from the continued fraction at shape b + k, the far, chord and
-    floor bounds prune (the floor also ends a > 1 priors, where k = 1 wins
-    from some size on), and `_settle` decides between neighbours whose
-    costs agree to rounding."""
+    """(k, C(k)) for the smallest k minimizing the prior-mean cost;
+    docs/decisions.md has the certificates. Small optima are walked one
+    size at a time, and at k = 16, 32, ..., 256 the walk tries the cost
+    floor, which ends nearly flat costs. Where the walk leaves the search
+    open, `core._branch_and_bound` jumps: `visit` evaluates S_k and R_k at
+    any k in O(1) from the continued fraction at shape b + k, the far, chord
+    and floor bounds prune (the floor also ends a > 1 priors, where k = 1
+    wins from some size on), and `_settle` decides between neighbours whose
+    costs agree to rounding. Only logs of the mass I_U(a, b) enter, so a
+    mass that underflows needs no refusal."""
     r0, w0, log_mass, log_h0, log_b = _start_values(a, b, U)
-    if math.exp(log_mass) == 0.0:
-        return None
     log_q = math.log1p(-U) if U < 1.0 else 0.0  # w_j = w_0 (1-U)^j; w_0 = 0 at U = 1
     best_k, best = 1, 1.0  # k = 1 tests everyone once
     guess = r0**-0.5 if r0 > 0.0 else math.inf  # the optimum of 1/k + k R_0
@@ -371,22 +370,20 @@ def bayes_optimal_k(prior: PriorSpec) -> BayesResult:
     A certified search (docs/decisions.md): small optima come from walking
     the cost recurrence one size at a time, large ones from a few jumps of
     O(1) each, and every other size is ruled out by a bound. Costs that
-    agree to rounding are ties. Raises RuntimeError when the prior has no
-    mass in double precision, when a continued fraction diverges, when no
-    size up to 1e15 is certified, or when the shapes are so large that a
-    value of the search overflows.
+    agree to rounding are ties. A prior whose mass on (0, upper] underflows
+    is answered, as the search takes the mass in logs. Raises RuntimeError
+    when no size up to 1e15 is certified, when a continued fraction does
+    not converge, or when the shapes are so large that a value of the
+    search overflows.
     """
     try:
-        found = _search(*prior)
+        return BayesResult(*_search(*prior), prior)
     except RuntimeError as exc:  # a fraction diverged, or no k up to 1e15 is certified
         raise RuntimeError(f"{prior}: {exc}") from None
     except OverflowError as exc:  # logs of huge shapes' terms round past e^709
         raise RuntimeError(
             f"{prior}: the shapes are too large for double precision ({exc})"
         ) from None
-    if found is None:
-        raise RuntimeError(f"{prior} has no mass on (0, upper] in double precision")
-    return BayesResult(*found, prior)
 
 
 def uniform_optimal_k(U: float) -> int:

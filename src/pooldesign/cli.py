@@ -131,18 +131,16 @@ def _cmd_minimax(args: dict) -> dict:
             "worst_loss": res.worst_point.sup_loss}
 
 
-_SHAPES = {"uniform": (1.0, 1.0), "jeffreys": (0.5, 0.5)}  # (a, b) of the named priors
-
-
 def _cmd_bayes(args: dict) -> dict:
-    name, shapes = args["prior"], (args["a"], args["b"])
-    if name in _SHAPES and shapes != (None, None):
+    name, shapes, U = args["prior"], (args["a"], args["b"]), args["upper_bound"]
+    if name != "beta" and shapes != (None, None):
         _usage_error(f"--a and --b apply only to --prior beta, not {name}", "bayes")
-    if None in shapes and name not in _SHAPES:
+    if None in shapes and name == "beta":
         _usage_error("--prior beta requires --a and --b", "bayes")
     from .bayes import PriorSpec, bayes_optimal_k
 
-    prior = PriorSpec(*_SHAPES.get(name, shapes), args["upper_bound"])
+    # uniform and jeffreys are PriorSpec's classmethods of those names
+    prior = PriorSpec(*shapes, U) if name == "beta" else getattr(PriorSpec, name)(U)
     res = bayes_optimal_k(prior)
     return {"prior": name, "a": prior.a, "b": prior.b, "upper_bound": prior.upper,
             "k_optimal": res.k_opt, "expected_tests": res.expected_tests_at_opt}

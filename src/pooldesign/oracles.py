@@ -59,7 +59,10 @@ def expected_tests_under_prior(
 ) -> float:
     """Prior-mean tests per person for pool size k under a truncated beta
     prior, by adaptive quadrature in theta with p = U sin^2(theta), to a
-    relative tolerance (the oracle for `bayes_optimal_k`)."""
+    relative tolerance (the oracle for `bayes_optimal_k`). It normalizes by
+    scipy's I_U(a, b) as a number and raises RuntimeError where that
+    underflows to 0.0, for example Beta(100, 1) on (0, 1e-6], which
+    `bayes_optimal_k` answers."""
     from scipy import integrate, special  # on first use: only this oracle needs scipy
 
     _check_group_size(k)
@@ -88,7 +91,7 @@ def expected_tests_under_prior(
         )
     ratio = float(special.betainc(a, b, U))
     if ratio == 0.0:
-        raise RuntimeError(f"{prior} has no mass on (0, upper] in double precision")
+        raise RuntimeError(f"{prior}: the oracle's normalizer I_U(a, b) underflows")
     # over the mass without U^a, I_U(a, b) B(a, b) / U^a
     return out[0] / math.exp(
         math.log(ratio) + float(special.betaln(a, b)) - a * math.log(U)

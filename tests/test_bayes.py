@@ -130,6 +130,12 @@ class TestQuadrature:
                     mass = expected_tests_under_prior(1, PriorSpec(a, b, U))
                     assert mass == pytest.approx(1.0, abs=1e-10)
 
+    def test_normalizer_that_underflows_is_refused(self):
+        # scipy's I_U(100, 1) at U = 1e-6 is 0.0; the solver, in logs,
+        # answers this prior with k = 1005
+        with pytest.raises(RuntimeError, match="normalizer I_U"):
+            expected_tests_under_prior(1005, PriorSpec(100.0, 1.0, 1e-6))
+
     def test_failure_carries_error_estimate(self):
         with pytest.raises(QuadratureError) as err:
             expected_tests_under_prior(40, PriorSpec.jeffreys(), budget=1)
@@ -660,9 +666,50 @@ class TestCostRecurrence:
             for j in ks:
                 assert got[j - 1] == pytest.approx(want(j), rel=0, abs=1e-10)
 
-    def test_prior_without_mass_is_refused(self):
-        with pytest.raises(RuntimeError, match="no mass on"):
-            bayes_optimal_k(PriorSpec(100.0, 1.0, 1e-6))
+    def test_prior_whose_mass_underflows_is_answered(self):
+        # Beta(100, 1) puts about U^100 = 1e-600 of its mass on (0, U]: 0.0
+        # in doubles, but the search forms only its log
+        res = bayes_optimal_k(PriorSpec(100.0, 1.0, 1e-6))
+        cost = partial(_exact.prior_cost, 100.0, 1.0, 1e-6, dps=60)
+        want = cost(1005)
+        assert res.k_opt == 1005
+        assert res.expected_tests_at_opt == pytest.approx(float(want), rel=1e-13, abs=0)
+        assert want < cost(1004) and want < cost(1006)
+
+    def test_seeded_priors_whose_mass_underflows_are_answered(self):
+        # a log U + b log1p(-U) < -800 puts U far below the mean a/(a+b);
+        # fixed priors walked (k = 32), jumped (k = 1005) and at k = 1, where
+        # the cost floor's phi passes e^709, then seeded ones. Each answer is
+        # a local minimum of the 60-digit costs or, near k = 1e12, a tie in
+        # rounding; above U = 1/2 the oracle's complement cancels every digit
+        rng = random.Random(33)
+        priors = [(300.0, 0.5, 1e-3), (100.0, 1.0, 1e-6), (1000.0, 70.0, 1 / 3)]
+        while len(priors) < 200:
+            a, b, U = (
+                math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                for lo, hi in ((10.0, 3000.0), (0.01, 1000.0), (1e-25, 0.9))
+            )
+            if a * math.log(U) + b * math.log1p(-U) < -800.0:
+                priors.append((a, b, U))
+        walked, jumped = set(), set()
+        for a, b, U in priors:
+            k = bayes_optimal_k(PriorSpec(a, b, U)).k_opt
+            walk = bayes._start_values(a, b, U)[0] ** -0.5 < bayes._WALK / 4
+            (walked if walk else jumped).add(k)
+            if U > 0.5:
+                continue
+            cost = partial(_exact.prior_cost, a, b, U, dps=60)
+            here = cost(k)
+            if here <= cost(k + 1) and (k == 1 or here < cost(k - 1)):
+                continue
+            assert abs(_exact.prior_gap(a, b, U, k, 60) * k * (k + 1)) <= bayes._GAP_RTOL
+        assert {1, 32} <= walked and 1005 in jumped and max(jumped) > 10**12
+
+    @pytest.mark.parametrize("a, j", [(0.5, math.inf), (2.0, math.inf), (0.5, 1e6)])
+    def test_floor_past_the_double_range_is_no_bound(self, a, j):
+        # with log c = 2000 phi passes e^709: the floor lies below any
+        # slack - 1, and is -inf rather than an overflow
+        assert bayes._floor(a, 3.0, 2000.0, 10, j) <= -1.0
 
     def test_unresolvable_optimum_is_refused(self):
         # the optima near sqrt((a+1)/(aU)), 1.7e15 for the Jeffreys prior at

@@ -164,14 +164,14 @@ class TestBayes:
         assert code == 2 and "finite" in err
         assert "error" in json.loads(out)
 
-    def test_prior_without_mass_exits_three(self, capsys):
-        # Beta(100, 1) puts about U^100 of its mass on (0, U]: 0.0 in doubles
-        code, _, err = run(
+    def test_prior_whose_mass_underflows_is_answered(self, capsys):
+        # Beta(100, 1) puts about U^100 of its mass on (0, U]: 0.0 in
+        # doubles, but the search forms only its log
+        code, out, _ = run(
             capsys, "bayes", "--prior", "beta", "--a", "100", "--b", "1",
-            "--upper-bound", "1e-6",
+            "--upper-bound", "1e-6", "--format", "json",
         )
-        assert code == 3
-        assert "numerical failure" in err and "a=100.0" in err
+        assert (code, json.loads(out)["k_optimal"]) == (0, 1005)
 
     def test_divergent_continued_fraction_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(bayes, "_CF_MAX_TERMS", 1)

@@ -33,6 +33,13 @@ values take long continued fractions (a and b log-uniform, U uniform).
 values can need fractions that do not converge, and Beta(0.9408, 0.1226)
 on (0, 0.9998], whose costs are nearly flat; a `RuntimeError` is recorded
 by its class name.
+`bayes_massless` holds Beta(a, b) answers where the mass on (0, U]
+underflows: 60 seeded priors with a in [10, 3000], b in [0.01, 1000] and
+U in [1e-12, 0.9], all log-uniform, kept where
+log(U^a (1-U)^b / B(a, b)) < -800, and Beta(1e300, 1e5) at U = 1 - 10^-e
+for e = 1..15. Each mass is 0.0 as a double, which the search never
+forms: the seeded priors answer sizes from 3 to about 1e6 and the others
+k = 1 (a `RuntimeError` is recorded by its class name).
 `bayes_tiny` holds the uniform and Jeffreys answers at U = 1.3e-29,
 1.1e-29, 8e-30, 5e-30, 4.1e-30, 3e-30, 2e-30 and 1e-30, near the smallest
 bounds the Bayes search answers, with a `RuntimeError` recorded by its
@@ -178,6 +185,17 @@ for a_range, b_range, U_range in FLAT_SHAPES:
     FLAT.append(
         (log_uniform(rng, *a_range), log_uniform(rng, *b_range), rng.uniform(*U_range))
     )
+
+rng = random.Random(19)  # draws of its own, so the keys above keep theirs
+MASSLESS = []
+while len(MASSLESS) < 60:
+    a, b, U = (
+        log_uniform(rng, lo, hi) for lo, hi in ((10.0, 3000.0), (0.01, 1000.0), (1e-12, 0.9))
+    )
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    if a * math.log(U) + b * math.log1p(-U) - log_beta < -800.0:
+        MASSLESS.append((a, b, U))
+MASSLESS += [(1e300, 1e5, 1.0 - 10.0**-e) for e in range(1, 16)]
 
 
 # the smallest bounds answered, and the largest refused, 3.9e-30
@@ -347,6 +365,7 @@ CLI_FORMATTED = [  # each runs in the three formats
     # exit 3
     ["minimax", "--upper-bound", "3.9e-30"],
     *(GRID + ["--upper-bound", U] for U in ("3.9e-30", "1e-320", "5e-324")),
+    # answered (k = 1005), though the mass on (0, 1e-6] underflows
     ["bayes", "--prior", "beta", "--a", "100", "--b", "1", "--upper-bound", "1e-6"],
     ["range", "--k", "10000000000001"],
     *(
@@ -422,6 +441,7 @@ res = {
         for e in range(4, 11)
     ]
     + [bayes(0.9408, 0.1226, 0.9998)],
+    "bayes_massless": [bayes(*prior) for prior in MASSLESS],
     "bayes_tiny": [
         bayes(a, a, U)
         for a in (1.0, 0.5)

@@ -14,7 +14,7 @@ come from one continued fraction of DLMF 8.17.22, at U, or at 1-U with the
 contiguous relation 8.17.20 where that does not cancel. The same fraction
 at shape b + k gives S_k and R_k at any k in O(1), and `bayes_optimal_k`
 combines both in a certified search. The independent oracles, adaptive
-quadrature in theta (p = U*sin^2(theta)) and the uniform prior's closed
+quadrature in t (p = U*t^2) and the uniform prior's closed
 form, live in `oracles`, which no solver imports.
 """
 

@@ -29,11 +29,17 @@ def direct_beta(a, b, U, dps):
 def incomplete_beta(a, b, U, dps):
     """B(U; a, b). Near U = 1 `mp.betainc` does not converge, so above 1/2
     it is B(a, b) - B(1-U; b, a), whose cancellation the caller's digits
-    must cover. Cached, as the costs of one prior share its mass."""
+    must cover; where that keeps fewer than half of them, as for a mass far
+    below the mean that underflows a double, it is `mp.betainc` at U, whose
+    series converges there. Cached, as the costs of one prior share its mass."""
     if U <= 0.5:
         return direct_beta(a, b, U, dps)
     with mp.workdps(dps):
-        return mp.beta(a, b) - direct_beta(b, a, 1 - mp.mpf(U), dps)
+        whole = mp.beta(a, b)
+        rest = whole - direct_beta(b, a, 1 - mp.mpf(U), dps)
+        if rest > whole * mp.mpf(10) ** (-dps // 2):
+            return rest
+    return direct_beta(a, b, U, dps)
 
 
 def prior_ratio(a, b, U, j, dps):

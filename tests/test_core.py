@@ -314,7 +314,7 @@ class TestHugeGroupSizes:
         regret = _exact.regret(k, samuels_optimal_k(p), p, self.DPS)
         assert pt.k == k and pt.p_star == p
         assert math.isclose(pt.sup_loss, float(regret), rel_tol=1e-14)
-        # at a subnormal U, p = U sin^2(theta) takes only the values 0 and
+        # at a subnormal U, p = U t^2 takes only the values 0 and
         # 5e-324, so the quadrature misses (1-p)^k: 0.75 against 1.0 at 10**400
         if U >= 1e-300:
             quad = expected_tests_under_prior(k, PriorSpec.uniform(U))

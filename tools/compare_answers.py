@@ -74,9 +74,16 @@ and 0.5 for p or U, and in `larger_root`.
 `oracle_reach` holds, for the uniform, Jeffreys, Beta(2, 5), Beta(0.2, 30)
 and Beta(3, 0.4) priors on 25 log-spaced bounds U in [4.1e-30, 1e-6], the
 solver's answer k and cost and `expected_tests_under_prior` at k - 1, k
-and k + 1, with a `RuntimeError` (a refusal or a `QuadratureError`)
-recorded by its class name: how far the quadrature oracle follows the
-solver towards the smallest bounds it answers.
+and k + 1 (k - 1 left out at k = 1), with a `RuntimeError` (a refusal or
+a `QuadratureError`) recorded by its class name: how far the quadrature
+oracle follows the solver towards the smallest bounds it answers. The
+same rows follow for the oracle's other edges: Beta(100, 1) on
+(0, 1e-6], whose mass underflows a double; 20 seeded priors at U = 1 with
+a in [0.05, 20] and b in [0.05, 1], log-uniform, where the density is
+singular at p = 1; the uniform prior at U = 1 - 10^-e for e = 1..6, where
+kU is large; and the Jeffreys prior, Beta(2, 0.1), Beta(0.5, 0.1),
+Beta(1, 0.1), Beta(0.3, 0.2) and Beta(0.05, 0.05) at U = 1 - 10^-e for
+e = 2, 4, ..., 14, where the oracle may refuse.
 
 `minimax_wide` holds the minimax answer and worst point of both methods on
 25 000 bounds U log-uniform in [4.1e-30, 1] (seed 17), where the analytic
@@ -301,12 +308,23 @@ def reach(a, b, U):
     except RuntimeError as exc:
         return [a, b, U, type(exc).__name__]
     k = r.k_opt
-    quad = [quadrature(j, prior) for j in (k - 1, k, k + 1)]
+    quad = [quadrature(j, prior) for j in (k - 1, k, k + 1) if j > 0]
     return [a, b, U, k, r.expected_tests_at_opt, *quad]
 
 
 rng = random.Random(17)  # draws of its own, so the keys above keep theirs
 WIDE = [log_uniform(rng, 4.1e-30, 1.0) for _ in range(25_000)]
+rng = random.Random(7)  # draws of its own, so the keys above keep theirs
+REACH_EDGES = (
+    [(100.0, 1.0, 1e-6)]
+    + [(log_uniform(rng, 0.05, 20.0), log_uniform(rng, 0.05, 1.0), 1.0) for _ in range(20)]
+    + [(1.0, 1.0, 1.0 - 10.0**-e) for e in range(1, 7)]
+    + [
+        (a, b, 1.0 - 10.0**-e)
+        for a, b in ((0.5, 0.5), (2.0, 0.1), (0.5, 0.1), (1.0, 0.1), (0.3, 0.2), (0.05, 0.05))
+        for e in range(2, 15, 2)
+    ]
+)
 
 
 def error(call, x):
@@ -472,7 +490,8 @@ res = {
         for x in (0.0, 5e-324, 1e-300, 0.5)
     ]
     + [[f"larger_root(k) at k = {k_name}", "k", error(pd.larger_root, k)] for k_name, k in HUGE_K.items()],
-    "oracle_reach": [reach(a, b, U) for a, b in REACH_SHAPES for U in REACH_US],
+    "oracle_reach": [reach(a, b, U) for a, b in REACH_SHAPES for U in REACH_US]
+    + [reach(*prior) for prior in REACH_EDGES],
     "minimax_wide": [[U, *mm(U), *mm(U, "grid")] for U in WIDE],
     "records": [
         repr(r)

@@ -9,13 +9,13 @@ R_j = E[p(1-p)^j] = B(U; a+1, b+j) / B(U; a, b), the prior-mean cost of pool
 size k >= 2 is C(k) = 1/k + S_k with S_k = sum_{j<k} R_j, free of the
 cancellation in 1 - E[(1-p)^k]. The recurrence in b of DLMF §8.17(iv) gives
 R_{j+1} = ((b+j) R_j + w_j) / (a+b+j+1) with w_j = U^(a+1)(1-U)^(b+j) / B(U; a, b),
-again positive terms, so each step costs a few float operations. R_0 and w_0
-come from one continued fraction of DLMF 8.17.22, at U, or at 1-U with the
-contiguous relation 8.17.20 where that does not cancel. The same fraction
-at shape b + k gives S_k and R_k at any k in O(1), and `bayes_optimal_k`
-combines both in a certified search. The independent oracles, adaptive
-quadrature in t (p = U*t^2) and the uniform prior's closed
-form, live in `oracles`, which no solver imports.
+again positive terms, so each step costs a few float operations. R_0, w_0
+and log B(U; a, b) come from a continued fraction of DLMF 8.17.22 at U, or
+at 1-U with the contiguous relation 8.17.20 where that does not cancel.
+The same start values at shape b + k give S_k and R_k at any k in O(1),
+and `bayes_optimal_k` combines both in a certified search. The independent
+oracles, adaptive quadrature in t (p = U*t^2) and the uniform prior's
+closed form, live in `oracles`, which no solver imports.
 """
 
 import math
@@ -143,39 +143,43 @@ def _log_beta(a: float, b: float) -> float:
 
 
 def _start_values(a: float, b: float, U: float):
-    """(R_0, w_0, log I_U(a, b), log h(a, b, U), log B(a, b)) of the cost
-    recurrence; log h is nan unless the fraction at U is taken, and log B is
-    None at U = 1, which needs none: it overflows past shapes of 2.5e305,
-    where the search may end without it.
+    """(R_0, w_0, log B(U; a, b), log h(a, b, U)) of the cost recurrence,
+    from the only calls of `_beta_cf`; log h is nan where the complements
+    are taken. At U = 1 the log mass, log B(a, b), is None: the start values
+    need none, and past shapes of 2.5e305 it overflows.
 
-    Below (a+1)/(a+b+2), R_0 and w_0 come from one continued fraction at
-    U and its rest t, with R_0 = U a t / (a+1). Above it, one fraction at
-    1-U gives the mass m, and R_0 = (a - z/m) / (a+b) with z = U^a (1-U)^b
-    / B(a, b), while at most half the mass (a tenth, where U^a (1-U)^b <
-    e^-5) and nine tenths of the mean lie above U; else fractions at U.
+    Below (a+1)/(a+b+2), one continued fraction at U and its rest t give
+    R_0 = U a t / (a+1), with no log B(a, b). Above it, one fraction at 1-U
+    gives the mass m, and R_0 = (a - z/m) / (a+b) with z = U^a (1-U)^b /
+    B(a, b) (DLMF 8.17.20), while at most half the mass (a tenth, where
+    U^a (1-U)^b < e^-5) and nine tenths of the mean lie above U. Else one
+    fraction h at U gives R_0 = a (1 - 1/h) / (a+b) by the same relation;
+    where h < 2 (a small a + b) that cancels, and h(a+1, b, U) gives R_0.
     """
     if U == 1.0:
-        return a / (a + b), 0.0, 0.0, math.nan, None
-    log_b = _log_beta(a, b)
+        return a / (a + b), 0.0, None, math.nan
     log_p = a * math.log(U) + b * math.log1p(-U)  # log U^a (1-U)^b
-    log_z = log_p - log_b
     if U < (a + 1.0) / (a + b + 2.0):
         t = _beta_cf(a, b, U, rest=True)
         u = -(a + b) * U / (a + 1.0) * t  # h = 1 / (1 + u)
         log_h = -math.log1p(u)
-        log_mass = log_z + log_h - math.log(a)
-        return U * a * t / (a + 1.0), U * a * (1.0 + u), log_mass, log_h, log_b
-    z = math.exp(log_z)  # U^a (1-U)^b / B(a, b)
+        log_m = log_p + log_h - math.log(a)
+        return U * a * t / (a + 1.0), U * a * (1.0 + u), log_m, log_h
+    log_b = _log_beta(a, b)
+    z = math.exp(log_p - log_b)  # U^a (1-U)^b / B(a, b)
     tail = z * _beta_cf(b, a, 1.0 - U) / b  # 1 - I_U(a, b)
     # I_U(a+1, b) = 1 - tail - z/a (DLMF 8.17.20) gives R_0; z carries the
-    # rounding of log_p, which the ratios of fractions at U do not, so past a
-    # tenth of the mass above U the complements need log_p >= -5
+    # rounding of log_p, which the fraction at U does not, so past a tenth
+    # of the mass above U the complements need log_p >= -5
     if tail + z / a <= 0.9 and tail <= (0.5 if log_p >= -5.0 else 0.1):
         mass = 1.0 - tail
-        return (a - z / mass) / (a + b), U * z / mass, math.log(mass), math.nan, log_b
+        return (a - z / mass) / (a + b), U * z / mass, math.log(mass) + log_b, math.nan
     h = _beta_cf(a, b, U)
-    r0 = U * a * _beta_cf(a + 1.0, b, U) / ((a + 1.0) * h)
-    return r0, U * a / h, log_z + math.log(h / a), math.log(h), log_b
+    if h < 2.0:  # 1 - 1/h would cancel
+        r0 = U * a * _beta_cf(a + 1.0, b, U) / ((a + 1.0) * h)
+    else:
+        r0 = a * (1.0 - 1.0 / h) / (a + b)
+    return r0, U * a / h, log_p + math.log(h / a), math.log(h)
 
 
 def _far_bound(s: float, r: float, gap: float) -> float:
@@ -233,12 +237,12 @@ def _search(a: float, b: float, U: float):
     size at a time, and at k = 16, 32, ..., 256 the walk tries the cost
     floor, which ends nearly flat costs. Where the walk leaves the search
     open, `core._branch_and_bound` jumps: `visit` evaluates S_k and R_k at
-    any k in O(1) from the continued fraction at shape b + k, the far, chord
+    any k in O(1) from the start values at shape b + k, the far, chord
     and floor bounds prune (the floor also ends a > 1 priors, where k = 1
     wins from some size on), and `_settle` decides between neighbours whose
-    costs agree to rounding. Only logs of the mass I_U(a, b) enter, so a
-    mass that underflows needs no refusal."""
-    r0, w0, log_mass, log_h0, log_b = _start_values(a, b, U)
+    costs agree to rounding. Only the log of the mass B(U; a, b) enters,
+    so a mass that underflows needs no refusal."""
+    r0, w0, log_m, log_h0 = _start_values(a, b, U)
     log_q = math.log1p(-U) if U < 1.0 else 0.0  # w_j = w_0 (1-U)^j; w_0 = 0 at U = 1
     best_k, best = 1, 1.0  # k = 1 tests everyone once
     guess = r0**-0.5 if r0 > 0.0 else math.inf  # the optimum of 1/k + k R_0
@@ -254,10 +258,9 @@ def _search(a: float, b: float, U: float):
                 if k >= _WALK:
                     break
                 if best > 0.5:
-                    if log_b is None:
-                        log_b = _log_beta(a, b)
-                    log_c = -log_mass - log_b
-                    if _floor(a, b, log_c, k + 1, math.inf) >= bar - 1.0:
+                    if log_m is None:
+                        log_m = _log_beta(a, b)
+                    if _floor(a, b, -log_m, k + 1, math.inf) >= bar - 1.0:
                         return best_k, best
                 check = min(2 * check, _WALK)
             s += r
@@ -272,27 +275,23 @@ def _search(a: float, b: float, U: float):
         if guess < _K_RESOLVABLE:  # no guess^2 overflows, and g2 is not nan
             guess += guess * guess * (r0 - r) / (2.0 * r0)
         top = max(2, round(min(guess, _K_RESOLVABLE)))
-    if log_b is None:
-        log_b = _log_beta(a, b)
-    log_c = -log_mass - log_b  # -log B(U; a, b)
+    if log_m is None:
+        log_m = _log_beta(a, b)
     S, R = {k: s}, {k: r}  # S_k and R_k at the walk's end and at the sizes jumped to
 
     def visit(k):
-        """S_k and R_k in O(1), from the continued fraction at shape b + k."""
+        """S_k and R_k in O(1), from the start values at shape b + k."""
         nonlocal best_k, best
         if k in S:  # the walk's end keeps the values of the recurrence
             return
-        if U < (a + 1.0) / (a + b + k + 2.0):
+        bk = b + k
+        r0k, _, log_m_k, log_hk = _start_values(a, bk, U)
+        if U < (a + 1.0) / (a + bk + 2.0):
             # 1 - S_k = B(U; a, b+k) / B(U; a, b) = (1-U)^k h(a, b+k) / h(a, b)
-            t = _beta_cf(a, b + k, U, rest=True)
-            x = k * log_q - math.log1p(-(a + b + k) * U / (a + 1.0) * t) - log_h0
-            R[k] = math.exp(x) * U * a * t / (a + 1.0)
+            x = k * log_q + log_hk - log_h0
         else:
-            r0k, _, log_mass_k, _, log_b_k = _start_values(a, b + k, U)
-            if log_b_k is None:
-                log_b_k = _log_beta(a, b + k)
-            x = log_mass_k - log_mass + log_b_k - log_b
-            R[k] = r0k * math.exp(x)
+            x = (_log_beta(a, bk) if log_m_k is None else log_m_k) - log_m
+        R[k] = r0k * math.exp(x)  # R_k = R_0(a, b+k) (1 - S_k)
         S[k] = -math.expm1(x)
         e = 1.0 / k + S[k]
         if e < best - _TIE * best or (e <= best + _TIE * best and k < best_k):
@@ -308,11 +307,10 @@ def _search(a: float, b: float, U: float):
             if _far_bound(s, r, r - nxt) >= slack:
                 return True
             if r - nxt < 1e-6 * r and U < (a + 2.0) / (a + b + k + 3.0):
-                # R_k - R_{k+1} = R_k U (a+1)/(a+2) h(a+2, b+k) / h(a+1, b+k)
-                t = _beta_cf(a + 1.0, b + k, U, rest=True)
-                if _far_bound(s, r, r * U * (a + 1.0) / (a + 2.0) * t) >= slack:
+                # R_k - R_{k+1} = E[p^2 (1-p)^k] = R_k R_0(a+1, b+k)
+                if _far_bound(s, r, r * _start_values(a + 1.0, b + k, U)[0]) >= slack:
                     return True
-        return best > 0.5 and _floor(a, b, log_c, k + 1, math.inf) >= slack - 1.0
+        return best > 0.5 and _floor(a, b, -log_m, k + 1, math.inf) >= slack - 1.0
 
     def split(lo, hi):
         # S is concave, so on (lo, hi) C(k) >= 1/k + S_lo + (k - lo) slope,
@@ -323,7 +321,7 @@ def _search(a: float, b: float, U: float):
             m += 1
         slack = best - _TIE * best
         pruned = 1.0 / m + S[lo] + (m - lo) * slope >= slack or (
-            best > 0.5 and _floor(a, b, log_c, lo + 1, hi - 1) >= slack - 1.0
+            best > 0.5 and _floor(a, b, -log_m, lo + 1, hi - 1) >= slack - 1.0
         )  # the floor helps only where costs are close to 1
         return None if pruned else m
 

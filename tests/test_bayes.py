@@ -628,6 +628,10 @@ class TestCostRecurrence:
             # the rounding of log U^a (1-U)^b, near -3300, and complements
             # that use it put w_0 off by 2.2e-12; ratios of fractions at U do not
             (743.329687332686, 22936.07730717988, 0.031460073264173924),
+            # more than half the mass above U and h = 1.009: R_0 = a (1 - 1/h)
+            # / (a+b) would lose a factor 110 to cancellation (2.0e-11), so
+            # the fraction h(a+1, b, U) gives it
+            (0.0010864718587794912, 1.2768424623224365e-06, 0.9997557247719426),
         ],
     )
     def test_start_values_against_high_precision(self, a, b, U):
@@ -652,6 +656,33 @@ class TestCostRecurrence:
         )
         bayes._start_values(a, b, U)
         assert shapes == [(b, a, 1.0 - U)]
+
+    @pytest.mark.parametrize("a, b, U", [(0.5, 0.01, 0.9999), (0.5, 0.001, 1 - 1e-6)])
+    def test_start_values_where_the_complement_is_refused_take_two_fractions(
+        self, monkeypatch, a, b, U
+    ):
+        # more than half the mass lies above U, so after the fraction at
+        # 1 - U the mass comes from the fraction h at U, and with h >= 2
+        # R_0 = a (1 - 1/h) / (a+b) by DLMF 8.17.20; a third, slow fraction
+        # h(a+1, b, U) was taken
+        shapes = []
+        real = bayes._beta_cf
+        monkeypatch.setattr(
+            bayes, "_beta_cf", lambda *args, **kw: shapes.append(args) or real(*args, **kw)
+        )
+        bayes._start_values(a, b, U)
+        assert shapes == [(b, a, 1.0 - U), (a, b, U)]
+
+    def test_walked_prior_below_the_threshold_takes_no_log_beta(self, monkeypatch):
+        # below (a+1)/(a+b+2) the log mass is log U^a (1-U)^b + log h - log a,
+        # with no log B(a, b); the walk's far bound ends the search
+        calls = []
+        real = bayes._log_beta
+        monkeypatch.setattr(
+            bayes, "_log_beta", lambda *args: calls.append(args) or real(*args)
+        )
+        assert bayes_optimal_k(PriorSpec.jeffreys(1e-3)).k_opt == 56
+        assert calls == []
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -756,11 +787,20 @@ class TestCostRecurrence:
             (2.0, 0.1, 1 - 1e-9, 1),
             (1.0, 0.1, 1 - 1e-10, 1),
             (0.5, 0.1, 1 - 1e-8, 120),
+            # more than half the mass above U: one fraction at 1 - U and one
+            # h at U, with R_0 = a (1 - 1/h) / (a+b); from the fractions
+            # h(a+1, b, U) / h(a, b, U) the costs were off by 5e-13 to 8.8e-12
+            (0.5, 0.01, 1 - 1e-4, 131),
+            (0.5, 0.01, 1 - 1e-5, 190),
+            (0.5, 0.01, 1 - 1e-6, 259),
+            (0.5, 0.001, 1 - 1e-4, 141),
+            (0.5, 0.001, 1 - 1e-5, 209),
+            (0.5, 0.001, 1 - 1e-6, 290),
         ],
     )
     def test_small_b_near_the_whole_interval_is_answered(self, a, b, U, k):
-        # at most half the mass lies above U, so the start values come from
-        # one fraction at 1 - U; the fractions at U they took did not converge
+        # with at most half the mass above U the start values come from one
+        # fraction at 1 - U; the fractions at U they took did not converge
         res = bayes_optimal_k(PriorSpec(a, b, U))
         assert res.k_opt == k
         cost = partial(_exact.prior_cost, a, b, U, dps=80)
@@ -769,12 +809,12 @@ class TestCostRecurrence:
         else:
             want = cost(k)
             assert want < cost(k - 1) and want < cost(k + 1)
-            assert res.expected_tests_at_opt == pytest.approx(float(want), rel=1e-12, abs=0)
+            assert res.expected_tests_at_opt == pytest.approx(float(want), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("a, b", [(0.5, 0.01), (0.05, 0.01)])
     def test_small_b_with_most_mass_above_the_bound_is_refused(self, a, b):
-        # more than half the mass lies above U, so both start values are
-        # fractions at U, which need more than 10 000 terms this close to 1
+        # more than half the mass lies above U, so the start values need one
+        # fraction h at U, which needs more than 10 000 terms this close to 1
         with pytest.raises(RuntimeError, match="did not converge"):
             bayes_optimal_k(PriorSpec(a, b, 1 - 1e-7))
 
@@ -791,6 +831,16 @@ class TestCostRecurrence:
         # log Gamma(a) would overflow near a = 1e308
         res = bayes_optimal_k(PriorSpec(a, 1e5, 1.0))
         assert (res.k_opt, res.expected_tests_at_opt) == (1, 1.0)
+
+    @pytest.mark.parametrize(
+        "a, b, k", [(1.7e308, 2.6e305, 1), (1e308, 1e306, 1), (3e305, 1e308, 19), (1e307, 1e308, 4)]
+    )
+    def test_huge_shapes_on_the_whole_interval_need_no_log_beta(self, a, b, k):
+        # log B(a, b) overflows once the smaller shape passes about 2.5e305;
+        # at U = 1 the start values need none, and the walk ends without it
+        with pytest.raises(OverflowError):
+            bayes._log_beta(a, b)
+        assert bayes_optimal_k(PriorSpec(a, b, 1.0)).k_opt == k
 
     def test_divergent_continued_fraction_names_the_prior(self, monkeypatch):
         monkeypatch.setattr(bayes, "_CF_MAX_TERMS", 1)

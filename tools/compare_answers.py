@@ -14,7 +14,11 @@ point (analytic and grid) on 608 log-spaced bounds U in [1e-6, 1] and on
 bounds at and one ulp either side of the breakpoints 1 - larger_root(m)
 for m = 3..400, `sup_loss_analytic` on a (k, U) grid, the uniform and
 Jeffreys Bayes sizes, and every query of design-sweep seeds 1-10 (two
-blocks each), with a `RuntimeError` recorded by its class name. Four keys
+blocks each), with a `RuntimeError` recorded by its class name. The
+`bayes_work` key counts the calls of `bayes._beta_cf` (continued fractions)
+and `bayes._log_beta` over the sweep's Bayes queries, by wrapping the two
+module functions, so a change that takes more of either shows in the diff
+of two dumps (it works on any checkout that has both functions). Four keys
 hold the Bayes answer and cost at the edges: `bayes_near_one` (the uniform
 prior on 100 bounds U in [0.9, 1) and at U = 1 - 1e-3 .. 1 - 1e-6),
 `bayes_small` (uniform and Jeffreys at 41 bounds U in [1e-10, 1e-6]),
@@ -131,7 +135,7 @@ root, out = sys.argv[1], sys.argv[2]
 sys.path[:0] = [root + "/src", root + "/bench", root]
 import pooldesign as pd  # noqa: E402
 import workloads  # noqa: E402
-from pooldesign import cli, efficiency  # noqa: E402
+from pooldesign import bayes as bayes_module, cli, efficiency  # noqa: E402
 
 Us = [float(U) for U in np.logspace(-6, 0, 608)]
 bps = []
@@ -516,6 +520,17 @@ res = {
     ]
     + [run_cli(argv) for argv in CLI_PLAIN],
 }
+# count the continued fractions and log B(a, b) calls of the sweep's Bayes
+# queries by wrapping the module functions, which the search looks up by name
+work = res["bayes_work"] = {"_beta_cf": 0, "_log_beta": 0}
+for name in work:
+    real = getattr(bayes_module, name)
+
+    def counted(*args, _name=name, _real=real, **kwargs):
+        work[_name] += 1
+        return _real(*args, **kwargs)
+
+    setattr(bayes_module, name, counted)
 for seed in range(1, 11):
     for block in itertools.islice(workloads.blocks("design-sweep", seed), 2):
         for q in block:

@@ -64,8 +64,8 @@ _ULP = math.ulp(1.0)
 # the first omitted term is below 7e-16 for x >= 10.
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 # The search walks the recurrence over k <= _WALK when the guessed optimum
-# is below a quarter of it; beyond, jumps of one continued fraction each
-# are cheaper (the crossover measured in docs/decisions.md).
+# is below a quarter of it, else it jumps; the two cross near a guess of
+# 25, but lower limits were not faster beyond the noise (docs/decisions.md).
 _WALK = 320
 # Costs within this relative distance of the best are a tie in rounding,
 # and ties go to the smaller size
@@ -83,6 +83,9 @@ def _beta_cf(a: float, b: float, x: float, rest: bool = False) -> float:
     Lentz; fast for x < (a+1)/(a+b+2). There log h = -log1p(d_1 t) keeps
     full relative precision as x -> 0, but 1 + d_1 t cancels just below
     that threshold for a large a, where h = 1/(1 + d_1 t) reaches 1e4.
+    Far above it the fraction can stop on a wrong, even negative, h; as
+    B(x; a, b) >= x^a min(1, (1-x)^(b-1)) / a, h >= 1, so a smaller h or
+    one not finite raises as a fraction that does not converge.
     """
     c = 1.0
     if rest:
@@ -111,7 +114,9 @@ def _beta_cf(a: float, b: float, x: float, rest: bool = False) -> float:
         cd = c * d
         h *= cd
         if -_ULP <= cd - 1.0 <= _ULP:
-            return h
+            if rest or 1.0 <= h < math.inf:
+                return h
+            break
     raise RuntimeError(
         f"the incomplete-beta continued fraction for ({a}, {b}) at {x} "
         f"did not converge in {_CF_MAX_TERMS} terms"
@@ -235,13 +240,16 @@ def _search(a: float, b: float, U: float):
     """(k, C(k)) for the smallest k minimizing the prior-mean cost;
     docs/decisions.md has the certificates. Small optima are walked one
     size at a time, and at k = 16, 32, ..., 256 the walk tries the cost
-    floor, which ends nearly flat costs. Where the walk leaves the search
-    open, `core._branch_and_bound` jumps: `visit` evaluates S_k and R_k at
-    any k in O(1) from the start values at shape b + k, the far, chord
-    and floor bounds prune (the floor also ends a > 1 priors, where k = 1
-    wins from some size on), and `_settle` decides between neighbours whose
-    costs agree to rounding. Only the log of the mass B(U; a, b) enters,
-    so a mass that underflows needs no refusal."""
+    floor, which ends nearly flat costs. Larger optima are jumped to:
+    `visit` evaluates S_k and R_k at any k in O(1), from the start values
+    at shape b + k or by one step up from k - 1. A jump visits top - 1,
+    top and top + 1 around the second-order estimate top, and a local
+    certificate ends most searches there. Else `core._branch_and_bound`
+    continues: the far, chord and floor bounds prune (the floor also ends
+    a > 1 priors, where k = 1 wins from some size on), and `_settle`
+    decides between neighbours whose costs agree to rounding. Only the
+    log of the mass B(U; a, b) enters, so a mass that underflows needs no
+    refusal."""
     r0, w0, log_m, log_h0 = _start_values(a, b, U)
     log_q = math.log1p(-U) if U < 1.0 else 0.0  # w_j = w_0 (1-U)^j; w_0 = 0 at U = 1
     best_k, best = 1, 1.0  # k = 1 tests everyone once
@@ -270,29 +278,37 @@ def _search(a: float, b: float, U: float):
             if e < bar:
                 best_k, best = k, e
                 bar = best - _TIE * best
-        top = 2 * k
+        sizes = (k, 2 * k)
     else:  # the next term of the small-U asymptote, with E[p^2] = R_0 - R_1
         if guess < _K_RESOLVABLE:  # no guess^2 overflows, and g2 is not nan
             guess += guess * guess * (r0 - r) / (2.0 * r0)
-        top = max(2, round(min(guess, _K_RESOLVABLE)))
+        top = max(2, round(min(guess, _K_RESOLVABLE - 1)))
+        sizes = (k, top - 1, top, top + 1)  # one fraction, two steps; top + 1 <= 1e15
     if log_m is None:
         log_m = _log_beta(a, b)
     S, R = {k: s}, {k: r}  # S_k and R_k at the walk's end and at the sizes jumped to
 
+    def step(j, r):  # R_{j+1} from R_j by the recurrence
+        return ((b + j) * r + w0 * math.exp(j * log_q)) / (a + b + j + 1.0)
+
     def visit(k):
-        """S_k and R_k in O(1), from the start values at shape b + k."""
+        """S_k and R_k in O(1), from the start values at shape b + k or by
+        one step up from k - 1."""
         nonlocal best_k, best
         if k in S:  # the walk's end keeps the values of the recurrence
             return
-        bk = b + k
-        r0k, _, log_m_k, log_hk = _start_values(a, bk, U)
-        if U < (a + 1.0) / (a + bk + 2.0):
-            # 1 - S_k = B(U; a, b+k) / B(U; a, b) = (1-U)^k h(a, b+k) / h(a, b)
-            x = k * log_q + log_hk - log_h0
+        if k - 1 in S:  # positive terms; the step down would cancel
+            S[k], R[k] = S[k - 1] + R[k - 1], step(k - 1, R[k - 1])
         else:
-            x = (_log_beta(a, bk) if log_m_k is None else log_m_k) - log_m
-        R[k] = r0k * math.exp(x)  # R_k = R_0(a, b+k) (1 - S_k)
-        S[k] = -math.expm1(x)
+            bk = b + k
+            r0k, _, log_m_k, log_hk = _start_values(a, bk, U)
+            if U < (a + 1.0) / (a + bk + 2.0):
+                # 1 - S_k = B(U; a, b+k) / B(U; a, b) = (1-U)^k h(a, b+k) / h(a, b)
+                x = k * log_q + log_hk - log_h0
+            else:
+                x = (_log_beta(a, bk) if log_m_k is None else log_m_k) - log_m
+            R[k] = r0k * math.exp(x)  # R_k = R_0(a, b+k) (1 - S_k)
+            S[k] = -math.expm1(x)
         e = 1.0 / k + S[k]
         if e < best - _TIE * best or (e <= best + _TIE * best and k < best_k):
             best_k, best = k, e
@@ -303,7 +319,7 @@ def _search(a: float, b: float, U: float):
         if s >= slack:
             return True
         if r * k * k >= 1.0:
-            nxt = ((b + k) * r + w0 * math.exp(k * log_q)) / (a + b + k + 1.0)
+            nxt = step(k, r)
             if _far_bound(s, r, r - nxt) >= slack:
                 return True
             if r - nxt < 1e-6 * r and U < (a + 2.0) / (a + b + k + 3.0):
@@ -325,11 +341,24 @@ def _search(a: float, b: float, U: float):
         )  # the floor helps only where costs are close to 1
         return None if pruned else m
 
-    _branch_and_bound(visit, beyond, split, (k, top), _K_RESOLVABLE)
+    for j in sizes:
+        visit(j)
+    # the local certificate: the engine would visit no other size, as the
+    # intervals above top - 1 are adjacent, and `_settle` would keep best_k
+    j = best_k - 1
+    if len(sizes) == 4 and j in R and _falls(R[j], j) and not _falls(R[best_k], best_k):
+        if beyond(top + 1) and split(k, top - 1) is None:
+            return best_k, best
+    _branch_and_bound(visit, beyond, split, sizes, _K_RESOLVABLE)
     if best_k > 1 and best_k in R:  # the gap at j = 1 is not C(2) - C(1)
         best_k = _settle(best_k, visit, R)
         best = 1.0 / best_k + S[best_k]
     return best_k, best
+
+
+def _falls(r: float, j: int) -> bool:
+    """C(j+1) < C(j) beyond rounding, by C(j+1) - C(j) = R_j - 1/(j(j+1))."""
+    return r * j * (j + 1.0) < 1.0 - _GAP_RTOL
 
 
 def _settle(k, visit, R):
@@ -341,9 +370,9 @@ def _settle(k, visit, R):
     bisecting, because on nearly flat costs it can lie 1e10 sizes away.
     """
 
-    def down(j):  # C(j+1) < C(j) beyond rounding
+    def down(j):
         visit(j)
-        return R[j] * j * (j + 1.0) < 1.0 - _GAP_RTOL
+        return _falls(R[j], j)
 
     if down(k):  # the minimum lies above k
         lo, step = k, 1

@@ -122,6 +122,31 @@ class TestQuadrature:
                     expected_tests_uniform(k, U), abs=1e-10
                 )
 
+    def test_mass_in_closed_form_at_b_one(self, monkeypatch):
+        # at b = 1 the QAWS weight is t^(2a-1) alone, below U = 1 and at it,
+        # so the mass is 1/(2a) and one integral, the mean, is taken
+        from scipy import integrate
+
+        calls = []
+        real = integrate.quad
+        monkeypatch.setattr(
+            integrate, "quad", lambda *args, **kw: calls.append(1) or real(*args, **kw)
+        )
+        for U in (0.005, 0.3, 1.0):
+            for k in (2, 13, 100):
+                calls.clear()
+                got = expected_tests_under_prior(k, PriorSpec.uniform(U))
+                assert len(calls) == 1
+                assert got == pytest.approx(expected_tests_uniform(k, U), abs=1e-10)
+            calls.clear()
+            got = expected_tests_under_prior(13, PriorSpec(2.5, 1.0, U))
+            assert len(calls) == 1
+            want = float(_exact.prior_cost(2.5, 1.0, U, 13, 40))
+            assert got == pytest.approx(want, rel=1e-14, abs=0)
+        calls.clear()
+        expected_tests_under_prior(13, PriorSpec.jeffreys(0.3))
+        assert len(calls) == 2  # the mass is an integral for b != 1
+
     def test_density_normalization(self):
         # E(1, p) = 1 for every p; at k = 2 the mean divides by the mass
         for a in (0.5, 1.0, 2.0):
@@ -447,27 +472,37 @@ class TestBayesOptimalK:
             assert jumped >= min_jumped and individual >= min_individual, seed
 
     def test_continued_fractions_per_search(self, monkeypatch):
-        # the jump starts at the second-order small-U estimate of the optimum
-        # and steps by 1 and 2 before doubling; from R_0^(-1/2), doubling, the
-        # uniform prior at U = 1e-5 took fractions at shapes b + 0, 447, 894
-        # and 448 for its answer 448
+        # the jump starts at the second-order small-U estimate top of the
+        # optimum and visits top - 1 by one fraction, then top and top + 1 by
+        # steps of the recurrence, and the local certificate ends it there
+        # without the engine: the uniform prior at U = 1e-5 takes fractions
+        # at shapes b (the start values) and b + 447 for its answer 448
         shapes = []
         real = bayes._beta_cf
         monkeypatch.setattr(
             bayes, "_beta_cf", lambda a, b, x, **kw: shapes.append(b) or real(a, b, x, **kw)
         )
+        engine = []
+        real_engine = bayes._branch_and_bound
+        monkeypatch.setattr(
+            bayes, "_branch_and_bound", lambda *args: engine.append(1) or real_engine(*args)
+        )
         for prior, k in ((PriorSpec.uniform(1e-5), 448), (PriorSpec.jeffreys(1e-5), 549)):
             shapes.clear()
             assert bayes_optimal_k(prior).k_opt == k
-            assert len(shapes) == 3 and prior.b + k in shapes, shapes
+            assert shapes == [prior.b, prior.b + k - 1], shapes
+        assert engine == []
         # at 1e-16 R_{k+1}/R_k rounds to 1; the far bound takes its gap from
-        # one fraction, so the search does not double past the answer
+        # one fraction, so the search does not double past the answer, which
+        # lies two below top, outside the certificate's reach
         shapes.clear()
         assert bayes_optimal_k(PriorSpec.jeffreys(1e-16)).k_opt == 173205082
-        assert len(shapes) == 6, shapes
-        # seeded jumped priors took 4.81 fractions a search on average
+        assert len(shapes) == 5, shapes
+        assert engine == [1]
+        # on seeded jumped priors the certificate ends most searches
         rng = random.Random(11)
         counts = []
+        engine.clear()
         while len(counts) < 200:
             a, b, U = (
                 math.exp(rng.uniform(math.log(lo), math.log(hi)))
@@ -478,7 +513,29 @@ class TestBayesOptimalK:
             shapes.clear()
             bayes_optimal_k(PriorSpec(a, b, U))
             counts.append(len(shapes))
-        assert sum(counts) / len(counts) <= 3.8
+        assert sum(counts) / len(counts) <= 2.2 and max(counts) <= 3
+        assert len(engine) <= 20
+
+    def test_neighbour_steps_against_high_precision(self):
+        # top and top + 1 come from one step of the recurrence each, not
+        # from their own fractions; the answer's cost must keep full
+        # precision, and C must fall into k and rise out of it at 60 digits
+        rng = random.Random(36)
+        jumped = 0
+        while jumped < 50:
+            a, b, U = (
+                math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                for lo, hi in ((0.05, 20.0), (0.05, 50.0), (1e-9, 1e-3))
+            )
+            if bayes._start_values(a, b, U)[0] ** -0.5 < bayes._WALK / 4:
+                continue  # walked
+            jumped += 1
+            res = bayes_optimal_k(PriorSpec(a, b, U))
+            k = res.k_opt
+            want = float(_exact.prior_cost(a, b, U, k, 60))
+            assert res.expected_tests_at_opt == pytest.approx(want, rel=1e-13, abs=0)
+            gap = partial(_exact.prior_gap, a, b, U, dps=60)
+            assert gap(k - 1) < 0 < gap(k), (a, b, U, k)
 
     @pytest.mark.parametrize("U", [1e-6, 1e-4, 0.005, 0.05, 0.3])
     def test_uniform_cost_matches_closed_form(self, U):
@@ -642,6 +699,34 @@ class TestCostRecurrence:
             want_w0 = mU ** (ma + 1) * (1 - mU) ** mb / _exact.incomplete_beta(a, b, U, 80)
         assert r0 == pytest.approx(float(want_r0), rel=1e-12, abs=0)
         assert w0 == pytest.approx(float(want_w0), rel=1e-12, abs=0)
+
+    def test_fraction_below_one_is_refused(self):
+        # far above the threshold the fraction stops on h = -6.6e14 here;
+        # B(x; a, b) >= x^a min(1, (1-x)^(b-1)) / a gives h >= 1 for every x
+        with pytest.raises(RuntimeError, match="did not converge"):
+            bayes._beta_cf(0.0064, 855.1, 0.446)
+
+    def test_fractions_above_the_threshold_return_no_h_below_one(self):
+        # 3000 draws between the threshold and 1 (log-uniform in x / th),
+        # of which 365 stop on an h below 1, 364 of them negative
+        rng = random.Random(1)
+        refused = 0
+        for _ in range(3000):
+            a, b = (
+                math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                for lo, hi in ((1e-3, 1e3), (1e-3, 1e4))
+            )
+            th = _threshold(a, b)
+            x = th * math.exp(rng.uniform(0.0, -math.log(th)))
+            if not th < x < 1.0:
+                continue
+            try:
+                h = bayes._beta_cf(a, b, x)
+            except RuntimeError:
+                refused += 1
+                continue
+            assert 1.0 <= h < math.inf, (a, b, x, h)
+        assert refused >= 300
 
     @pytest.mark.parametrize(
         "a, b, U", [(0.5, 0.5, 0.974437), (0.073, 83.1, 0.0257), (0.12, 125.0, 0.0123)]

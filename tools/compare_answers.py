@@ -15,10 +15,11 @@ bounds at and one ulp either side of the breakpoints 1 - larger_root(m)
 for m = 3..400, `sup_loss_analytic` on a (k, U) grid, the uniform and
 Jeffreys Bayes sizes, and every query of design-sweep seeds 1-10 (two
 blocks each), with a `RuntimeError` recorded by its class name. The
-`bayes_work` key counts the calls of `bayes._beta_cf` (continued fractions)
-and `bayes._log_beta` over the sweep's Bayes queries, by wrapping the two
-module functions, so a change that takes more of either shows in the diff
-of two dumps (it works on any checkout that has both functions). Four keys
+`bayes_work` key counts the calls of `bayes._beta_cf` (continued fractions),
+`bayes._log_beta` and `bayes._branch_and_bound` (the searches that reach the
+general engine) over the sweep's Bayes queries, by wrapping the three
+module names, so a change that takes more of any shows in the diff of two
+dumps (it works on any checkout that has all three). Four keys
 hold the Bayes answer and cost at the edges: `bayes_near_one` (the uniform
 prior on 100 bounds U in [0.9, 1) and at U = 1 - 1e-3 .. 1 - 1e-6),
 `bayes_small` (uniform and Jeffreys at 41 bounds U in [1e-10, 1e-6]),
@@ -520,9 +521,10 @@ res = {
     ]
     + [run_cli(argv) for argv in CLI_PLAIN],
 }
-# count the continued fractions and log B(a, b) calls of the sweep's Bayes
-# queries by wrapping the module functions, which the search looks up by name
-work = res["bayes_work"] = {"_beta_cf": 0, "_log_beta": 0}
+# count the continued fractions, log B(a, b) calls and engine runs of the
+# sweep's Bayes queries by wrapping the module names, which the search looks
+# up by name
+work = res["bayes_work"] = {"_beta_cf": 0, "_log_beta": 0, "_branch_and_bound": 0}
 for name in work:
     real = getattr(bayes_module, name)
 

@@ -85,7 +85,7 @@ def _beta_cf(a: float, b: float, x: float, rest: bool = False) -> float:
     that threshold for a large a, where h = 1/(1 + d_1 t) reaches 1e4.
     Far above it the fraction can stop on a wrong, even negative, h; as
     B(x; a, b) >= x^a min(1, (1-x)^(b-1)) / a, h >= 1, so a smaller h or
-    one not finite raises as a fraction that does not converge.
+    one not finite raises as a fraction that did not converge.
     """
     c = 1.0
     if rest:
@@ -116,7 +116,10 @@ def _beta_cf(a: float, b: float, x: float, rest: bool = False) -> float:
         if -_ULP <= cd - 1.0 <= _ULP:
             if rest or 1.0 <= h < math.inf:
                 return h
-            break
+            raise RuntimeError(
+                f"the incomplete-beta continued fraction for ({a}, {b}) at {x} "
+                f"did not converge: it stopped after {m} terms on h = {h}, not in [1, inf)"
+            )
     raise RuntimeError(
         f"the incomplete-beta continued fraction for ({a}, {b}) at {x} "
         f"did not converge in {_CF_MAX_TERMS} terms"
@@ -278,7 +281,7 @@ def _search(a: float, b: float, U: float):
             if e < bar:
                 best_k, best = k, e
                 bar = best - _TIE * best
-        sizes = (k, 2 * k)
+        sizes, top = (k, 2 * k), None  # a long walk gets no local certificate
     else:  # the next term of the small-U asymptote, with E[p^2] = R_0 - R_1
         if guess < _K_RESOLVABLE:  # no guess^2 overflows, and g2 is not nan
             guess += guess * guess * (r0 - r) / (2.0 * r0)
@@ -343,10 +346,12 @@ def _search(a: float, b: float, U: float):
 
     for j in sizes:
         visit(j)
-    # the local certificate: the engine would visit no other size, as the
-    # intervals above top - 1 are adjacent, and `_settle` would keep best_k
+    # the local certificate of a jump, a proof from its sizes alone: C falls
+    # into best_k and not out of it by the gap rule, and the bounds rule out
+    # every size not visited, those above top + 1 and those between k = 1
+    # and top - 1; `_settle` would keep best_k by the same two gap tests
     j = best_k - 1
-    if len(sizes) == 4 and j in R and _falls(R[j], j) and not _falls(R[best_k], best_k):
+    if top is not None and j in R and _falls(R[j], j) and not _falls(R[best_k], best_k):
         if beyond(top + 1) and split(k, top - 1) is None:
             return best_k, best
     _branch_and_bound(visit, beyond, split, sizes, _K_RESOLVABLE)

@@ -5,15 +5,13 @@ against them. `expected_tests_under_prior` integrates E(k, p) against a
 truncated beta prior with scipy, independently of the continued fractions
 of `bayes`: in t with p = U t^2, by QUADPACK's QAWS, which takes the
 density's endpoint powers as weights. The mean and the mass are integrals
-of one form, so no normalizer is formed and U^a cancels; at b = 1 the mass
-is 1/(2a) in closed form, so a uniform-prior call integrates once. Its
-tests find it within 1e-14 of 50 digits for five priors down to
-U = 4.1e-30, within 1e-13 of 40 digits at U = 1 with b < 1, and, uniform,
-within 1e-8 for k past a double at U >= 1e-300; at a subnormal U it misses
-(1-p)^k for such k. `expected_tests_uniform` is the closed form under the
-uniform prior and `jeffreys_constant` the Jeffreys normalizer; they need
-only the checks and `_times` of `core`, so importing this module loads no
-solver.
+of one form, so no normalizer is formed and U^a cancels. Its tests find it
+within 1e-14 of 50 digits for five priors down to U = 4.1e-30, within
+1e-13 of 40 digits at U = 1 with b < 1, and, uniform, within 1e-8 for k
+past a double at U >= 1e-300; at a subnormal U it misses (1-p)^k for such
+k. `expected_tests_uniform` is the closed form under the uniform prior
+and `jeffreys_constant` the Jeffreys normalizer; they need only the checks
+and `_times` of `core`, so importing this module loads no solver.
 """
 
 import math
@@ -94,5 +92,4 @@ def expected_tests_under_prior(k: int, prior: "PriorSpec") -> float:
             raise QuadratureError(f"{msg}: {out[3]} (error estimate {out[1]:.3e})", out[1])
         return out[0]
 
-    # the mean over the mass; at b = 1 the weight is t^(2a-1) alone, of mass 1/(2a)
-    return integral(True) / (0.5 / a if b == 1.0 else integral(False))
+    return integral(True) / integral(False)  # the mean over the mass

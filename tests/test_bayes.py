@@ -122,30 +122,12 @@ class TestQuadrature:
                     expected_tests_uniform(k, U), abs=1e-10
                 )
 
-    def test_mass_in_closed_form_at_b_one(self, monkeypatch):
-        # at b = 1 the QAWS weight is t^(2a-1) alone, below U = 1 and at it,
-        # so the mass is 1/(2a) and one integral, the mean, is taken
-        from scipy import integrate
-
-        calls = []
-        real = integrate.quad
-        monkeypatch.setattr(
-            integrate, "quad", lambda *args, **kw: calls.append(1) or real(*args, **kw)
-        )
+    def test_b_one_against_high_precision(self):
+        # at b = 1 the QAWS weight is t^(2a-1) alone, below U = 1 and at it
         for U in (0.005, 0.3, 1.0):
-            for k in (2, 13, 100):
-                calls.clear()
-                got = expected_tests_under_prior(k, PriorSpec.uniform(U))
-                assert len(calls) == 1
-                assert got == pytest.approx(expected_tests_uniform(k, U), abs=1e-10)
-            calls.clear()
             got = expected_tests_under_prior(13, PriorSpec(2.5, 1.0, U))
-            assert len(calls) == 1
             want = float(_exact.prior_cost(2.5, 1.0, U, 13, 40))
             assert got == pytest.approx(want, rel=1e-14, abs=0)
-        calls.clear()
-        expected_tests_under_prior(13, PriorSpec.jeffreys(0.3))
-        assert len(calls) == 2  # the mass is an integral for b != 1
 
     def test_density_normalization(self):
         # E(1, p) = 1 for every p; at k = 2 the mean divides by the mass
@@ -474,35 +456,26 @@ class TestBayesOptimalK:
     def test_continued_fractions_per_search(self, monkeypatch):
         # the jump starts at the second-order small-U estimate top of the
         # optimum and visits top - 1 by one fraction, then top and top + 1 by
-        # steps of the recurrence, and the local certificate ends it there
-        # without the engine: the uniform prior at U = 1e-5 takes fractions
-        # at shapes b (the start values) and b + 447 for its answer 448
+        # steps of the recurrence, and most searches end there: the uniform
+        # prior at U = 1e-5 takes fractions at shapes b (the start values) and
+        # b + 447 for its answer 448
         shapes = []
         real = bayes._beta_cf
         monkeypatch.setattr(
             bayes, "_beta_cf", lambda a, b, x, **kw: shapes.append(b) or real(a, b, x, **kw)
         )
-        engine = []
-        real_engine = bayes._branch_and_bound
-        monkeypatch.setattr(
-            bayes, "_branch_and_bound", lambda *args: engine.append(1) or real_engine(*args)
-        )
         for prior, k in ((PriorSpec.uniform(1e-5), 448), (PriorSpec.jeffreys(1e-5), 549)):
             shapes.clear()
             assert bayes_optimal_k(prior).k_opt == k
             assert shapes == [prior.b, prior.b + k - 1], shapes
-        assert engine == []
         # at 1e-16 R_{k+1}/R_k rounds to 1; the far bound takes its gap from
         # one fraction, so the search does not double past the answer, which
-        # lies two below top, outside the certificate's reach
+        # lies two below top
         shapes.clear()
         assert bayes_optimal_k(PriorSpec.jeffreys(1e-16)).k_opt == 173205082
         assert len(shapes) == 5, shapes
-        assert engine == [1]
-        # on seeded jumped priors the certificate ends most searches
         rng = random.Random(11)
         counts = []
-        engine.clear()
         while len(counts) < 200:
             a, b, U = (
                 math.exp(rng.uniform(math.log(lo), math.log(hi)))
@@ -514,7 +487,6 @@ class TestBayesOptimalK:
             bayes_optimal_k(PriorSpec(a, b, U))
             counts.append(len(shapes))
         assert sum(counts) / len(counts) <= 2.2 and max(counts) <= 3
-        assert len(engine) <= 20
 
     def test_neighbour_steps_against_high_precision(self):
         # top and top + 1 come from one step of the recurrence each, not
@@ -703,7 +675,7 @@ class TestCostRecurrence:
     def test_fraction_below_one_is_refused(self):
         # far above the threshold the fraction stops on h = -6.6e14 here;
         # B(x; a, b) >= x^a min(1, (1-x)^(b-1)) / a gives h >= 1 for every x
-        with pytest.raises(RuntimeError, match="did not converge"):
+        with pytest.raises(RuntimeError, match="did not converge: it stopped after"):
             bayes._beta_cf(0.0064, 855.1, 0.446)
 
     def test_fractions_above_the_threshold_return_no_h_below_one(self):

@@ -35,7 +35,7 @@ class PriorSpec(namedtuple("PriorSpec", "a b upper")):
                 f"beta shapes must be positive and finite, got a={a!r}, b={b!r}"
             )
         _check_upper_bound(upper)
-        return super().__new__(cls, a, b, upper)
+        return tuple.__new__(cls, (a, b, upper))  # namedtuple's own __new__, inlined
 
     @classmethod
     def _make(cls, iterable):  # the inherited one, behind _replace, skips __new__
@@ -65,7 +65,8 @@ _ULP = math.ulp(1.0)
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 # The search walks the recurrence over k <= _WALK when the guessed optimum
 # is below a quarter of it, else it jumps; the two cross near a guess of
-# 25, but lower limits were not faster beyond the noise (docs/decisions.md).
+# 30, but lower limits were not faster beyond the noise (docs/decisions.md,
+# "The Bayes pool size by a certified search").
 _WALK = 320
 # Costs within this relative distance of the best are a tie in rounding,
 # and ties go to the smaller size
@@ -95,12 +96,16 @@ def _beta_cf(a: float, b: float, x: float, rest: bool = False) -> float:
     # d > _TINY or d < -_TINY is abs(d) > _TINY, false for nan as well
     d = 1.0 / (d if d > _TINY or d < -_TINY else _TINY)
     h, ab = d, a + b
+    # the counters also as floats, fm = m and fn = n: exact, and float-only
+    # operations take CPython's fast path where an int operand does not
+    fm, fn = 0.0, 1.0 if rest else 0.0
     for m in range(1, _CF_MAX_TERMS + 1):
-        n = m + rest
-        a2n = a + 2 * n
-        even = n * (b - n) * x / ((a2n - 1.0) * a2n)  # d_{2n}
-        a2m = a + 2 * m
-        odd = -(a + m) * (ab + m) * x / (a2m * (a2m + 1.0))
+        fm += 1.0
+        fn += 1.0
+        a2n = a + 2.0 * fn
+        even = fn * (b - fn) * x / ((a2n - 1.0) * a2n)  # d_{2n}
+        a2m = a + 2.0 * fm
+        odd = -(a + fm) * (ab + fm) * x / (a2m * (a2m + 1.0))
         first, second = (odd, even) if rest else (even, odd)
         d = 1.0 + first * d
         d = 1.0 / (d if d > _TINY or d < -_TINY else _TINY)
@@ -192,7 +197,8 @@ def _start_values(a: float, b: float, U: float):
 
 def _far_bound(s: float, r: float, gap: float) -> float:
     """A lower bound on C(j) for every j > k, given S_k, R_k and the gap
-    R_k - R_{k+1}, valid when R_k k^2 >= 1 (docs/decisions.md).
+    R_k - R_{k+1}, valid when R_k k^2 >= 1 (docs/decisions.md, "The Bayes
+    pool size by a certified search").
 
     R_j is log-convex in j, so R_j >= R_k (R_{k+1}/R_k)^(j-k) and the cost
     beyond k is at least min(C(k), S_k + R_k^2 / (R_k - R_{k+1})). At small
@@ -240,10 +246,11 @@ def _floor(a: float, b: float, log_c: float, i: int, j: float) -> float:
 
 
 def _search(a: float, b: float, U: float):
-    """(k, C(k)) for the smallest k minimizing the prior-mean cost;
-    docs/decisions.md has the certificates. Small optima are walked one
-    size at a time, and at k = 16, 32, ..., 256 the walk tries the cost
-    floor, which ends nearly flat costs. Larger optima are jumped to:
+    """(k, C(k)) for the smallest k minimizing the prior-mean cost; the
+    certificates are in docs/decisions.md, "The Bayes pool size by a
+    certified search". Small optima are walked one size at a time, and at
+    k = 16, 32, ..., 256 the walk tries the cost floor, which ends nearly
+    flat costs. Larger optima are jumped to:
     `visit` evaluates S_k and R_k at any k in O(1), from the start values
     at shape b + k or by one step up from k - 1. A jump visits top - 1,
     top and top + 1 around the second-order estimate top, and a local
@@ -261,9 +268,10 @@ def _search(a: float, b: float, U: float):
     if guess < _WALK / 4:  # walk the positive-term recurrence
         bar = best - _TIE * best  # a tie in rounding keeps the smaller k
         exp, ab, check = math.exp, a + b, 16
+        fk = 1.0  # k as a float, exact, for the float-only fast path
         while True:
-            nxt = ((b + k) * r + w0 * exp(k * log_q)) / (ab + k + 1.0)
-            if s >= best or (r * k * k >= 1.0 and _far_bound(s, r, r - nxt) >= best):
+            nxt = ((b + fk) * r + w0 * exp(fk * log_q)) / (ab + fk + 1.0)
+            if s >= best or (r * fk * fk >= 1.0 and _far_bound(s, r, r - nxt) >= best):
                 return best_k, best
             if k >= check:  # at 16, 32, ..., 256 try the floor, as beyond does
                 if k >= _WALK:
@@ -277,7 +285,8 @@ def _search(a: float, b: float, U: float):
             s += r
             r = nxt
             k += 1
-            e = 1.0 / k + s
+            fk += 1.0
+            e = 1.0 / fk + s
             if e < bar:
                 best_k, best = k, e
                 bar = best - _TIE * best
@@ -399,9 +408,10 @@ def _settle(k, visit, R):
 def bayes_optimal_k(prior: PriorSpec) -> BayesResult:
     """Pool size minimizing the prior-mean cost; ties go to the smaller k.
 
-    A certified search (docs/decisions.md): small optima come from walking
-    the cost recurrence one size at a time, large ones from a few jumps of
-    O(1) each, and every other size is ruled out by a bound. Costs that
+    A certified search (docs/decisions.md, "The Bayes pool size by a
+    certified search"): small optima come from walking the cost recurrence
+    one size at a time, large ones from a few jumps of O(1) each, and every
+    other size is ruled out by a bound. Costs that
     agree to rounding are ties. A prior whose mass on (0, upper] underflows
     is answered, as the search takes the mass in logs. Raises RuntimeError
     when no size up to 1e15 is certified, when a continued fraction does

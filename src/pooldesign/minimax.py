@@ -7,9 +7,10 @@ regret is E(k) - min_m E(m) = max_m g_m(q) with g_m(q) = q^m - q^k + 1/k - 1/m,
 so its supremum is the largest of the sup_q g_m. Each g_m with m < k rises
 up to q_m = (m/k)^(1/(k-m)) and falls after it, so it peaks on the domain at
 max(q_m, 1 - min(U, P0)); sizes m >= k stay below the p->0 limit 1/k.
-These peaks are unimodal in m (docs/decisions.md proves it), so a gallop up
-from the smallest candidate m_lo finds the largest, m*, in O(log(m* - m_lo))
-scalar peaks and O(1) memory, two when the peak of m_lo + 1 is clamped.
+These peaks are unimodal in m (proved in docs/decisions.md, "The worst
+oracle size by a gallop over m"), so a gallop up from the smallest candidate
+m_lo finds the largest, m*, in O(log(m* - m_lo)) scalar peaks and O(1)
+memory, two when the peak of m_lo + 1 is clamped.
 A plain grid search over p serves as the independent oracle in tests; it is
 the only code here that builds numpy arrays. The minimax k comes from an
 exact branch and bound over k with no stopping heuristic; it prunes sizes
@@ -85,10 +86,11 @@ def sup_loss_analytic(k: int, U: float = 1.0) -> LossPoint:
     compared against the p->0 limit. The oracle size does not increase
     with p, so m runs from m_lo = k*(min(U, P0)) >= 3 only. The peaks
     are unimodal in m and stop rising once clamped to the domain end
-    (docs/decisions.md), so a gallop from m_lo finds the largest, m*, in
-    O(log(m* - m_lo)) scalar peaks, two when m_lo + 1 is clamped; ties go
-    to the highest q and so the smallest p. Raises RuntimeError for k above
-    10**15, which double precision cannot resolve.
+    (docs/decisions.md, "The worst oracle size by a gallop over m"), so a
+    gallop from m_lo finds the largest, m*, in O(log(m* - m_lo)) scalar
+    peaks, two when m_lo + 1 is clamped; ties go to the highest q and so
+    the smallest p. Raises RuntimeError for k above 10**15, which double
+    precision cannot resolve.
     """
     _check_group_size(k)
     _check_upper_bound(U)
@@ -166,26 +168,28 @@ def _regret_floor(pt: LossPoint, lo: int, hi: float) -> tuple[float, float]:
     sup_loss(k) >= pt.sup_loss + E(k, p) - E(pt.k, p) at p = pt.p_star, and
     E(., p) falls to k*(p), rises and may fall again towards 1, so the least
     is at k*(p) clamped into [lo, hi] or at hi, which may be inf
-    (docs/decisions.md).
+    (docs/decisions.md, "The minimax pool size by the shared certified search").
     """
     j, p = pt.k, pt.p_star
     if p == 0.0:
         return 1.0 / hi, hi
-    log_q = math.log1p(-p)
-
-    def at(i):  # E(i, p) - E(j, p) = up - down in log q, as _peak forms g_m
-        up = -math.exp(j * log_q) * math.expm1((i - j) * log_q)  # q^j at i = inf
-        down = 1.0 / j if i == math.inf else (i - j) / (i * j)
+    log_q, loss = math.log1p(-p), pt.sup_loss
+    q_j = math.exp(j * log_q)
+    floors = []
+    for i in (min(max(samuels_optimal_k(p), lo), hi), hi):
+        # E(i, p) - E(j, p) = up - down in log q, as _peak forms g_m
+        up = -q_j * math.expm1((i - j) * log_q)  # q^j at i = inf
+        down = 1.0 / j if i == math.inf else (i - j) / (i * j)  # exact past 2**53
         # less a rounding allowance of 4e-15 of the magnitude of the terms
-        return pt.sup_loss + up - down - 4e-15 * (pt.sup_loss + abs(up) + abs(down)), i
-
-    return min(at(min(max(samuels_optimal_k(p), lo), hi)), at(hi))
+        floors.append((loss + up - down - 4e-15 * (loss + abs(up) + abs(down)), i))
+    return min(floors)
 
 
 def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
     """Worst point of the smallest k minimizing sup(k).sup_loss, from the start sizes.
 
-    J(k) = sup_loss(k) - 1/k >= 0 never decreases in k (docs/decisions.md),
+    J(k) = sup_loss(k) - 1/k >= 0 never decreases in k (docs/decisions.md,
+    "The minimax pool size by the shared certified search"),
     so sup_loss(k) > J(K) for k > K. On (a, b) the _regret_floor of a bounds
     sup_loss(k) and is never below 1/(b-1) + J(a); an interval it does not
     prune is split where it is least. The _regret_floor over (K, inf) of K's
@@ -211,7 +215,8 @@ def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
 
     def split(a, b):
         # the floor of b would save a supremum on 25 of 25 000 bounds, at a
-        # floor in every split (docs/decisions.md)
+        # floor in every split (docs/decisions.md, "The minimax pool size by
+        # the shared certified search")
         bound, k = _regret_floor(points[a], a + 1, b - 1)
         return k if (bound, a + 1) <= best else None
 
@@ -245,7 +250,8 @@ def minimax_group_size(
         raise ValueError(f"method must be 'analytic' or 'grid', got {method!r}")
     # start at 1, whose worst point p -> 0 bounds the sizes below g by
     # 1/(g-1), and at the small-U asymptote g = 2/sqrt(U) + 1, or at 8 where
-    # that is smaller, as no answer is below 8 (docs/decisions.md); the
+    # that is smaller, as no answer is below 8 (docs/decisions.md, "The
+    # minimax pool size by the shared certified search"); the
     # oracle size at the domain end has zero regret there, a point both
     # methods evaluate
     start = (1, min(max(round(2.0 / math.sqrt(hi)) + 1, 8), _K_RESOLVABLE))

@@ -41,7 +41,8 @@ def delta(k: int, q: float) -> float:
 def _breakpoint(k: int) -> float:
     # Newton on g(y) = y + k log1p(-w e^y), y = log(p/w) ~ 1/k: g is concave
     # and increasing left of its root and g(0) < 0, so each step from y = 0
-    # stays left of the root and moves towards it (docs/decisions.md).
+    # stays left of the root and moves towards it (docs/decisions.md,
+    # "Optimality breakpoints by Newton in log p").
     w = 1 / (k * (k + 1))  # integer division: 0.0 for huge k, never overflow
     k = float(min(k, 2**64))  # past 2**64 y < 1e-19 and p = w either way
     y, p = 0.0, w
@@ -71,7 +72,8 @@ def optimality_range(k: int) -> OptimalityRange:
     """Prevalence interval on which pool size k is the oracle choice.
 
     Raises RuntimeError for k above 10**13, where the range, about 2/k wide
-    relative to its ends, nears their rounding error (docs/decisions.md).
+    relative to its ends, nears their rounding error (docs/decisions.md,
+    "Optimality breakpoints by Newton in log p").
     """
     if type(k) is int and 3 <= k <= _K_RANGED:
         return _range(k)

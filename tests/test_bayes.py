@@ -556,6 +556,44 @@ def _scan(prior, cap):
             return best_k, best, False
 
 
+def _fraction_with_int_counters(a, b, x, rest=False):
+    """(h or its rest t, the terms taken) by `bayes._beta_cf`'s modified
+    Lentz loop with the term counters m and n kept as ints, the reference
+    that the float counters must reproduce bit for bit; it raises the same
+    RuntimeError messages and reads the term limit at call time."""
+    tiny, ulp = bayes._TINY, bayes._ULP
+    c = 1.0
+    if rest:
+        d = 1.0 + (b - 1.0) * x / ((a + 1.0) * (a + 2.0))
+    else:
+        d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if d > tiny or d < -tiny else tiny)
+    h, ab = d, a + b
+    for m in range(1, bayes._CF_MAX_TERMS + 1):
+        n = m + rest
+        a2n = a + 2 * n
+        even = n * (b - n) * x / ((a2n - 1.0) * a2n)
+        a2m = a + 2 * m
+        odd = -(a + m) * (ab + m) * x / (a2m * (a2m + 1.0))
+        for term in (odd, even) if rest else (even, odd):
+            d = 1.0 + term * d
+            d = 1.0 / (d if d > tiny or d < -tiny else tiny)
+            c = 1.0 + term / c
+            c = c if c > tiny or c < -tiny else tiny
+            h *= c * d
+        if -ulp <= c * d - 1.0 <= ulp:
+            if rest or 1.0 <= h < math.inf:
+                return h, m
+            raise RuntimeError(
+                f"the incomplete-beta continued fraction for ({a}, {b}) at {x} "
+                f"did not converge: it stopped after {m} terms on h = {h}, not in [1, inf)"
+            )
+    raise RuntimeError(
+        f"the incomplete-beta continued fraction for ({a}, {b}) at {x} "
+        f"did not converge in {bayes._CF_MAX_TERMS} terms"
+    )
+
+
 def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
@@ -699,6 +737,41 @@ class TestCostRecurrence:
                 continue
             assert 1.0 <= h < math.inf, (a, b, x, h)
         assert refused >= 300
+
+    @pytest.mark.parametrize("limit, long, refused", [(None, 40, 10), (30, 0, 100)])
+    def test_float_counters_give_the_floats_of_int_counters(
+        self, monkeypatch, limit, long, refused
+    ):
+        # m and n enter every term as exact floats; on 300 seeded draws, half
+        # below the threshold and half between it and 1, h and t are the same
+        # floats as with int counters, or the same refusal: h below 1 above
+        # the threshold, or, with the term limit cut to 30, no convergence.
+        # The complement fraction of Beta(0.101, 124.2) on (0, 0.00963], a
+        # design-sweep prior, takes 52 terms
+        if limit:
+            monkeypatch.setattr(bayes, "_CF_MAX_TERMS", limit)
+        rng = random.Random(3)
+        cases = [(124.2, 0.101, 1.0 - 0.00963)]
+        for i in range(300):
+            a = math.exp(rng.uniform(math.log(0.05), math.log(200.0)))
+            b = math.exp(rng.uniform(math.log(0.05), math.log(1000.0)))
+            th = _threshold(a, b)
+            span = (math.log(0.01), 0.0) if i % 2 else (0.0, -math.log(th))
+            side = rng.uniform(*span)
+            cases.append((a, b, th * math.exp(side)))
+        counts = {"long": 0, "refused": 0}
+        for (a, b, x), rest in itertools.product(cases, (False, True)):
+            try:
+                want, terms = _fraction_with_int_counters(a, b, x, rest)
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError) as got:
+                    bayes._beta_cf(a, b, x, rest=rest)
+                assert str(got.value) == str(exc)
+                counts["refused"] += 1
+            else:
+                assert bayes._beta_cf(a, b, x, rest=rest) == want, (a, b, x, rest)
+                counts["long"] += terms >= 50
+        assert counts["long"] >= long and counts["refused"] >= refused
 
     @pytest.mark.parametrize(
         "a, b, U", [(0.5, 0.5, 0.974437), (0.073, 83.1, 0.0257), (0.12, 125.0, 0.0123)]

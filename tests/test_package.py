@@ -227,3 +227,20 @@ class TestSources:
                 found = [node for node in scope.body if getattr(node, "name", None) == name]
                 assert found, f"{file}::{'::'.join(filter(None, names))}"
                 scope = found[0]
+
+    def test_cited_decision_headings_exist(self):
+        # each docs/decisions.md citation in src/ names the ## or ### heading
+        # it relies on, as (docs/decisions.md, "<heading>"), maybe wrapped
+        root = TESTS.parent
+        decisions = (root / "docs/decisions.md").read_text()
+        headings = re.findall(r"^#{2,3} (.+)$", decisions, re.M)
+        cited = [
+            (path.name, heading)
+            for path in sorted((root / "src/pooldesign").glob("*.py"))
+            for heading in re.findall(
+                r'docs/decisions\.md(?:, "([^"]+)")?',
+                re.sub(r"\s*\n\s*(?:#\s*)?", " ", path.read_text()),
+            )
+        ]
+        assert len(cited) >= 12
+        assert [cite for cite in cited if cite[1] not in headings] == []

@@ -13,10 +13,13 @@ m_lo finds the largest, m*, in O(log(m* - m_lo)) scalar peaks and O(1)
 memory, two when the peak of m_lo + 1 is clamped.
 A plain grid search over p serves as the independent oracle in tests; it is
 the only code here that builds numpy arrays. The minimax k comes from an
-exact branch and bound over k with no stopping heuristic; it prunes sizes
-by the regret at the worst prevalence of a size it has already visited,
-and the sizes above the answer by that of the largest visited size or by
-the regret at the domain end.
+exact search over k with no stopping heuristic, from the small-U asymptote
+g of the answer. On nearly every bound a local certificate ends it after
+the suprema of g, or of g and g + 1: the regret at the worst prevalence of
+the top, or at the domain end, rules out every larger size, and 1/(g-1),
+the p -> 0 limit of size 1, every smaller one. Elsewhere an exact branch
+and bound goes on, and prunes sizes by the regret at the worst prevalence
+of a size it has already visited.
 """
 
 import math
@@ -169,6 +172,8 @@ def _regret_floor(pt: LossPoint, lo: int, hi: float) -> tuple[float, float]:
     E(., p) falls to k*(p), rises and may fall again towards 1, so the least
     is at k*(p) clamped into [lo, hi] or at hi, which may be inf
     (docs/decisions.md, "The minimax pool size by the shared certified search").
+    A point of zero regret, as the anchor, lies at an oracle size of its own
+    p, which stands in for k*(p).
     """
     j, p = pt.k, pt.p_star
     if p == 0.0:
@@ -176,13 +181,30 @@ def _regret_floor(pt: LossPoint, lo: int, hi: float) -> tuple[float, float]:
     log_q, loss = math.log1p(-p), pt.sup_loss
     q_j = math.exp(j * log_q)
     floors = []
-    for i in (min(max(samuels_optimal_k(p), lo), hi), hi):
+    for i in (min(max(j if loss == 0.0 else samuels_optimal_k(p), lo), hi), hi):
         # E(i, p) - E(j, p) = up - down in log q, as _peak forms g_m
         up = -q_j * math.expm1((i - j) * log_q)  # q^j at i = inf
         down = 1.0 / j if i == math.inf else (i - j) / (i * j)  # exact past 2**53
         # less a rounding allowance of 4e-15 of the magnitude of the terms
         floors.append((loss + up - down - 4e-15 * (loss + abs(up) + abs(down)), i))
     return min(floors)
+
+
+def _beyond(pt: LossPoint, best: tuple[float, int], anchor: LossPoint | None) -> bool:
+    """Whether every size above pt.k loses to best = (sup_loss, k).
+
+    J(pt.k) >= best rules them out, as sup_loss(k) > J(pt.k) for k > pt.k;
+    so does a _regret_floor over (pt.k, inf) above best, or equal to it
+    with pt.k + 1 above the best k: first of pt itself, then of the anchor.
+    """
+    k = pt.k
+    if pt.sup_loss - 1.0 / k >= best[0]:
+        return True
+    for point in (pt, anchor) if anchor else (pt,):
+        # ties go to the smaller k, as in split
+        if (_regret_floor(point, k + 1, math.inf)[0], k + 1) > best:
+            return True
+    return False
 
 
 def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
@@ -194,7 +216,7 @@ def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
     sup_loss(k) and is never below 1/(b-1) + J(a); an interval it does not
     prune is split where it is least. The _regret_floor over (K, inf) of K's
     own worst point, and of an anchor, a point of zero regret, bound every
-    size above K too.
+    size above K too (`_beyond`).
     """
     points = {}
     best = (math.inf, 0)  # (sup_loss, k): ties go to the smaller k
@@ -205,13 +227,7 @@ def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
         best = min(best, (pt.sup_loss, k))
 
     def beyond(k):
-        if points[k].sup_loss - 1.0 / k >= best[0]:
-            return True
-        for pt in (points[k], anchor) if anchor else (points[k],):
-            # ties go to the smaller k, as in split
-            if (_regret_floor(pt, k + 1, math.inf)[0], k + 1) > best:
-                return True
-        return False
+        return _beyond(points[k], best, anchor)
 
     def split(a, b):
         # the floor of b would save a supremum on 25 of 25 000 bounds, at a
@@ -224,14 +240,40 @@ def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
     return points[best[1]]
 
 
+def _certified(sup, g: int, anchor: LossPoint | None = None) -> LossPoint:
+    """_search(sup, (1, g), anchor), by a local certificate at g where one holds.
+
+    The certificate is the proof that search ends with when it visits 1 and
+    g, or 1, g and g + 1, here without the visit of 1: `_beyond` rules out
+    every size above the top, and the floor of 1, whose worst point is the
+    p -> 0 limit, is 1/(g-1) on (1, g) (docs/decisions.md, "The minimax pool
+    size by the shared certified search"). Anything else, a refusal among
+    it, is left to that search, which is handed the suprema taken here.
+    """
+    start = top = win = sup(g)
+    best = (win.sup_loss, g)  # ties go to the smaller k
+    held = _beyond(top, best, anchor)
+    if not held and g < _K_RESOLVABLE:  # the search's first step past g
+        top = sup(g + 1)
+        if top.sup_loss < best[0]:
+            win, best = top, (top.sup_loss, g + 1)
+        held = _beyond(top, best, anchor)
+    if held and (1.0 / (g - 1), 2) > best:  # the floor of 1 prunes (1, g)
+        return win
+    known = {g: start, top.k: top}
+    return _search(lambda k: known.get(k) or sup(k), (1, g), anchor)
+
+
 def minimax_group_size(
     U: float = 1.0, method: str = "analytic", *, grid_step: float = 1e-6
 ) -> MinimaxResult:
     """Pool size minimizing the worst-case regret over (0, min(U, P0)].
 
-    Ties go to the smaller pool size. Raises RuntimeError when no size up to
-    1e15 is certified, as for bounds U below about 4e-30, where the
-    asymptote 2/sqrt(U) of the answer passes 1e15.
+    Ties go to the smaller pool size. One or two suprema, at the asymptote
+    g = 2/sqrt(U) + 1 of the answer (8 at the least) and at g + 1, certify
+    nearly every answer; a branch and bound certifies the rest. Raises
+    RuntimeError when no size up to 1e15 is certified, as for bounds U
+    below about 4e-30, where g passes 1e15.
     The grid method raises ValueError for a grid_step that sup_loss_grid
     refuses, before shrinking it to U/1e5 for small windows.
     """
@@ -248,12 +290,12 @@ def minimax_group_size(
         sup = partial(_grid_sup, p=p, opt=opt)
     else:
         raise ValueError(f"method must be 'analytic' or 'grid', got {method!r}")
-    # start at 1, whose worst point p -> 0 bounds the sizes below g by
-    # 1/(g-1), and at the small-U asymptote g = 2/sqrt(U) + 1, or at 8 where
-    # that is smaller, as no answer is below 8 (docs/decisions.md, "The
-    # minimax pool size by the shared certified search"); the
-    # oracle size at the domain end has zero regret there, a point both
-    # methods evaluate
-    start = (1, min(max(round(2.0 / math.sqrt(hi)) + 1, 8), _K_RESOLVABLE))
-    pt = _search(sup, start, LossPoint(m_lo, hi, 0.0))
+    # start at the small-U asymptote g = 2/sqrt(U) + 1, or at 8 where that
+    # is smaller, as no answer is below 8; size 1, whose worst point p -> 0
+    # bounds the sizes below g by 1/(g-1), is evaluated only where the local
+    # certificate fails (docs/decisions.md, "The minimax pool size by the
+    # shared certified search"); the oracle size at the domain end has zero
+    # regret there, a point both methods evaluate
+    g = min(max(round(2.0 / math.sqrt(hi)) + 1, 8), _K_RESOLVABLE)
+    pt = _certified(sup, g, LossPoint(m_lo, hi, 0.0))
     return MinimaxResult(pt.k, U, pt, method)

@@ -422,10 +422,11 @@ class TestMinimaxGroupSize:
         # it took 18; the floor of 1, 1/20000, rules out every size below
         # 20001 (the search visited 2 too, whose floor is the same), and the
         # floor of the oracle size at U rules out every size above it, where
-        # doubling visited 40002 too
+        # doubling visited 40002 too; the search visited 1 as well, whose
+        # floor the local certificate takes without its supremum
         sizes = _count_suprema(monkeypatch)
         assert minimax_group_size(1e-8).k_minimax == 20001
-        assert sizes == [1, 20001]
+        assert sizes == [20001]
 
     def test_no_answer_is_below_eight(self):
         # so the search starts at 8 or above: each k <= 7 has a supremum of
@@ -440,19 +441,21 @@ class TestMinimaxGroupSize:
         # the search visited 6 sizes here, as only the anchor's floor was
         # tried beyond the top, and then 1, 2 and 8. No answer is below 8, so
         # it starts there; the floor of 1, 1/7, rules out (1, 8), and the
-        # floor of 8's own worst point over (8, inf) is above its supremum
+        # floor of 8's own worst point over (8, inf) is above its supremum,
+        # and the local certificate needs no supremum of 1
         sizes = _count_suprema(monkeypatch)
         assert minimax_group_size(U).k_minimax == 8
-        assert sizes == [1, 8]
+        assert sizes == [8]
 
     @pytest.mark.parametrize("U", [6e-30, 5e-30, 4.1e-30])
     def test_near_the_limit_the_limit_is_not_visited(self, monkeypatch, U):
         # the anchor's floor stayed just below the best supremum, within its
         # rounding allowance, so the search visited 1e15 to end; the floor
-        # of g + 1 over (g + 1, inf) ends it, after 1, g and g + 1
+        # of g + 1 over (g + 1, inf) ends it, after 1, g and g + 1, and the
+        # local certificate after g and g + 1
         sizes = _count_suprema(monkeypatch)
         minimax_group_size(U)
-        assert len(sizes) == 3 and core._K_RESOLVABLE not in sizes, sizes
+        assert len(sizes) == 2 and core._K_RESOLVABLE not in sizes, sizes
 
     def test_suprema_per_search(self, monkeypatch):
         # bisecting down to width 1 took up to 15 suprema per bound here and
@@ -461,19 +464,26 @@ class TestMinimaxGroupSize:
         # answer where doubling overshot it: 2898 suprema in all and 7 at
         # most on the log-spaced bounds, and 2285 and 6 before the top's own
         # floor was tried beyond it; 2008 and 4 with the start size 2,
-        # whose floor is that of 1
+        # whose floor is that of 1; 1400 and 3 before the local certificate,
+        # which needs no supremum of 1, and the general engine never runs
         sizes = _count_suprema(monkeypatch)
+        engine_runs = []
+        real = minimax._branch_and_bound
+        monkeypatch.setattr(
+            minimax, "_branch_and_bound", lambda *args: engine_runs.append(1) or real(*args)
+        )
         total = 0
         for U in LOG_SPACED_U:
             sizes.clear()
             minimax_group_size(U)
-            assert len(sizes) <= 3, (U, sizes)
+            assert len(sizes) <= 2, (U, sizes)
             total += len(sizes)
-        assert total <= 1400
+        assert total <= 792
+        assert engine_runs == []
         for U in [10.0**-e for e in range(10, 30)]:
             sizes.clear()
             minimax_group_size(U)
-            assert len(sizes) <= 3, (U, sizes)
+            assert len(sizes) <= 2, (U, sizes)
 
     def test_answers_just_below_the_cap(self):
         # 2/sqrt(U) + 1 lies just below 100 000, a cap the search once had
@@ -529,6 +539,30 @@ def _brute_force_k(sup):
             return best[1]
 
 
+# the real suprema always have their answer at the crossing or just below
+# it; these made-up curves keep the same two properties but put it far above
+# (999) or on a tie (20)
+MADE_UP_CURVES = {
+    "far-above-the-crossing": (
+        lambda k: 1 / k + (0 if k < 10 else 1e-4 if k < 1000 else 1), 999
+    ),
+    "tie-above-the-crossing": (
+        lambda k: 1 / k if k < 10 else 1 / k + 0.008 if k < 20
+        else 0.06 if k < 500 else 1.0,
+        20,
+    ),
+    "crossing-at-two": (lambda k: 1 / k + 1e-3 * k, 32),  # the crossing is at 2
+}
+
+
+def _made_up_sup(loss):
+    """The suprema of a made-up curve of sup_loss, with no real worst prevalence.
+
+    So p_star = 0: split prunes by the floor 1/(b-1) only, and beyond by
+    J(K), as for test_random_curves.
+    """
+    return lambda k: LossPoint(k, 0.0, 1.0 if k == 1 else loss(k))
+
 
 class TestSearchAgainstBruteForce:
     @pytest.mark.parametrize("chunk", range(8))
@@ -549,32 +583,26 @@ class TestSearchAgainstBruteForce:
         sup = partial(sup_loss_grid, U=U, step=min(1e-6, U / 1e5))
         assert minimax_group_size(U, "grid").k_minimax == _brute_force_k(sup)
 
-    @pytest.mark.parametrize(
-        "loss, k",
-        [
-            # the real suprema always have their answer at the crossing or
-            # just below it; these made-up curves keep the same two
-            # properties but put it far above (999) or on a tie (20)
-            (lambda k: 1 / k + (0 if k < 10 else 1e-4 if k < 1000 else 1), 999),
-            (
-                lambda k: 1 / k if k < 10 else 1 / k + 0.008 if k < 20
-                else 0.06 if k < 500 else 1.0,
-                20,
-            ),
-            (lambda k: 1 / k + 1e-3 * k, 32),  # the crossing is at 2
-        ],
-        ids=["far-above-the-crossing", "tie-above-the-crossing", "crossing-at-two"],
-    )
+    @pytest.mark.parametrize("loss, k", MADE_UP_CURVES.values(), ids=MADE_UP_CURVES)
     def test_made_up_curves(self, loss, k):
-        def sup(j):
-            if j == 1:
-                return LossPoint(1, 0.0, 1.0)
-            # no real worst prevalence, so p_star = 0: split prunes by the
-            # floor 1/(b-1) only, and beyond by J(K), as for test_random_curves
-            return LossPoint(j, 0.0, loss(j))
-
+        sup = _made_up_sup(loss)
         assert _brute_force_k(sup) == k
         assert minimax._search(sup, (1, 2)).k == k
+
+    @pytest.mark.parametrize("loss, k", MADE_UP_CURVES.values(), ids=MADE_UP_CURVES)
+    @settings(max_examples=40, deadline=None)
+    @given(g=st.integers(3, 4000))
+    def test_local_certificate_on_made_up_curves(self, loss, k, g):
+        # the tie at 0.06 on [20, 500) goes to 20; from 500 on that curve is
+        # flat at 1 with J below 1, so a search that starts there never
+        # rules out the larger sizes, and both refuse
+        sup = _made_up_sup(loss)
+        for search in (minimax._certified, lambda sup, g: minimax._search(sup, (1, g))):
+            if loss(g) == 1.0:
+                with pytest.raises(RuntimeError, match="double precision"):
+                    search(sup, g)
+            else:
+                assert search(sup, g).k == k
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -583,14 +611,30 @@ class TestSearchAgainstBruteForce:
         ),
         end=st.integers(2, 3000),
         start=st.integers(3, 4000),
+        shift=st.one_of(st.none(), st.floats(-1.0, 2.0)),
     )
-    def test_random_curves(self, steps, end, start):
+    # the local certificate at start holds on these: by the jump at
+    # start + 1, by the anchor, and by the anchor past a small step
+    @example(steps=[], end=41, start=40, shift=None)
+    @example(steps=[], end=3000, start=1000, shift=0.0)
+    @example(steps=[(2, 1e-7)], end=3000, start=500, shift=0.0)
+    def test_random_curves(self, steps, end, start, shift):
         # sup_loss(k) = 1/k + J(k), J a step function >= 0 that never
-        # decreases and reaches 1 at end, so the brute force stops
+        # decreases and reaches 1 at end, so the brute force stops. With a
+        # shift, J(k) is also at least the regret of k at a prevalence p,
+        # less 1/k, which never decreases, so the point of zero regret at p
+        # bounds every size as the anchor does. Where the steps allow, the
+        # minimum then lies near 2/sqrt(p), which the shift puts within a
+        # few sizes of start, where the local certificate can hold
+        p = None if shift is None else min(4.0 / max(start - 1 + shift, 1.0) ** 2, P0)
+
         def sup(k):
             if k == 1:
                 return LossPoint(1, 0.0, 1.0)
             jump = sum(d for at, d in steps if at <= k) + (k >= end)
+            if p is not None:
+                excess = -math.expm1(k * math.log1p(-p)) - optimal_expected_tests(p)
+                jump = max(jump, excess)
             return LossPoint(k, 0.0, 1.0 / k + jump)
 
         losses = sorted(sup(k).sup_loss for k in range(1, end + 1))
@@ -598,8 +642,13 @@ class TestSearchAgainstBruteForce:
         assume(losses[1] - losses[0] > 1e-12)
         want = _brute_force_k(sup)
         assert minimax._search(sup, (1, 2)).k == want
-        # a third start size, as minimax_group_size gives, changes no answer
+        # a third start size changes no answer
         assert minimax._search(sup, (1, 2, start)).k == want
+        # nor does the local certificate, with or without an anchor
+        anchors = [None] if p is None else [None, LossPoint(samuels_optimal_k(p), p, 0.0)]
+        for anchor in anchors:
+            assert minimax._certified(sup, start, anchor).k == want, anchor
+            assert minimax._search(sup, (1, start), anchor).k == want, anchor
 
     @settings(max_examples=50, deadline=None)
     @given(end=st.integers(core._K_RESOLVABLE + 2, 10**18))

@@ -19,7 +19,10 @@ blocks each), with a `RuntimeError` recorded by its class name. The
 `bayes._log_beta` and `bayes._branch_and_bound` (the searches that reach the
 general engine) over the sweep's Bayes queries, by wrapping the three
 module names, so a change that takes more of any shows in the diff of two
-dumps (it works on any checkout that has all three). Four keys
+dumps (it works on any checkout that has all three). The `minimax_work`
+key counts the calls of `minimax._sup_loss` (suprema), `minimax._regret_floor`
+and `minimax._branch_and_bound` (the searches that reach the general engine)
+over the sweep's minimax queries in the same way. Four keys
 hold the Bayes answer and cost at the edges: `bayes_near_one` (the uniform
 prior on 100 bounds U in [0.9, 1) and at U = 1 - 1e-3 .. 1 - 1e-6),
 `bayes_small` (uniform and Jeffreys at 41 bounds U in [1e-10, 1e-6]),
@@ -137,6 +140,7 @@ sys.path[:0] = [root + "/src", root + "/bench", root]
 import pooldesign as pd  # noqa: E402
 import workloads  # noqa: E402
 from pooldesign import bayes as bayes_module, cli, efficiency  # noqa: E402
+from pooldesign import minimax as minimax_module  # noqa: E402
 
 Us = [float(U) for U in np.logspace(-6, 0, 608)]
 bps = []
@@ -521,18 +525,30 @@ res = {
     ]
     + [run_cli(argv) for argv in CLI_PLAIN],
 }
+
+
+def count_calls(module, names):
+    """A dict of call counts of the functions that module looks up by these
+    names, which are wrapped from here on."""
+    work = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            work[_name] += 1
+            return _real(*args, **kwargs)
+
+        setattr(module, name, counted)
+    return work
+
+
 # count the continued fractions, log B(a, b) calls and engine runs of the
-# sweep's Bayes queries by wrapping the module names, which the search looks
-# up by name
-work = res["bayes_work"] = {"_beta_cf": 0, "_log_beta": 0, "_branch_and_bound": 0}
-for name in work:
-    real = getattr(bayes_module, name)
-
-    def counted(*args, _name=name, _real=real, **kwargs):
-        work[_name] += 1
-        return _real(*args, **kwargs)
-
-    setattr(bayes_module, name, counted)
+# sweep's Bayes queries, and the suprema, regret floors and engine runs of
+# its minimax queries, by wrapping the module names the searches look up
+res["bayes_work"] = count_calls(bayes_module, ("_beta_cf", "_log_beta", "_branch_and_bound"))
+res["minimax_work"] = count_calls(
+    minimax_module, ("_sup_loss", "_regret_floor", "_branch_and_bound")
+)
 for seed in range(1, 11):
     for block in itertools.islice(workloads.blocks("design-sweep", seed), 2):
         for q in block:

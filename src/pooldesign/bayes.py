@@ -363,7 +363,7 @@ def _search(a: float, b: float, U: float):
     if top is not None and j in R and _falls(R[j], j) and not _falls(R[best_k], best_k):
         if beyond(top + 1) and split(k, top - 1) is None:
             return best_k, best
-    _branch_and_bound(visit, beyond, split, sizes, _K_RESOLVABLE)
+    _branch_and_bound(visit, beyond, split, sizes)
     if best_k > 1 and best_k in R:  # the gap at j = 1 is not C(2) - C(1)
         best_k = _settle(best_k, visit, R)
         best = 1.0 / best_k + S[best_k]
@@ -392,7 +392,7 @@ def _settle(k, visit, R):
         lo, step = k, 1
         while down(hi := min(lo + step, _K_RESOLVABLE)):
             if hi == _K_RESOLVABLE:  # C still falls where doubles stop resolving it
-                raise _unresolved(_K_RESOLVABLE)
+                raise _unresolved()
             lo, step = hi, 2 * step
     else:  # the minimum is k or below it
         hi, step = k, 1

@@ -105,32 +105,33 @@ def optimal_expected_tests(p: float) -> float:
     return 1.0 if k == 1 else 1.0 / k - math.expm1(k * math.log1p(-p))
 
 
-def _unresolved(limit: int) -> RuntimeError:
-    """The refusal of a search whose optimum may lie beyond limit."""
+def _unresolved() -> RuntimeError:
+    """The refusal of a search whose optimum may lie beyond _K_RESOLVABLE."""
     return RuntimeError(
-        f"no pool size up to {limit:.0e} is certified optimal; "
+        f"no pool size up to {_K_RESOLVABLE:.0e} is certified optimal; "
         "double precision does not resolve the cost beyond it"
     )
 
 
-def _branch_and_bound(visit, beyond, split, sizes, limit: int) -> None:
+def _branch_and_bound(visit, beyond, split, sizes) -> None:
     """The certified pool-size search of the minimax and Bayes solvers.
 
     visit(k) evaluates size k and keeps the best so far; beyond(k) tells
     whether every larger size is ruled out; split(lo, hi) is a size in
     (lo, hi) to visit next, or None if a bound rules them all out. The
     sizes are visited, then the last plus 1 and plus 3, and then doubled,
-    until beyond holds (RuntimeError at limit): the callers start next to
-    the answer. Branch and bound (Land and Doig 1960) certifies the rest.
+    until beyond holds (RuntimeError at _K_RESOLVABLE): the callers start
+    next to the answer. Branch and bound (Land and Doig 1960) certifies the
+    rest.
     """
     sizes = list(sizes)
     for k in sizes:
         visit(k)
     top, steps = sizes[-1], iter((1, 2))
     while not beyond(top):
-        if top >= limit:
-            raise _unresolved(limit)
-        top = min(top + next(steps, top), limit)
+        if top >= _K_RESOLVABLE:
+            raise _unresolved()
+        top = min(top + next(steps, top), _K_RESOLVABLE)
         visit(top)
         sizes.append(top)
     intervals = list(zip(sizes, sizes[1:]))  # open intervals left to certify

@@ -207,61 +207,56 @@ def _beyond(pt: LossPoint, best: tuple[float, int], anchor: LossPoint | None) ->
     return False
 
 
-def _search(sup, sizes, anchor: LossPoint | None = None) -> LossPoint:
-    """Worst point of the smallest k minimizing sup(k).sup_loss, from the start sizes.
+def _search(sup, g: int, anchor: LossPoint | None = None) -> LossPoint:
+    """Worst point of the smallest k minimizing sup(k).sup_loss, from a start g >= 2.
 
     J(k) = sup_loss(k) - 1/k >= 0 never decreases in k (docs/decisions.md,
     "The minimax pool size by the shared certified search"),
-    so sup_loss(k) > J(K) for k > K. On (a, b) the _regret_floor of a bounds
-    sup_loss(k) and is never below 1/(b-1) + J(a); an interval it does not
-    prune is split where it is least. The _regret_floor over (K, inf) of K's
+    so sup_loss(k) > J(K) for k > K. The _regret_floor over (K, inf) of K's
     own worst point, and of an anchor, a point of zero regret, bound every
-    size above K too (`_beyond`).
-    """
-    points = {}
-    best = (math.inf, 0)  # (sup_loss, k): ties go to the smaller k
-
-    def visit(k):
-        nonlocal best
-        points[k] = pt = sup(k)
-        best = min(best, (pt.sup_loss, k))
-
-    def beyond(k):
-        return _beyond(points[k], best, anchor)
-
-    def split(a, b):
-        # the floor of b would save a supremum on 25 of 25 000 bounds, at a
-        # floor in every split (docs/decisions.md, "The minimax pool size by
-        # the shared certified search")
-        bound, k = _regret_floor(points[a], a + 1, b - 1)
-        return k if (bound, a + 1) <= best else None
-
-    _branch_and_bound(visit, beyond, split, sizes, _K_RESOLVABLE)
-    return points[best[1]]
-
-
-def _certified(sup, g: int, anchor: LossPoint | None = None) -> LossPoint:
-    """_search(sup, (1, g), anchor), by a local certificate at g where one holds.
-
-    The certificate is the proof that search ends with when it visits 1 and
-    g, or 1, g and g + 1, here without the visit of 1: `_beyond` rules out
-    every size above the top, and the floor of 1, whose worst point is the
-    p -> 0 limit, is 1/(g-1) on (1, g) (docs/decisions.md, "The minimax pool
-    size by the shared certified search"). Anything else, a refusal among
-    it, is left to that search, which is handed the suprema taken here.
+    size above K too (`_beyond`). The first step is a local certificate:
+    where `_beyond` holds at g, or else at g + 1, and the floor 1/(g-1) of
+    size 1, whose worst point is the p -> 0 limit, prunes (1, g), the best
+    size taken is the answer. Elsewhere a branch and bound visits 1 and g
+    and goes on: on (a, b) the _regret_floor of a bounds sup_loss(k), and is
+    never below 1/(b-1) + J(a) unless a's worst point is the p -> 0 limit
+    with J(a) > 0, which no real supremum has; an interval it does not
+    prune is split where it is least.
     """
     start = top = win = sup(g)
     best = (win.sup_loss, g)  # ties go to the smaller k
     held = _beyond(top, best, anchor)
-    if not held and g < _K_RESOLVABLE:  # the search's first step past g
+    if not held and g < _K_RESOLVABLE:  # the engine's first step past g
         top = sup(g + 1)
         if top.sup_loss < best[0]:
             win, best = top, (top.sup_loss, g + 1)
         held = _beyond(top, best, anchor)
     if held and (1.0 / (g - 1), 2) > best:  # the floor of 1 prunes (1, g)
         return win
-    known = {g: start, top.k: top}
-    return _search(lambda k: known.get(k) or sup(k), (1, g), anchor)
+    # the closures capture only names bound from here on, as a captured name
+    # is a cell, slower to read, in the whole function, the certificate too;
+    # least is the best of the sizes the engine has visited
+    points, least = {g: start, top.k: top}, (math.inf, 0)
+    fetch, zero_regret = sup, anchor
+
+    def visit(k):
+        nonlocal least
+        if k not in points:  # the certificate's suprema are not taken twice
+            points[k] = fetch(k)
+        least = min(least, (points[k].sup_loss, k))
+
+    def beyond(k):
+        return _beyond(points[k], least, zero_regret)
+
+    def split(a, b):
+        # the floor of b would save a supremum on 25 of 25 000 bounds, at a
+        # floor in every split (docs/decisions.md, "The minimax pool size by
+        # the shared certified search")
+        bound, k = _regret_floor(points[a], a + 1, b - 1)
+        return k if (bound, a + 1) <= least else None
+
+    _branch_and_bound(visit, beyond, split, (1, g))
+    return points[least[1]]
 
 
 def minimax_group_size(
@@ -284,7 +279,7 @@ def minimax_group_size(
     elif method == "grid":
         _check_grid_step(U, grid_step)
         if U / 1e5 == 0.0:  # the step underflows, far below the answered range
-            raise _unresolved(_K_RESOLVABLE)
+            raise _unresolved()
         # one grid for the whole search; small windows keep 1e5 grid points
         p, opt = _grid_base(U, min(grid_step, U / 1e5))
         sup = partial(_grid_sup, p=p, opt=opt)
@@ -297,5 +292,5 @@ def minimax_group_size(
     # shared certified search"); the oracle size at the domain end has zero
     # regret there, a point both methods evaluate
     g = min(max(round(2.0 / math.sqrt(hi)) + 1, 8), _K_RESOLVABLE)
-    pt = _certified(sup, g, LossPoint(m_lo, hi, 0.0))
+    pt = _search(sup, g, LossPoint(m_lo, hi, 0.0))
     return MinimaxResult(pt.k, U, pt, method)

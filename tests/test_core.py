@@ -363,25 +363,27 @@ def test_invalid_input_message(fn, args, message):
 class TestBranchAndBound:
     # the shared search of the minimax and Bayes solvers, on made-up callbacks
     @staticmethod
-    def _run(beyond, limit, split=lambda lo, hi: None):
+    def _run(beyond, split=lambda lo, hi: None):
         seen = []
-        core._branch_and_bound(seen.append, beyond, split, (1, 10), limit)
+        core._branch_and_bound(seen.append, beyond, split, (1, 10))
         return seen
 
     def test_steps_of_one_and_two_before_doubling(self):
         # the callers start next to the answer, so the search tries top + 1
         # and top + 3 before it doubles
-        assert self._run(lambda k: k >= 100, 10**15) == [1, 10, 11, 13, 26, 52, 104]
-        assert self._run(lambda k: k >= 11, 10**15) == [1, 10, 11]
-        assert self._run(lambda k: k >= 12, 10**15) == [1, 10, 11, 13]
+        assert self._run(lambda k: k >= 100) == [1, 10, 11, 13, 26, 52, 104]
+        assert self._run(lambda k: k >= 11) == [1, 10, 11]
+        assert self._run(lambda k: k >= 12) == [1, 10, 11, 13]
 
-    def test_steps_stop_at_the_limit(self):
-        assert self._run(lambda k: k >= 30, 30) == [1, 10, 11, 13, 26, 30]
+    def test_steps_stop_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(core, "_K_RESOLVABLE", 30)
+        assert self._run(lambda k: k >= 30) == [1, 10, 11, 13, 26, 30]
+        monkeypatch.setattr(core, "_K_RESOLVABLE", 12)
         with pytest.raises(RuntimeError, match="up to 1e\\+01 .*double precision"):
-            self._run(lambda k: False, 12)
+            self._run(lambda k: False)
 
     def test_splits_the_intervals_below_the_top(self):
         # split visits the midpoint of every interval below the top
-        seen = self._run(lambda k: k >= 13, 10**15, lambda lo, hi: (lo + hi) // 2)
+        seen = self._run(lambda k: k >= 13, lambda lo, hi: (lo + hi) // 2)
         assert seen[:4] == [1, 10, 11, 13]
         assert sorted(seen) == list(range(1, 14))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from functools import cache, partial
@@ -348,6 +349,15 @@ class TestGridSupremum:
             sup_loss_grid(8, U, step)
 
 
+# the draws of 50 bounds log-uniform in [4.1e-30, 6e-29] from random.Random(23)
+# on which the local certificate fails, and their answers
+FALLBACK_ANSWERS = {
+    3: 882987285539248, 7: 829301914133485, 19: 914327919100505,
+    31: 880402010067846, 41: 759732246971992, 43: 865332487086779,
+    44: 937459132258564, 48: 633699662090858,
+}
+
+
 class TestMinimaxGroupSize:
     def test_unbounded_is_eight(self):
         res = minimax_group_size(1.0)
@@ -417,13 +427,10 @@ class TestMinimaxGroupSize:
             assert time.process_time() - start < 5.0, method
 
     def test_search_starts_at_the_asymptote(self, monkeypatch):
-        # doubling from 2 alone visits 2, 4, ..., 32768 to pass the answer
-        # 20001 and then bisects: 33 suprema; from 2/sqrt(U) + 1 and bisecting
-        # it took 18; the floor of 1, 1/20000, rules out every size below
-        # 20001 (the search visited 2 too, whose floor is the same), and the
-        # floor of the oracle size at U rules out every size above it, where
-        # doubling visited 40002 too; the search visited 1 as well, whose
-        # floor the local certificate takes without its supremum
+        # the search starts at 2/sqrt(U) + 1 = 20001, the answer; the floor
+        # of 1, 1/20000, rules out every size below it, and the floor of the
+        # oracle size at U every size above it, so the local certificate
+        # takes the supremum of 20001 alone
         sizes = _count_suprema(monkeypatch)
         assert minimax_group_size(1e-8).k_minimax == 20001
         assert sizes == [20001]
@@ -438,40 +445,29 @@ class TestMinimaxGroupSize:
 
     @pytest.mark.parametrize("U", [1.0, 0.5, 0.3, 0.25, 0.15])
     def test_large_bounds_stop_at_the_answer(self, monkeypatch, U):
-        # the search visited 6 sizes here, as only the anchor's floor was
-        # tried beyond the top, and then 1, 2 and 8. No answer is below 8, so
-        # it starts there; the floor of 1, 1/7, rules out (1, 8), and the
-        # floor of 8's own worst point over (8, inf) is above its supremum,
-        # and the local certificate needs no supremum of 1
+        # no answer is below 8, so the search starts there; the floor of 1,
+        # 1/7, rules out (1, 8), and the floor of 8's own worst point over
+        # (8, inf) is above its supremum, so the local certificate takes the
+        # supremum of 8 alone
         sizes = _count_suprema(monkeypatch)
         assert minimax_group_size(U).k_minimax == 8
         assert sizes == [8]
 
     @pytest.mark.parametrize("U", [6e-30, 5e-30, 4.1e-30])
     def test_near_the_limit_the_limit_is_not_visited(self, monkeypatch, U):
-        # the anchor's floor stayed just below the best supremum, within its
-        # rounding allowance, so the search visited 1e15 to end; the floor
-        # of g + 1 over (g + 1, inf) ends it, after 1, g and g + 1, and the
-        # local certificate after g and g + 1
+        # the anchor's floor stays just below the best supremum, within its
+        # rounding allowance, and so does the floor of g over (g, inf); the
+        # floor of g + 1 over (g + 1, inf) ends the local certificate after
+        # the suprema of g and g + 1, far from 1e15
         sizes = _count_suprema(monkeypatch)
         minimax_group_size(U)
         assert len(sizes) == 2 and core._K_RESOLVABLE not in sizes, sizes
 
     def test_suprema_per_search(self, monkeypatch):
-        # bisecting down to width 1 took up to 15 suprema per bound here and
-        # 22 to 53 on the decades; the regret floor prunes nearly every
-        # interval, and the steps of 1 and 2 past the start land on the
-        # answer where doubling overshot it: 2898 suprema in all and 7 at
-        # most on the log-spaced bounds, and 2285 and 6 before the top's own
-        # floor was tried beyond it; 2008 and 4 with the start size 2,
-        # whose floor is that of 1; 1400 and 3 before the local certificate,
-        # which needs no supremum of 1, and the general engine never runs
+        # the local certificate ends every search here, after the suprema of
+        # g or of g and g + 1, and the branch and bound never runs
         sizes = _count_suprema(monkeypatch)
-        engine_runs = []
-        real = minimax._branch_and_bound
-        monkeypatch.setattr(
-            minimax, "_branch_and_bound", lambda *args: engine_runs.append(1) or real(*args)
-        )
+        engine_runs = _count_engine_runs(monkeypatch)
         total = 0
         for U in LOG_SPACED_U:
             sizes.clear()
@@ -484,6 +480,29 @@ class TestMinimaxGroupSize:
             sizes.clear()
             minimax_group_size(U)
             assert len(sizes) <= 2, (U, sizes)
+
+    def test_fallback_takes_no_supremum_twice(self, monkeypatch):
+        # below about 6e-29 the local certificate fails on some bounds: at g
+        # and at g + 1 the floors over the sizes above stay within their
+        # rounding allowance of the best supremum. The branch and bound then
+        # runs once, handed the suprema of g and g + 1, and visits 1, g + 3
+        # and g + 2
+        sizes = _count_suprema(monkeypatch)
+        engine_runs = _count_engine_runs(monkeypatch)
+        rng = random.Random(23)
+        lo, hi = math.log(4.1e-30), math.log(6e-29)
+        answers = {}
+        for i in range(50):
+            U = math.exp(rng.uniform(lo, hi))
+            sizes.clear()
+            engine_runs.clear()
+            k = minimax_group_size(U).k_minimax
+            if engine_runs:
+                assert engine_runs == [1], U
+                assert len(set(sizes)) == len(sizes) == 5, (U, sizes)
+                assert 1 in sizes, (U, sizes)
+                answers[i] = k
+        assert answers == FALLBACK_ANSWERS
 
     def test_answers_just_below_the_cap(self):
         # 2/sqrt(U) + 1 lies just below 100 000, a cap the search once had
@@ -522,6 +541,17 @@ def _count_suprema(monkeypatch):
         minimax, "_sup_loss", lambda *args: sizes.append(args[-1]) or real(*args)
     )
     return sizes
+
+
+def _count_engine_runs(monkeypatch):
+    """The list that gains an entry each time the minimax search runs the
+    branch and bound of `core`."""
+    runs = []
+    real = minimax._branch_and_bound
+    monkeypatch.setattr(
+        minimax, "_branch_and_bound", lambda *args: runs.append(1) or real(*args)
+    )
+    return runs
 
 
 def _brute_force_k(sup):
@@ -587,7 +617,7 @@ class TestSearchAgainstBruteForce:
     def test_made_up_curves(self, loss, k):
         sup = _made_up_sup(loss)
         assert _brute_force_k(sup) == k
-        assert minimax._search(sup, (1, 2)).k == k
+        assert minimax._search(sup, 2).k == k
 
     @pytest.mark.parametrize("loss, k", MADE_UP_CURVES.values(), ids=MADE_UP_CURVES)
     @settings(max_examples=40, deadline=None)
@@ -595,14 +625,13 @@ class TestSearchAgainstBruteForce:
     def test_local_certificate_on_made_up_curves(self, loss, k, g):
         # the tie at 0.06 on [20, 500) goes to 20; from 500 on that curve is
         # flat at 1 with J below 1, so a search that starts there never
-        # rules out the larger sizes, and both refuse
+        # rules out the larger sizes, and it refuses
         sup = _made_up_sup(loss)
-        for search in (minimax._certified, lambda sup, g: minimax._search(sup, (1, g))):
-            if loss(g) == 1.0:
-                with pytest.raises(RuntimeError, match="double precision"):
-                    search(sup, g)
-            else:
-                assert search(sup, g).k == k
+        if loss(g) == 1.0:
+            with pytest.raises(RuntimeError, match="double precision"):
+                minimax._search(sup, g)
+        else:
+            assert minimax._search(sup, g).k == k
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -641,14 +670,11 @@ class TestSearchAgainstBruteForce:
         # rounding decides ties (docs/decisions.md), so the minimum must be clear
         assume(losses[1] - losses[0] > 1e-12)
         want = _brute_force_k(sup)
-        assert minimax._search(sup, (1, 2)).k == want
-        # a third start size changes no answer
-        assert minimax._search(sup, (1, 2, start)).k == want
-        # nor does the local certificate, with or without an anchor
+        assert minimax._search(sup, 2).k == want
+        # the start changes no answer, with or without an anchor
         anchors = [None] if p is None else [None, LossPoint(samuels_optimal_k(p), p, 0.0)]
         for anchor in anchors:
-            assert minimax._certified(sup, start, anchor).k == want, anchor
-            assert minimax._search(sup, (1, start), anchor).k == want, anchor
+            assert minimax._search(sup, start, anchor).k == want, anchor
 
     @settings(max_examples=50, deadline=None)
     @given(end=st.integers(core._K_RESOLVABLE + 2, 10**18))
@@ -657,7 +683,7 @@ class TestSearchAgainstBruteForce:
             return LossPoint(k, 0.0, 1.0 if k == 1 else 1.0 / k + (k >= end))
 
         with pytest.raises(RuntimeError, match="double precision"):
-            minimax._search(sup, (1, 2))
+            minimax._search(sup, 2)
 
 
 def _check_floor(sup, a, b):

@@ -22,7 +22,11 @@ module names, so a change that takes more of any shows in the diff of two
 dumps (it works on any checkout that has all three). The `minimax_work`
 key counts the calls of `minimax._sup_loss` (suprema), `minimax._regret_floor`
 and `minimax._branch_and_bound` (the searches that reach the general engine)
-over the sweep's minimax queries in the same way. Four keys
+over the sweep's minimax queries in the same way, which the local
+certificate ends without the engine. `minimax_wide_work` holds the same
+three counts over the analytic answers of `minimax_wide`'s 25 000 bounds,
+among them the bounds below about 6e-29 where the certificate falls back
+to the engine, so the work of that fallback shows too. Four keys
 hold the Bayes answer and cost at the edges: `bayes_near_one` (the uniform
 prior on 100 bounds U in [0.9, 1) and at U = 1 - 1e-3 .. 1 - 1e-6),
 `bayes_small` (uniform and Jeffreys at 41 bounds U in [1e-10, 1e-6]),
@@ -544,11 +548,17 @@ def count_calls(module, names):
 
 # count the continued fractions, log B(a, b) calls and engine runs of the
 # sweep's Bayes queries, and the suprema, regret floors and engine runs of
-# its minimax queries, by wrapping the module names the searches look up
+# its minimax queries, by wrapping the module names the searches look up;
+# the minimax counts are taken over the analytic answers of minimax_wide
+# first, and then started again at zero for the sweep
 res["bayes_work"] = count_calls(bayes_module, ("_beta_cf", "_log_beta", "_branch_and_bound"))
 res["minimax_work"] = count_calls(
     minimax_module, ("_sup_loss", "_regret_floor", "_branch_and_bound")
 )
+for U in WIDE:
+    pd.minimax_group_size(U)
+res["minimax_wide_work"] = dict(res["minimax_work"])
+res["minimax_work"].update(dict.fromkeys(res["minimax_work"], 0))
 for seed in range(1, 11):
     for block in itertools.islice(workloads.blocks("design-sweep", seed), 2):
         for q in block:
